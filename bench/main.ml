@@ -11,143 +11,149 @@
      dune exec bench/main.exe smoke           -- 1 workload x 2 configs across
                                                  2 domains; fast sanity check
                                                  of the parallel path
-     dune exec bench/main.exe micro           -- Bechamel microbenchmarks (one
-                                                 Test.make per experiment,
-                                                 timing the pipeline itself)
 
    Flags (valid for every mode that runs the sweep):
 
      -j N          run experiments across N domains (default: cores - 1)
      --json PATH   where fig7/stats/all write the machine-readable results
                    (default BENCH_fig7.json; "-" disables)
+     --trace-out P fig7/all: attach a block-level trace to every Figure 7
+                   run and write one combined Chrome trace-event JSON
+                   (one Perfetto process per workload/config experiment)
      --no-cache    bypass the persistent result cache
      --cache-dir D persistent cache location (default _cache); unchanged
                    (workload, config) pairs hit the cache across runs and
                    skip recompilation and re-simulation entirely
 
    The paper-facing numbers are simulated cycle counts, not wall-clock:
-   simulated cycles are bit-identical for every -j value.  The Bechamel
-   tests exist to track the toolchain's own performance (compile time,
-   functional- and cycle-simulation throughput). *)
+   simulated cycles are bit-identical for every -j value. *)
 
-let fig7 ?(progress = true) ?cache ?machine ~jobs () =
-  Edge_harness.Figure7.run
+module Json = Edge_obs.Json
+module Figure7 = Edge_harness.Figure7
+module Fsim_bench = Edge_harness.Fsim_bench
+
+let fig7 ~progress ?cache ?machine ~trace_blocks ~jobs () =
+  Figure7.run
     ~progress:(fun n -> if progress then Printf.eprintf "  %s...\n%!" n)
-    ~jobs ?cache ?machine ()
+    ~jobs ?cache ?machine ~trace_blocks ()
 
 (* -- machine-readable results ------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let write_json path ~wall_s ~alloc ~fsim ~backends
-    (r : Edge_harness.Figure7.result) =
-  let buf = Buffer.create 4096 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  (* multi-line lists indent one entry per line; short objects stay on
-     one line with inline separators *)
-  let sep xs f = List.iteri (fun i x -> if i > 0 then pf ",\n"; f x) xs in
-  let sep_inline xs f = List.iteri (fun i x -> if i > 0 then pf ", "; f x) xs in
-  pf "{\n";
-  pf "  \"experiment\": \"fig7\",\n";
-  pf "  \"jobs\": %d,\n" r.Edge_harness.Figure7.jobs;
-  pf "  \"wall_s\": { \"total\": %.3f, \"compile\": %.3f, \"sim\": %.3f },\n"
-    wall_s r.Edge_harness.Figure7.compile_s r.Edge_harness.Figure7.sim_s;
-  let minor_words, major_words = alloc in
-  pf "  \"alloc\": { \"minor_words\": %.0f, \"major_words\": %.0f },\n"
-    minor_words major_words;
-  (match (fsim : Edge_harness.Fsim_bench.result option) with
-  | None -> ()
-  | Some f ->
-      pf "  \"fsim_throughput\": {\n";
-      pf "    \"workloads\": [";
-      sep_inline f.Edge_harness.Fsim_bench.workloads (fun w ->
-          pf "\"%s\"" (json_escape w));
-      pf "],\n    \"rows\": [\n";
-      sep f.Edge_harness.Fsim_bench.rows (fun (row : Edge_harness.Fsim_bench.row) ->
-          pf
-            "      { \"config\": \"%s\", \"jit_blocks_s\": %.0f, \
-             \"jit_instrs_s\": %.0f, \"interp_blocks_s\": %.0f, \
-             \"interp_instrs_s\": %.0f, \"speedup\": %.2f }"
-            (json_escape row.Edge_harness.Fsim_bench.config)
-            row.Edge_harness.Fsim_bench.jit_blocks_s
-            row.Edge_harness.Fsim_bench.jit_instrs_s
-            row.Edge_harness.Fsim_bench.interp_blocks_s
-            row.Edge_harness.Fsim_bench.interp_instrs_s
-            row.Edge_harness.Fsim_bench.speedup);
-      pf "\n    ]\n  },\n");
-  pf "  \"geomean_speedups\": {\n";
-  sep r.Edge_harness.Figure7.mean_speedups (fun (n, s) ->
-      pf "    \"%s\": %.4f" (json_escape n) s);
-  pf "\n  },\n";
-  pf "  \"benches\": [\n";
-  sep r.Edge_harness.Figure7.rows (fun row ->
-      pf "    { \"bench\": \"%s\",\n"
-        (json_escape row.Edge_harness.Figure7.bench);
-      pf "      \"cycles\": { ";
-      sep_inline row.Edge_harness.Figure7.cycles (fun (n, c) ->
-          pf "\"%s\": %d" (json_escape n) c);
-      pf " },\n      \"speedups\": { ";
-      sep_inline row.Edge_harness.Figure7.speedups (fun (n, s) ->
-          pf "\"%s\": %.4f" (json_escape n) s);
-      pf " } }");
-  pf "\n  ],\n";
-  (* per-backend cycle tables: the top-level "benches" stays the
-     default backend for compatibility; each entry here is one machine
-     description's own sweep, diffed independently by bench_compare *)
-  pf "  \"backends\": {\n";
-  sep backends (fun (bname, (br : Edge_harness.Figure7.result)) ->
-      pf "    \"%s\": {\n" (json_escape bname);
-      pf "      \"geomean_speedups\": { ";
-      sep_inline br.Edge_harness.Figure7.mean_speedups (fun (n, s) ->
-          pf "\"%s\": %.4f" (json_escape n) s);
-      pf " },\n      \"benches\": [\n";
-      sep br.Edge_harness.Figure7.rows (fun row ->
-          pf "        { \"bench\": \"%s\", \"cycles\": { "
-            (json_escape row.Edge_harness.Figure7.bench);
-          sep_inline row.Edge_harness.Figure7.cycles (fun (n, c) ->
-              pf "\"%s\": %d" (json_escape n) c);
-          pf " } }");
-      pf "\n      ]\n    }");
-  pf "\n  },\n";
-  pf "  \"pass_counters\": {\n";
-  sep r.Edge_harness.Figure7.pass_totals (fun (config, counters) ->
-      pf "    \"%s\": { " (json_escape config);
-      sep_inline counters (fun (k, v) -> pf "\"%s\": %d" (json_escape k) v);
-      pf " }");
-  pf "\n  },\n";
-  pf "  \"errors\": [\n";
-  sep r.Edge_harness.Figure7.errors (fun (w, e) ->
-      pf "    { \"experiment\": \"%s\", \"error\": \"%s\" }" (json_escape w)
-        (json_escape e));
-  pf "\n  ]\n}\n";
+let write_file path contents =
   match open_out path with
   | oc ->
-      output_string oc (Buffer.contents buf);
+      output_string oc contents;
       close_out oc;
       Format.printf "wrote %s@." path
   | exception Sys_error e ->
       (* don't lose a finished sweep to an unwritable path *)
       Printf.eprintf "warning: could not write %s: %s\n%!" path e
 
+let fig7_json ~wall_s ~alloc ~(fsim : Fsim_bench.result) ~backends
+    (r : Figure7.result) =
+  let str s = Json.Str s in
+  let int i = Json.Num (float_of_int i) in
+  let table f kvs = Json.Obj (List.map (fun (k, v) -> (k, f v)) kvs) in
+  let speedups = table (Json.fixed 4) in
+  let cycles row =
+    [
+      ("bench", str row.Figure7.bench);
+      ("cycles", table int row.Figure7.cycles);
+    ]
+  in
+  let minor_words, major_words = alloc in
+  Json.Obj
+    [
+      ("experiment", str "fig7");
+      ("jobs", int r.Figure7.jobs);
+      ( "wall_s",
+        Json.Obj
+          [
+            ("total", Json.fixed 3 wall_s);
+            ("compile", Json.fixed 3 r.Figure7.compile_s);
+            ("sim", Json.fixed 3 r.Figure7.sim_s);
+          ] );
+      ( "alloc",
+        Json.Obj
+          [
+            ("minor_words", Json.fixed 0 minor_words);
+            ("major_words", Json.fixed 0 major_words);
+          ] );
+      ( "fsim_throughput",
+        Json.Obj
+          [
+            ("workloads", Json.Arr (List.map str fsim.Fsim_bench.workloads));
+            ( "rows",
+              Json.Arr
+                (List.map
+                   (fun (row : Fsim_bench.row) ->
+                     Json.Obj
+                       [
+                         ("config", str row.Fsim_bench.config);
+                         ( "jit_blocks_s",
+                           Json.fixed 0 row.Fsim_bench.jit_blocks_s );
+                         ( "jit_instrs_s",
+                           Json.fixed 0 row.Fsim_bench.jit_instrs_s );
+                         ( "interp_blocks_s",
+                           Json.fixed 0 row.Fsim_bench.interp_blocks_s );
+                         ( "interp_instrs_s",
+                           Json.fixed 0 row.Fsim_bench.interp_instrs_s );
+                         ("speedup", Json.fixed 2 row.Fsim_bench.speedup);
+                       ])
+                   fsim.Fsim_bench.rows) );
+          ] );
+      ("geomean_speedups", speedups r.Figure7.mean_speedups);
+      ( "benches",
+        Json.Arr
+          (List.map
+             (fun row ->
+               Json.Obj
+                 (cycles row @ [ ("speedups", speedups row.Figure7.speedups) ]))
+             r.Figure7.rows) );
+      (* per-backend cycle tables: the top-level "benches" stays the
+         default backend for compatibility; each entry here is one
+         machine description's own sweep, diffed independently by
+         bench_compare *)
+      ( "backends",
+        table
+          (fun (br : Figure7.result) ->
+            Json.Obj
+              [
+                ("geomean_speedups", speedups br.Figure7.mean_speedups);
+                ( "benches",
+                  Json.Arr
+                    (List.map
+                       (fun row -> Json.Obj (cycles row))
+                       br.Figure7.rows) );
+              ])
+          backends );
+      ("pass_counters", table (table int) r.Figure7.pass_totals);
+      ( "errors",
+        Json.Arr
+          (List.map
+             (fun (w, e) ->
+               Json.Obj [ ("experiment", str w); ("error", str e) ])
+             r.Figure7.errors) );
+    ]
+
+(* every traced Figure 7 run as one Chrome trace-event file, one
+   Perfetto process per workload/config experiment *)
+let trace_json (r : Figure7.result) =
+  Json.Arr
+    (List.concat
+       (List.mapi
+          (fun pid ((wname, cname), events) ->
+            Edge_obs.Trace.chrome ~pid ~name:(wname ^ "/" ^ cname) events)
+          r.Figure7.traces))
+
 (* one sweep shared by fig7/stats/all: `stats` used to re-run all 140
    experiments even when fig7 had just produced them *)
-let run_sweep ?cache ~jobs ~json () =
+let run_sweep ?cache ~jobs ~json ~trace_out () =
   let g0 = Gc.quick_stat () in
   let t0 = Unix.gettimeofday () in
-  let r = fig7 ?cache ~jobs () in
+  let r =
+    fig7 ~progress:true ?cache ~trace_blocks:(trace_out <> None) ~jobs ()
+  in
   let wall_s = Unix.gettimeofday () -. t0 in
   let g1 = Gc.quick_stat () in
   let alloc =
@@ -162,30 +168,34 @@ let run_sweep ?cache ~jobs ~json () =
       List.map
         (fun (name, machine) ->
           Printf.eprintf "  backend %s sweep...\n%!" name;
-          (name, fig7 ~progress:false ?cache ~machine ~jobs ()))
+          ( name,
+            fig7 ~progress:false ?cache ~machine ~trace_blocks:false ~jobs
+              () ))
         [ ("inorder_edge", Edge_sim.Machine.inorder_edge) ]
     in
     (* functional-simulator throughput rides along in the same JSON so
        the committed numbers track the code; measured outside the timed
        sweep window *)
     Printf.eprintf "  fsim throughput (jit vs interpreter)...\n%!";
-    let fsim = Some (Edge_harness.Fsim_bench.measure ()) in
-    write_json json ~wall_s ~alloc ~fsim ~backends r
+    let fsim = Fsim_bench.measure () in
+    write_file json (Json.pretty (fig7_json ~wall_s ~alloc ~fsim ~backends r))
   end;
+  Option.iter
+    (fun path -> write_file path (Json.pretty (trace_json r)))
+    trace_out;
   Format.printf "sweep: %.1fs wall (-j %d; compile %.1fs, sim %.1fs of work)@."
-    wall_s r.Edge_harness.Figure7.jobs r.Edge_harness.Figure7.compile_s
-    r.Edge_harness.Figure7.sim_s;
+    wall_s r.Figure7.jobs r.Figure7.compile_s r.Figure7.sim_s;
   r
 
-let pp_stats ppf (r : Edge_harness.Figure7.result) =
+let pp_stats ppf (r : Figure7.result) =
   Format.fprintf ppf
     "@[<v>Section 6 dynamic statistics (Intra vs Hyper, all benchmarks)@,\
      move instructions: -%.1f%% (paper: -14%%)@,\
      total instructions: -%.1f%% (paper: -2%%)@,\
      blocks executed: -%.1f%% (paper: -5%%)@,"
-    (100.0 *. r.Edge_harness.Figure7.move_reduction)
-    (100.0 *. r.Edge_harness.Figure7.instr_reduction)
-    (100.0 *. r.Edge_harness.Figure7.block_reduction);
+    (100.0 *. r.Figure7.move_reduction)
+    (100.0 *. r.Figure7.instr_reduction)
+    (100.0 *. r.Figure7.block_reduction);
   Format.fprintf ppf "@,compiler pass counters (summed over benchmarks):@,";
   List.iter
     (fun (config, counters) ->
@@ -193,7 +203,7 @@ let pp_stats ppf (r : Edge_harness.Figure7.result) =
       List.iter
         (fun (k, v) -> Format.fprintf ppf "    %-36s %10d@," k v)
         counters)
-    r.Edge_harness.Figure7.pass_totals;
+    r.Figure7.pass_totals;
   Format.fprintf ppf "@]"
 
 let run_genalg ?cache ~jobs () =
@@ -221,121 +231,32 @@ let run_smoke ?cache () =
       Dfp.Config.all_paper_configs
   in
   let t0 = Unix.gettimeofday () in
-  let r = Edge_harness.Figure7.run ~benches:[ w ] ~configs ~jobs:2 ?cache () in
-  Format.printf "%a@." Edge_harness.Figure7.pp r;
+  let r = Figure7.run ~benches:[ w ] ~configs ~jobs:2 ?cache () in
+  Format.printf "%a@." Figure7.pp r;
   (* raw counts, one per line: `make perf-smoke` diffs these between a
      cold and a warm-cache run *)
   List.iter
     (fun row ->
       List.iter
         (fun (n, c) ->
-          Format.printf "cycles %s/%s = %d@." row.Edge_harness.Figure7.bench n
-            c)
-        row.Edge_harness.Figure7.cycles)
-    r.Edge_harness.Figure7.rows;
+          Format.printf "cycles %s/%s = %d@." row.Figure7.bench n c)
+        row.Figure7.cycles)
+    r.Figure7.rows;
   Format.printf "smoke: %.2fs wall (-j 2)@." (Unix.gettimeofday () -. t0);
-  if r.Edge_harness.Figure7.errors <> [] then exit 1
-
-(* Bechamel microbenchmarks: one Test.make per regenerated artifact,
-   measuring the machinery that produces it on a small representative
-   input. *)
-let micro_tests () =
-  let open Bechamel in
-  let w = Option.get (Edge_workloads.Registry.find "tblook01") in
-  let both =
-    match Edge_harness.Experiment.compile w Dfp.Config.both with
-    | Ok c -> c
-    | Error e -> failwith e
-  in
-  let run_functional () =
-    let mem = Edge_isa.Mem.create ~size:w.Edge_workloads.Workload.mem_size in
-    let args = w.Edge_workloads.Workload.setup mem in
-    let regs = Array.make 128 0L in
-    List.iteri (fun i v -> regs.(Edge_isa.Conventions.param_reg i) <- v) args;
-    match Edge_sim.Functional.run both.Dfp.Driver.program ~regs ~mem with
-    | Ok _ -> ()
-    | Error e -> failwith e
-  in
-  let run_cycle () =
-    let mem = Edge_isa.Mem.create ~size:w.Edge_workloads.Workload.mem_size in
-    let args = w.Edge_workloads.Workload.setup mem in
-    let regs = Array.make 128 0L in
-    List.iteri (fun i v -> regs.(Edge_isa.Conventions.param_reg i) <- v) args;
-    let placement n =
-      match List.assoc_opt n both.Dfp.Driver.placements with
-      | Some p -> p
-      | None -> [||]
-    in
-    match
-      Edge_sim.Cycle_sim.run ~placement both.Dfp.Driver.program ~regs ~mem
-    with
-    | Ok _ -> ()
-    | Error e -> failwith e
-  in
-  let compile_one () =
-    match Edge_harness.Experiment.compile w Dfp.Config.both with
-    | Ok _ -> ()
-    | Error e -> failwith e
-  in
-  let genalg_point () =
-    match
-      Edge_harness.Experiment.run_one Edge_workloads.Registry.genalg
-        ("Both", Dfp.Config.both)
-    with
-    | Ok _ -> ()
-    | Error e -> failwith e
-  in
-  let ablation_point () =
-    let machine =
-      { Edge_sim.Machine.default with Edge_sim.Machine.early_termination = false }
-    in
-    match Edge_harness.Experiment.run_one ~machine w ("Both", Dfp.Config.both) with
-    | Ok _ -> ()
-    | Error e -> failwith e
-  in
-  [
-    Test.make ~name:"fig7:compile" (Staged.stage compile_one);
-    Test.make ~name:"fig7:functional-sim" (Staged.stage run_functional);
-    Test.make ~name:"fig7:cycle-sim" (Staged.stage run_cycle);
-    Test.make ~name:"sec6-stats:cycle-sim" (Staged.stage run_cycle);
-    Test.make ~name:"genalg-study:point" (Staged.stage genalg_point);
-    Test.make ~name:"ablation:point" (Staged.stage ablation_point);
-  ]
-
-let run_micro () =
-  let open Bechamel in
-  let tests = micro_tests () in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:None () in
-  List.iter
-    (fun test ->
-      let results =
-        Benchmark.all cfg instances (Test.make_grouped ~name:"g" [ test ])
-      in
-      Hashtbl.iter
-        (fun name result ->
-          let stats =
-            Analyze.one
-              (Analyze.ols ~bootstrap:0 ~r_square:false
-                 ~predictors:[| Measure.run |])
-              Toolkit.Instance.monotonic_clock result
-          in
-          match Analyze.OLS.estimates stats with
-          | Some [ est ] -> Format.printf "%-28s %12.0f ns/run@." name est
-          | _ -> Format.printf "%-28s (no estimate)@." name)
-        results)
-    tests
+  if r.Figure7.errors <> [] then exit 1
 
 let usage () =
   Printf.eprintf
-    "usage: main.exe [fig7|stats|genalg|ablation|smoke|micro|all] [-j N] \
-     [--json PATH] [--no-cache] [--cache-dir DIR] [--check]\n";
+    "usage: main.exe [fig7|stats|genalg|ablation|smoke|all] [-j N] \
+     [--json PATH] [--trace-out PATH] [--no-cache] [--cache-dir DIR] \
+     [--check]\n";
   exit 1
 
 let () =
   let mode = ref "all" in
   let jobs = ref (Edge_parallel.Pool.default_jobs ()) in
   let json = ref "BENCH_fig7.json" in
+  let trace_out = ref None in
   let use_cache = ref true in
   let cache_dir = ref "_cache" in
   let rec parse = function
@@ -349,6 +270,9 @@ let () =
     | "--json" :: p :: rest ->
         json := p;
         parse rest
+    | "--trace-out" :: p :: rest ->
+        trace_out := Some p;
+        parse rest
     | "--no-cache" :: rest ->
         use_cache := false;
         parse rest
@@ -356,8 +280,8 @@ let () =
         cache_dir := d;
         parse rest
     | "--check" :: rest ->
-        (* per-pass static verifier on every compile (also: DFP_CHECK=1);
-           checked runs bypass the persistent result cache *)
+        (* per-pass static verifier on every compile; checked runs
+           bypass the persistent result cache *)
         Edge_check.Check.set_enabled true;
         parse rest
     | m :: rest when String.length m > 0 && m.[0] <> '-' ->
@@ -366,7 +290,7 @@ let () =
     | _ -> usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
-  let jobs = !jobs and json = !json in
+  let jobs = !jobs and json = !json and trace_out = !trace_out in
   let cache =
     if not !use_cache then None
     else
@@ -387,22 +311,21 @@ let () =
   in
   match !mode with
   | "fig7" ->
-      let r = run_sweep ?cache ~jobs ~json () in
-      Format.printf "%a@." Edge_harness.Figure7.pp r;
+      let r = run_sweep ?cache ~jobs ~json ~trace_out () in
+      Format.printf "%a@." Figure7.pp r;
       report_cache ()
   | "stats" ->
-      let r = run_sweep ?cache ~jobs ~json () in
+      let r = run_sweep ?cache ~jobs ~json ~trace_out:None () in
       Format.printf "%a@." pp_stats r
   | "genalg" -> run_genalg ?cache ~jobs ()
   | "ablation" -> run_ablation ?cache ~jobs ()
   | "smoke" ->
       run_smoke ?cache ();
       report_cache ()
-  | "micro" -> run_micro ()
   | "all" ->
       Format.printf "== Figure 7 ==@.";
-      let r = run_sweep ?cache ~jobs ~json () in
-      Format.printf "%a@." Edge_harness.Figure7.pp r;
+      let r = run_sweep ?cache ~jobs ~json ~trace_out () in
+      Format.printf "%a@." Figure7.pp r;
       (* the Section 6 numbers come from the same sweep result: no
          second pass over the 140 experiments *)
       Format.printf "@.== Section 6 dynamic statistics ==@.";

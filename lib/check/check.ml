@@ -3,9 +3,8 @@
 
    The checker is off by default for plain builds (it costs compile
    time) and turned on by:
-     - the DFP_CHECK environment variable (1/true/yes/on),
-     - [set_enabled true] (the --check flags on bin/tsim, bin/fuzz,
-       bin/experiments and bench/main, and the test suite),
+     - [set_enabled true] (the --check flags on bin/tsim and
+       bench/main, and the test suite),
      - explicitly passing ~check:true to Driver.compile_cfg (the fuzz
        oracle does, so differential fuzzing always runs it). *)
 
@@ -15,22 +14,16 @@ module Temp = Edge_ir.Temp
 module Label = Edge_ir.Label
 module Cfg = Edge_ir.Cfg
 
-let forced : bool option ref = ref None
-
-let env_enabled () =
-  match Sys.getenv_opt "DFP_CHECK" with
-  | Some ("1" | "true" | "yes" | "on") -> true
-  | Some _ | None -> false
-
-let enabled () = match !forced with Some b -> b | None -> env_enabled ()
-let set_enabled b = forced := Some b
+let forced = ref false
+let enabled () = !forced
+let set_enabled b = forced := b
 
 (* Run [f] with the checker forced off — bin/tsim uses this to
    recompile a failing program so the offending block's trace can be
    captured alongside the diagnostic. *)
 let without_check f =
   let saved = !forced in
-  forced := Some false;
+  forced := false;
   Fun.protect ~finally:(fun () -> forced := saved) f
 
 (* ---- per-layer checks ---- *)

@@ -40,8 +40,8 @@ val compile_cfg :
     allocation, code generation, scheduling, plus the Psi-SSA
     construct/destruct round-trip — and fails compilation with a
     structured [check\[pass=… invariant=…\]] diagnostic on the first
-    violation.  Defaults to {!Edge_check.Check.enabled} (the
-    [DFP_CHECK] environment variable or a [--check] flag).
+    violation.  Defaults to {!Edge_check.Check.enabled} (set by a
+    [--check] flag).
 
     [lint] switches the ineffectuality pass into report mode: every
     finding is passed to the callback and the code is left untouched

@@ -118,7 +118,7 @@ let cache_key (w : Workload.t) config_name config machine =
 (* the verified execution of one compiled artifact: functional check
    against the reference, then the timed cycle-simulator run, also
    checked. Shared between source-compiled and pre-encoded runs. *)
-let run_body ~machine ?obs ~arena (w : Workload.t) config_name
+let run_body ~machine ?obs (w : Workload.t) config_name
     (compiled : Dfp.Driver.compiled) ~reference ~ref_mem =
   (* functional check *)
   let regs, mem = setup_run w in
@@ -169,8 +169,8 @@ let run_body ~machine ?obs ~arena (w : Workload.t) config_name
   in
   let* stats =
     match
-      Edge_sim.Backend.run ~machine ~placement ?obs ~arena
-        compiled.Dfp.Driver.program ~regs ~mem
+      Edge_sim.Backend.run ~machine ~placement ?obs compiled.Dfp.Driver.program
+        ~regs ~mem
     with
     | Ok s -> Ok s
     | Error e -> Error (Printf.sprintf "%s/%s cycle: %s" w.Workload.name config_name e)
@@ -204,8 +204,8 @@ let make_run (w : Workload.t) config_name (compiled : Dfp.Driver.compiled)
     sim_s;
   }
 
-let run_one_uncached ?(machine = Edge_sim.Machine.default) ?obs
-    ?(arena = true) ?interp_fuel ?lint (w : Workload.t) (config_name, config) =
+let run_one_uncached ?(machine = Edge_sim.Machine.default) ?obs ?interp_fuel
+    ?lint (w : Workload.t) (config_name, config) =
   let t0 = Unix.gettimeofday () in
   let* reference, ref_mem = reference_cached ?fuel:interp_fuel w in
   let t1 = Unix.gettimeofday () in
@@ -218,7 +218,7 @@ let run_one_uncached ?(machine = Edge_sim.Machine.default) ?obs
   in
   let t2 = Unix.gettimeofday () in
   let* stats =
-    run_body ~machine ?obs ~arena w config_name compiled ~reference ~ref_mem
+    run_body ~machine ?obs w config_name compiled ~reference ~ref_mem
   in
   let t3 = Unix.gettimeofday () in
   Ok
@@ -260,50 +260,48 @@ let run_layered ~key ?cache ?mem ~async_store compute =
           res)
 
 (* an attached observer wants the events of a real run, so a cached
-   result would be wrong; obs runs always execute. Likewise
-   [~arena:false] asks for a real (fresh-allocation) run, so it
-   bypasses the cache rather than answer from a pooled run's entry.
-   And with the checker on, the point is to *run* the verifier over
-   every compile — answering from a cached run would skip it.
+   result would be wrong; obs runs always execute. And with the checker
+   on, the point is to *run* the verifier over every compile —
+   answering from a cached run would skip it.
    [interp_fuel] does not join the cache key: a fuel-bounded run that
    *succeeds* is identical to the unbounded run, and errors (fuel
    exhaustion included) are never cached. *)
-let cacheable ?obs ~arena ?cache ?mem () =
+let cacheable ?obs ?cache ?mem () =
   (Option.is_some cache || Option.is_some mem)
-  && Option.is_none obs && arena
+  && Option.is_none obs
   && not (Edge_check.Check.enabled ())
 
-let run_one ?machine ?obs ?(arena = true) ?interp_fuel ?cache ?mem
+let run_one ?machine ?obs ?interp_fuel ?cache ?mem
     ?(async_store = false) ?lint (w : Workload.t)
     ((config_name, config) as cfg) =
   (* a lint run wants its findings streamed and simulates a different
      artifact: it bypasses both cache layers, like an obs run *)
-  if Option.is_none lint && cacheable ?obs ~arena ?cache ?mem () then
+  if Option.is_none lint && cacheable ?obs ?cache ?mem () then
     let key =
       cache_key w config_name config
         (Option.value machine ~default:Edge_sim.Machine.default)
     in
     run_layered ~key ?cache ?mem ~async_store (fun () ->
-        run_one_uncached ?machine ?obs ~arena ?interp_fuel w cfg)
-  else run_one_uncached ?machine ?obs ~arena ?interp_fuel ?lint w cfg
+        run_one_uncached ?machine ?obs ?interp_fuel w cfg)
+  else run_one_uncached ?machine ?obs ?interp_fuel ?lint w cfg
 
 let run_precompiled_uncached ?(machine = Edge_sim.Machine.default) ?obs
-    ?(arena = true) ?interp_fuel (w : Workload.t) config_name
+    ?interp_fuel (w : Workload.t) config_name
     (compiled : Dfp.Driver.compiled) =
   let t0 = Unix.gettimeofday () in
   let* reference, ref_mem = reference_cached ?fuel:interp_fuel w in
   let* stats =
-    run_body ~machine ?obs ~arena w config_name compiled ~reference ~ref_mem
+    run_body ~machine ?obs w config_name compiled ~reference ~ref_mem
   in
   let t3 = Unix.gettimeofday () in
   Ok
     (make_run w config_name compiled stats ~reference ~compile_s:0.
        ~sim_s:(t3 -. t0))
 
-let run_precompiled ?machine ?obs ?(arena = true) ?interp_fuel ?cache ?mem
+let run_precompiled ?machine ?obs ?interp_fuel ?cache ?mem
     ?(async_store = false) ~image_digest (w : Workload.t)
     (config_name, config) (compiled : Dfp.Driver.compiled) =
-  if cacheable ?obs ~arena ?cache ?mem () then
+  if cacheable ?obs ?cache ?mem () then
     (* the image digest salts the key: a shipped artifact may differ
        from what this process would compile (other compiler revision —
        or a hostile client), so it must never answer for, or be
@@ -314,8 +312,7 @@ let run_precompiled ?machine ?obs ?(arena = true) ?interp_fuel ?cache ?mem
       ^ "|img:" ^ image_digest
     in
     run_layered ~key ?cache ?mem ~async_store (fun () ->
-        run_precompiled_uncached ?machine ?obs ~arena ?interp_fuel w
-          config_name compiled)
+        run_precompiled_uncached ?machine ?obs ?interp_fuel w config_name
+          compiled)
   else
-    run_precompiled_uncached ?machine ?obs ~arena ?interp_fuel w config_name
-      compiled
+    run_precompiled_uncached ?machine ?obs ?interp_fuel w config_name compiled

@@ -39,7 +39,6 @@ type run = {
 val run_one :
   ?machine:Edge_sim.Machine.t ->
   ?obs:Edge_obs.Obs.t ->
-  ?arena:bool ->
   ?interp_fuel:int ->
   ?cache:Edge_parallel.Disk_cache.t ->
   ?mem:run Edge_parallel.Mem_cache.t ->
@@ -50,10 +49,6 @@ val run_one :
   (run, string) result
 (** [obs] (default null) instruments the *timed* cycle-simulator run
     only; the functional check always runs uninstrumented.
-
-    [arena] (default [true]) is forwarded to the cycle simulator's
-    frame-arena switch; pass [false] to force fresh per-block
-    allocation for differential testing (see {!Edge_sim.Cycle_sim.run}).
 
     [interp_fuel] bounds the reference-interpreter run (statements
     executed); exhausting it fails the run with a
@@ -67,10 +62,9 @@ val run_one :
     kernel source digest, config, machine and simulator revision, so
     an unchanged (workload, config) pair costs one file read across
     processes. Cache hits report [compile_s]/[sim_s] as [0.]. Runs
-    with an [obs] attached, with [~arena:false], or with the static
-    checker enabled ({!Edge_check.Check.enabled}) bypass the cache
-    (the caller wants a real, verified run); errors are never
-    cached.
+    with an [obs] attached or with the static checker enabled
+    ({!Edge_check.Check.enabled}) bypass the cache (the caller wants a
+    real, verified run); errors are never cached.
 
     [mem] layers a sharded in-memory result cache in front of [cache]
     (same keys): a warm hit costs one stripe probe — no filesystem, no
@@ -89,7 +83,6 @@ val run_one :
 val run_precompiled :
   ?machine:Edge_sim.Machine.t ->
   ?obs:Edge_obs.Obs.t ->
-  ?arena:bool ->
   ?interp_fuel:int ->
   ?cache:Edge_parallel.Disk_cache.t ->
   ?mem:run Edge_parallel.Mem_cache.t ->

@@ -44,7 +44,7 @@ let compile_source source config =
           | Error e -> Error ("compile: " ^ e)
           | Ok c -> Ok c))
 
-let run_traced ?(machine = Edge_sim.Machine.default) ?(arena = true)
+let run_traced ?(machine = Edge_sim.Machine.default)
     ?(level = Edge_obs.Trace.Full) (c : Dfp.Driver.compiled) =
   let obs, events, metrics = Edge_obs.Obs.collector ~level () in
   let regs = Array.make Conv.num_regs 0L in
@@ -56,8 +56,8 @@ let run_traced ?(machine = Edge_sim.Machine.default) ?(arena = true)
     | None -> [||]
   in
   match
-    Edge_sim.Backend.run ~machine ~placement ~obs ~arena
-      c.Dfp.Driver.program ~regs ~mem
+    Edge_sim.Backend.run ~machine ~placement ~obs c.Dfp.Driver.program ~regs
+      ~mem
   with
   | Ok stats -> Ok { events = events (); metrics; stats }
   | Error e -> Error e

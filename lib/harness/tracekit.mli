@@ -24,13 +24,11 @@ val compile_source :
 
 val run_traced :
   ?machine:Edge_sim.Machine.t ->
-  ?arena:bool ->
   ?level:Edge_obs.Trace.level ->
   Dfp.Driver.compiled ->
   (traced, string) result
 (** Cycle-simulates under the default argument/memory convention with a
-    collector attached ([level] defaults to [Full]). [arena] (default
-    [true]) is the cycle simulator's frame-arena switch. *)
+    collector attached ([level] defaults to [Full]). *)
 
 val trace_source :
   ?machine:Edge_sim.Machine.t ->

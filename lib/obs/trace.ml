@@ -49,33 +49,15 @@ let first_divergence a b =
    microseconds — Perfetto has no notion of cycles, and 1 cycle = 1 us
    keeps the timeline readable. *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let write_chrome ?(pid = 0) ?name buf events =
-  let first = ref true in
-  let item fmt =
-    if !first then first := false else Buffer.add_string buf ",\n";
-    Buffer.add_string buf "  ";
-    Printf.ksprintf (Buffer.add_string buf) fmt
-  in
-  (match name with
-  | Some n ->
-      item
-        "{\"ph\":\"M\",\"pid\":%d,\"name\":\"process_name\",\"args\":{\"name\":\"%s\"}}"
-        pid (json_escape n)
-  | None -> ());
+let chrome ~pid ~name events : Json.t list =
+  let rows = ref [] in
+  let int i = Json.Num (float_of_int i) in
+  let item fields = rows := Json.Obj fields :: !rows in
+  item
+    [
+      ("ph", Json.Str "M"); ("pid", int pid); ("name", Json.Str "process_name");
+      ("args", Json.Obj [ ("name", Json.Str name) ]);
+    ];
   (* open frames: seq -> (block, fid, dispatch cycle) *)
   let open_frames = Hashtbl.create 16 in
   let close_frame ~seq ~cycle ~phase ~extra =
@@ -84,15 +66,22 @@ let write_chrome ?(pid = 0) ?name buf events =
     | Some (block, fid, t0) ->
         Hashtbl.remove open_frames seq;
         item
-          "{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%d,\"dur\":%d,\"name\":\"%s\",\"args\":{\"seq\":%d,\"end\":\"%s\"%s}}"
-          pid fid t0
-          (max 1 (cycle - t0))
-          (json_escape block) seq phase extra
+          [
+            ("ph", Json.Str "X"); ("pid", int pid); ("tid", int fid);
+            ("ts", int t0); ("dur", int (max 1 (cycle - t0)));
+            ("name", Json.Str block);
+            ( "args",
+              Json.Obj
+                (("seq", int seq) :: ("end", Json.Str phase) :: extra) );
+          ]
   in
-  let instant ~cycle ~tid ~nm ~extra =
+  let instant ~cycle ~tid ~nm ~args =
     item
-      "{\"ph\":\"i\",\"s\":\"t\",\"pid\":%d,\"tid\":%d,\"ts\":%d,\"name\":\"%s\"%s}"
-      pid tid cycle (json_escape nm) extra
+      ([
+         ("ph", Json.Str "i"); ("s", Json.Str "t"); ("pid", int pid);
+         ("tid", int tid); ("ts", int cycle); ("name", Json.Str nm);
+       ]
+      @ if args = [] then [] else [ ("args", Json.Obj args) ])
   in
   List.iter
     (fun (e : Event.t) ->
@@ -101,33 +90,28 @@ let write_chrome ?(pid = 0) ?name buf events =
           Hashtbl.replace open_frames seq (block, fid, cycle)
       | Event.Commit { cycle; seq; instrs; orphans; _ } ->
           close_frame ~seq ~cycle ~phase:"commit"
-            ~extra:
-              (Printf.sprintf ",\"instrs\":%d,\"orphans\":%d" instrs orphans)
+            ~extra:[ ("instrs", int instrs); ("orphans", int orphans) ]
       | Event.Squash { cycle; seq; reason; orphans; _ } ->
           close_frame ~seq ~cycle ~phase:reason
-            ~extra:(Printf.sprintf ",\"orphans\":%d" orphans)
+            ~extra:[ ("orphans", int orphans) ]
       | Event.Branch { cycle; block; seq; target; mispredict } ->
           if mispredict then
             instant ~cycle ~tid:90 ~nm:("mispredict " ^ block)
-              ~extra:
-                (Printf.sprintf ",\"args\":{\"seq\":%d,\"target\":\"%s\"}" seq
-                   (json_escape target))
+              ~args:[ ("seq", int seq); ("target", Json.Str target) ]
       | Event.Issue { cycle; block; seq; id; op; tile } ->
           instant ~cycle ~tid:(100 + tile) ~nm:op
-            ~extra:
-              (Printf.sprintf
-                 ",\"args\":{\"block\":\"%s\",\"seq\":%d,\"id\":%d}"
-                 (json_escape block) seq id)
+            ~args:
+              [ ("block", Json.Str block); ("seq", int seq); ("id", int id) ]
       | Event.Token { cycle; seq; dst; null; pred; _ } ->
           if null || pred then
             instant ~cycle ~tid:91
               ~nm:(if null then "null->" ^ dst else "pred->" ^ dst)
-              ~extra:(Printf.sprintf ",\"args\":{\"seq\":%d}" seq)
+              ~args:[ ("seq", int seq) ]
       | Event.Cache { cycle; cache; write; hit } ->
           if not hit then
             instant ~cycle ~tid:92
               ~nm:(cache ^ (if write then " wr miss" else " rd miss"))
-              ~extra:""
+              ~args:[]
       | Event.Fetch _ | Event.Wakeup _ | Event.Read _ -> ())
     events;
   (* frames still open at the end of the trace (e.g. after a fault) *)
@@ -137,12 +121,9 @@ let write_chrome ?(pid = 0) ?name buf events =
   in
   List.iter
     (fun (seq, (_, _, t0)) ->
-      close_frame ~seq ~cycle:(t0 + 1) ~phase:"open" ~extra:"")
-    still_open
+      close_frame ~seq ~cycle:(t0 + 1) ~phase:"open" ~extra:[])
+    still_open;
+  List.rev !rows
 
-let chrome_to_string ?pid ?name events =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "[\n";
-  write_chrome ?pid ?name buf events;
-  Buffer.add_string buf "\n]\n";
-  Buffer.contents buf
+let chrome_to_string ~name events =
+  Json.pretty (Json.Arr (chrome ~pid:0 ~name events))

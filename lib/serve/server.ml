@@ -497,10 +497,7 @@ let publish t (m : Metrics.t) =
 let with_id id line =
   match id with
   | None -> line
-  | Some id ->
-      Printf.sprintf "{\"id\":%s,%s"
-        (Json.to_string (Json.Str id))
-        (String.sub line 1 (String.length line - 1))
+  | Some id -> Json.prepend_member "id" (Json.Str id) line
 
 (* [out] receives the synchronous (reader-thread) responses — verdicts
    and fast-path results — as rendered lines.  Single jobs pass

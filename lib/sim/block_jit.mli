@@ -10,8 +10,8 @@
 
     Architecturally identical to the {!Functional} interpreter,
     including [Stats] accounting and malformed-block diagnostics; the
-    interpreter remains the reference path ([--no-jit] /
-    [DFP_NO_JIT=1]). *)
+    interpreter remains the reference path ([tsim --no-jit] /
+    {!Functional.set_jit}). *)
 
 val revision : string
 (** Identifies the compiled representation and its semantics; salted

@@ -1298,11 +1298,7 @@ let dispatch sim idx =
   | Some predicted when sim.machine.Machine.max_inflight > 1 ->
       f.predicted_next <- Some predicted;
       start_fetch sim predicted ~extra:sim.machine.Machine.predict_cycles
-  | Some _ | None ->
-      (match Sys.getenv_opt "DFP_BLOCK_TRACE" with
-      | Some _ -> Printf.eprintf "FWAIT after %s at %d\n" img.Bi.name sim.cycle
-      | None -> ());
-      sim.fetch <- Fwait f.seq
+  | Some _ | None -> sim.fetch <- Fwait f.seq
 
 (* commit the oldest frame if it is finished *)
 let try_commit sim =
@@ -1357,10 +1353,6 @@ let try_commit sim =
         | None ->
             Predictor.update_hashed sim.predictor ~block_hash:img.Bi.name_hash
               ~exit_idx ~target:Block.halt_exit);
-        (match Sys.getenv_opt "DFP_BLOCK_TRACE" with
-        | Some _ ->
-            Printf.eprintf "BLK %s %d\n" img.Bi.name (sim.cycle - f.dispatched_at)
-        | None -> ());
         f.fstats.Stats.blocks_committed <- 1;
         f.fstats.Stats.instrs_committed <- f.fstats.Stats.instrs_executed;
         if sim.oactive then begin

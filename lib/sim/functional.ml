@@ -481,14 +481,10 @@ let run_interp ?(fuel_blocks = 10_000_000) program ~regs ~mem =
 
    [Block_jit] compiles block images to threaded-code closures with
    identical architectural semantics; this interpreter remains the
-   reference path, selected by [~jit:false], [set_jit false] (the
-   [--no-jit] flag) or [DFP_NO_JIT=1]. *)
+   reference path, selected by [~jit:false] or [set_jit false] (the
+   [--no-jit] flag). *)
 
-let jit_default =
-  ref
-    (match Sys.getenv_opt "DFP_NO_JIT" with
-    | Some ("1" | "true" | "yes") -> false
-    | Some _ | None -> true)
+let jit_default = ref true
 
 let set_jit b = jit_default := b
 let jit_enabled () = !jit_default

@@ -35,14 +35,13 @@ val run :
     ["fault:"] prefix; malformed blocks with a ["malformed:"] prefix.
 
     By default execution goes through the {!Block_jit} threaded-code
-    path; [~jit:false] (or {!set_jit}[ false], or [DFP_NO_JIT=1] in the
-    environment) selects this interpreter, the reference
-    implementation. Both paths are architecturally identical, including
+    path; [~jit:false] (or {!set_jit}[ false]) selects this
+    interpreter, the reference implementation. Both paths are architecturally identical, including
     [Stats] accounting and malformed-block diagnostics. *)
 
 val set_jit : bool -> unit
 (** Sets the process-wide default for [run]'s [?jit] parameter
-    (initialized from [DFP_NO_JIT]). *)
+    (initially [true]). *)
 
 val jit_enabled : unit -> bool
 

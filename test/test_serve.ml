@@ -37,26 +37,44 @@ let json_roundtrip () =
     [
       "null"; "true"; "-12"; "3.5"; "\"a\\n\\\"b\\\\\""; "[]"; "[1,2,[3]]";
       "{}"; "{\"k\":1,\"nest\":{\"a\":[true,null]}}";
+      "{\"a\": [1, -2.5e3, true, null, \"x\\n\"]}"; "-0.5E+2";
+      "{\"rows\":[{\"a\":1,\"b\":[2]},{}],\"t\":{\"x\":1},\"o\":{\"n\":{\"m\":[]}}}";
     ]
   in
   List.iter
     (fun s ->
       match Json.parse s with
       | Error e -> Alcotest.failf "parse %S: %s" s e
-      | Ok v -> (
-          (* print → reparse → print is a fixpoint *)
-          let p = Json.to_string v in
-          match Json.parse p with
-          | Error e -> Alcotest.failf "reparse %S: %s" p e
-          | Ok v' ->
-              Alcotest.(check string) ("fixpoint " ^ s) p (Json.to_string v')))
+      | Ok v ->
+          (* print → reparse → print is a fixpoint, in the one-line
+             wire form and in the indented file form alike *)
+          List.iter
+            (fun (form, print) ->
+              let p = print v in
+              match Json.parse p with
+              | Error e -> Alcotest.failf "reparse %s %S: %s" form p e
+              | Ok v' ->
+                  Alcotest.(check bool) (form ^ " value " ^ s) true (v = v');
+                  Alcotest.(check string)
+                    (form ^ " fixpoint " ^ s) p (print v'))
+            [ ("wire", Json.to_string); ("file", Json.pretty) ])
     cases;
+  Alcotest.(check string)
+    "prepend_member"
+    (Json.to_string (Json.Obj [ ("id", Json.Str "j\"1"); ("a", Json.Num 1.) ]))
+    (Json.prepend_member "id" (Json.Str "j\"1")
+       (Json.to_string (Json.Obj [ ("a", Json.Num 1.) ])));
+  (* strict RFC 8259: no leading zeros, no bare '.', no trailing commas *)
   List.iter
     (fun s ->
       match Json.parse s with
       | Ok _ -> Alcotest.failf "%S should not parse" s
       | Error _ -> ())
-    [ ""; "{"; "[1,"; "nul"; "{\"a\"}"; "\"\\x\""; "1 2"; "{'a':1}" ]
+    [
+      ""; "{"; "[1,"; "nul"; "{\"a\"}"; "\"\\x\""; "1 2"; "{'a':1}"; "[1,]";
+      "{\"a\":}"; "[1] trailing"; "\"unterminated"; "01"; "-01"; "1."; "1.e5";
+      "{\"fuel\":007}";
+    ]
 
 let proto_parse () =
   (match Proto.parse_request "{\"id\":\"x\",\"workload\":\"w\",\"config\":\"Both\"}" with
@@ -98,6 +116,7 @@ let proto_parse () =
       "{\"source\":\"s\",\"config\":\"Both\",\"fuel\":0}";
       "{\"source\":\"s\",\"config\":\"Both\",\"trace\":\"yes\"}";
       "{\"workload\":\"w\",\"config\":\"Both\",\"machine\":7}";
+      "{\"workload\":\"w\",\"config\":\"Both\",\"fuel\":007}";
     ];
   match Proto.parse_request "{\"id\":\"j7\",\"op\":\"nope\"}" with
   | { Proto.id = Some "j7"; req = Error _ } -> ()

@@ -1,7 +1,7 @@
 (* `make trace-smoke`: a seconds-long end-to-end check of the
    observability layer. Runs one golden kernel with tracing on,
-   validates that the Chrome trace-event export is well-formed JSON
-   (lib/obs/json_lint), and checks the deterministic text trace against
+   validates that the Chrome trace-event export parses as strict JSON
+   (lib/obs/json), and checks the deterministic text trace against
    its blessed golden file. Run from the repo root. *)
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("trace-smoke: " ^ s); exit 1) fmt
@@ -18,10 +18,9 @@ let () =
         Edge_obs.Trace.chrome_to_string ~name:kernel
           t.Edge_harness.Tracekit.events
       in
-      (match Edge_obs.Json_lint.check json with
-      | Ok () -> ()
-      | Error { Edge_obs.Json_lint.offset; message } ->
-          fail "chrome JSON invalid at byte %d: %s" offset message);
+      (match Edge_obs.Json.parse json with
+      | Ok _ -> ()
+      | Error e -> fail "chrome JSON invalid: %s" e);
       (* 2. the text trace matches the blessed golden *)
       let text = Edge_harness.Tracekit.render ~kernel ~config:config_name t in
       let golden_path =
