@@ -12,14 +12,19 @@ test:
 	dune runtest
 
 # the tier-1 gate: everything compiles, the full suite is green, a
-# short parallel fuzz campaign finds nothing, and the observability
-# layer round-trips (valid Chrome JSON, golden trace matches)
+# short parallel fuzz campaign finds nothing, the observability layer
+# round-trips (valid Chrome JSON, golden trace matches), and a fresh
+# uncached -j1 Figure 7 sweep reproduces all 280 committed cycle counts
+# in BENCH_fig7.json (the cache is bypassed so a stale entry cannot
+# hide drift)
 check:
 	dune build @all && dune runtest && $(MAKE) fuzz-smoke && $(MAKE) matrix-smoke \
 	&& $(MAKE) check-smoke && $(MAKE) analyze-smoke \
 	&& $(MAKE) trace-smoke && $(MAKE) jit-smoke && $(MAKE) perf-smoke \
 	&& $(MAKE) serve-smoke && $(MAKE) serve-scale-smoke \
-	&& $(MAKE) bench-compare BASE=BENCH_fig7.json NEW=BENCH_fig7.json \
+	&& tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT \
+	&& ./_build/default/bench/main.exe fig7 -j 1 --no-cache --json "$$tmp" >/dev/null \
+	&& ./_build/default/bin/bench_compare.exe BENCH_fig7.json "$$tmp" \
 	&& $(MAKE) bench-compare BASE=BENCH_serve.json NEW=BENCH_serve.json
 
 # compile the example kernels plus 50 fixed-seed generated kernels

@@ -57,10 +57,6 @@ let unop op a =
   | Opcode.Fitod -> of_float (Int64.to_float a)
   | Opcode.Fdtoi -> Int64.of_float (as_float a)
 
-let need = function
-  | Some (t : Token.t) -> t
-  | None -> invalid_arg "Alu.exec: missing operand"
-
 (* tainted result constructors, allocation-light: equivalent to
    [Token.taint]-folding the operands over [Token.of_int64 v] but
    without the intermediate records and taint list *)
@@ -69,51 +65,47 @@ let result1 (l : Token.t) v = { Token.payload = v; null = l.null; exc = l.exc }
 let result2 (l : Token.t) (r : Token.t) v =
   { Token.payload = v; null = l.null || r.null; exc = l.exc || r.exc }
 
-let exec opcode ~imm ~left ~right =
+let exec opcode ~imm ~(left : Token.t) ~(right : Token.t) =
   match opcode with
   | Opcode.Iop op ->
-      let l = need left and r = need right in
+      let l = left and r = right in
       (match ibinop op l.Token.payload r.Token.payload with
       | Ok v -> result2 l r v
       | Error () -> Token.with_exc (result2 l r 0L))
   | Opcode.Iopi op ->
-      let l = need left in
+      let l = left in
       (match ibinop op l.Token.payload imm with
       | Ok v -> result1 l v
       | Error () -> Token.with_exc (result1 l 0L))
   | Opcode.Tst cond ->
-      let l = need left and r = need right in
+      let l = left and r = right in
       result2 l r (bool_val (icmp cond l.Token.payload r.Token.payload))
   | Opcode.Tsti cond ->
-      let l = need left in
+      let l = left in
       result1 l (bool_val (icmp cond l.Token.payload imm))
   | Opcode.Fop op ->
-      let l = need left and r = need right in
+      let l = left and r = right in
       result2 l r (fbinop op l.Token.payload r.Token.payload)
   | Opcode.Ftst cond ->
-      let l = need left and r = need right in
+      let l = left and r = right in
       result2 l r (bool_val (fcmp cond l.Token.payload r.Token.payload))
   | Opcode.Un op ->
-      let l = need left in
+      let l = left in
       result1 l (unop op l.Token.payload)
   | Opcode.Movi | Opcode.Geni -> Token.of_int64 imm
   | Opcode.Mov4 ->
-      let l = need left in
+      let l = left in
       result1 l l.Token.payload
   | Opcode.Null -> Token.null_token
   | Opcode.Sand ->
-      (* both-operands path; the short-circuit (left false, right absent)
-         path is handled by the simulators' firing rules *)
-      let l = need left in
+      (* short-circuit: with a false left operand the right one may never
+         arrive and is not read (Section 7) *)
+      let l = left in
       if not (Token.as_predicate l) then
         Token.taint l (Token.of_int64 0L)
-      else
-        let r = need right in
-        result2 l r (if Token.as_predicate r then 1L else 0L)
+      else result2 l right (if Token.as_predicate right then 1L else 0L)
   | Opcode.Ld _ | Opcode.St _ | Opcode.Bro | Opcode.Halt ->
       invalid_arg "Alu.exec: memory/branch opcode"
-
-let effective_address ~base ~imm = Int64.add base.Token.payload imm
 
 (* ---- compile-time specializers for the block JIT ----
 
@@ -179,4 +171,5 @@ let jit2 opcode : Token.t -> Token.t -> Token.t =
       fun l r -> result2 l r (bool_val (f l.Token.payload r.Token.payload))
   | Opcode.Fop op -> fun l r -> result2 l r (fbinop op l.Token.payload r.Token.payload)
   | Opcode.Ftst cond -> fun l r -> result2 l r (bool_val (fcmp cond l.Token.payload r.Token.payload))
+  | Opcode.Sand -> fun left right -> exec Opcode.Sand ~imm:0L ~left ~right
   | _ -> invalid_arg "Alu.jit2: not a 2-operand ALU opcode"

@@ -8,13 +8,13 @@
 val exec :
   Edge_isa.Opcode.t ->
   imm:int64 ->
-  left:Edge_isa.Token.t option ->
-  right:Edge_isa.Token.t option ->
+  left:Edge_isa.Token.t ->
+  right:Edge_isa.Token.t ->
   Edge_isa.Token.t
-(** Pure result computation for non-memory, non-branch opcodes. Memory and
-    branch opcodes must not be passed here ([Invalid_argument]). *)
-
-val effective_address : base:Edge_isa.Token.t -> imm:int64 -> int64
+(** Pure result computation for non-memory, non-branch opcodes; operands
+    beyond the opcode's arity (and a short-circuited [Sand]'s right
+    operand) are ignored. Memory and branch opcodes must not be passed
+    here ([Invalid_argument]). *)
 
 val jit1 :
   Edge_isa.Opcode.t -> imm:int64 -> Edge_isa.Token.t -> Edge_isa.Token.t
@@ -25,4 +25,5 @@ val jit1 :
 
 val jit2 : Edge_isa.Opcode.t -> Edge_isa.Token.t -> Edge_isa.Token.t -> Edge_isa.Token.t
 (** Compile-time specialization of [exec] for 2-operand ALU opcodes
-    ([Iop]/[Tst]/[Fop]/[Ftst]). Raises [Invalid_argument] on others. *)
+    ([Iop]/[Tst]/[Fop]/[Ftst]/[Sand]). Raises [Invalid_argument] on
+    others. *)

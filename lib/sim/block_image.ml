@@ -58,7 +58,9 @@ type t = {
   outputs : int;  (* writes + declared stores + 1 branch *)
   size_words : int;
   seeds : int array;  (* 0-operand unpredicated instruction ids *)
+  pred_ids : int array;  (* predicated instruction ids, ascending *)
   exits : string array;
+  exit_tgts : string option array;  (* per exit: [None] for halt *)
 }
 
 type program = {
@@ -74,7 +76,7 @@ type program = {
 let stat_class_of = function
   | Opcode.Un Opcode.Mov | Opcode.Mov4 -> Smove
   | Opcode.Null -> Snull
-  | Opcode.Tst _ | Opcode.Tsti _ | Opcode.Ftst _ -> Stest
+  | Opcode.Tst _ | Opcode.Tsti _ | Opcode.Ftst _ | Opcode.Sand -> Stest
   | _ -> Splain
 
 let decode_inst (i : Instr.t) =
@@ -128,11 +130,13 @@ let of_block ?(index = 0) (b : Block.t) =
   Array.iteri
     (fun k l -> if l >= 0 && store_slot.(l) < 0 then store_slot.(l) <- k)
     store_lsids;
-  let seeds = ref [] in
-  Array.iteri
-    (fun id inst ->
-      if inst.arity = 0 && not inst.predicated then seeds := id :: !seeds)
-    instrs;
+  let ids p =
+    let acc = ref [] in
+    for id = n - 1 downto 0 do
+      if p instrs.(id) then acc := id :: !acc
+    done;
+    Array.of_list !acc
+  in
   {
     block = b;
     index;
@@ -153,8 +157,13 @@ let of_block ?(index = 0) (b : Block.t) =
     store_slot;
     outputs = n_writes + n_stores + 1;
     size_words = Block.size_in_words b;
-    seeds = Array.of_list (List.rev !seeds);
+    seeds = ids (fun i -> i.arity = 0 && not i.predicated);
+    pred_ids = ids (fun i -> i.predicated);
     exits = b.Block.exits;
+    exit_tgts =
+      Array.map
+        (fun e -> if String.equal e Block.halt_exit then None else Some e)
+        b.Block.exits;
   }
 
 (* [store_slot] answers in O(1) for in-range LSIDs; the scan fallback

@@ -15,8 +15,8 @@ module Opcode = Edge_isa.Opcode
 module Target = Edge_isa.Target
 module Program = Edge_isa.Program
 
-(** Statistic class of an instruction, matching the cycle simulator's
-    accounting ([Sand] deliberately counts as [Splain] there). *)
+(** Statistic class of an instruction: which [Stats] counter a firing
+    bumps besides [instrs_executed]. [Sand] is a test. *)
 type stat_class = Smove | Snull | Stest | Splain
 
 type inst = {
@@ -58,7 +58,12 @@ type t = {
   seeds : int array;
       (** ids of 0-operand unpredicated instructions, ascending — the
           instructions dispatched eagerly at block start *)
+  pred_ids : int array;
+      (** ids of predicated instructions, ascending — the candidates
+          for the mispredication count at commit *)
   exits : string array;
+  exit_tgts : string option array;
+      (** per exit: the successor block's name, [None] for halt *)
 }
 
 type program = {

@@ -2,19 +2,19 @@
 
    The interpreter in [Functional] re-dispatches on every token
    delivery: pattern-match the target, pattern-match the consumer's
-   opcode, re-derive readiness from option arrays, and round-trip every
-   operand through a FIFO. This module compiles each decoded block
-   image once into a web of pre-resolved closures — the software
+   opcode, re-derive readiness from the operand flags, and round-trip
+   every operand through a FIFO. This module compiles each decoded
+   block image once into a web of pre-resolved closures — the software
    analogue of threaded code:
 
    - every static *target* becomes a sink closure that already knows
-     its consumer's slot, predication polarity, store LSID slot and
-     readiness discipline, so delivery is one indirect call;
+     its consumer's slot, predication polarity and readiness
+     discipline, so delivery is one indirect call;
    - every static *instruction* becomes a fire closure with the opcode
      dispatch, immediate, latency class, statistics class and target
      fan-out resolved at compile time ([Alu.jit1]/[Alu.jit2]);
    - readiness is a countdown ([missing] operands+predicate) instead of
-     re-scanning option arrays, so the common case is one decrement;
+     re-reading the operand flags, so the common case is one decrement;
    - token delivery recurses directly into the consumer's sink instead
      of going through a queue. Intra-block dataflow firing is
      confluent (each operand slot receives exactly one value in a
@@ -24,10 +24,14 @@
      interpreter's breadth-first drain. Recursion depth is bounded by
      the block size (≤128 instructions).
 
-   Compiled code captures only immutable per-block facts; all run-time
-   state lives in the [state] record threaded through every closure, so
-   one compiled program is shared across runs and across domains. Code
-   is cached per [Program.digest] exactly like [Block_image].
+   The closures write the {!Dataflow} core's frame arrays, and take
+   store resolution, forwarding, branch recording, completion,
+   deadlock diagnosis and commit from the core, so only delivery and
+   readiness are specialized here. Compiled code captures only
+   immutable per-block facts; all run-time state lives in the [state]
+   record threaded through every closure, so one compiled program is
+   shared across runs and across domains. Code is cached per
+   [Program.digest] exactly like [Block_image].
 
    Semantics — including malformed-block diagnostics and [Stats]
    accounting — must stay identical to the interpreter: the
@@ -47,206 +51,58 @@ module Bi = Block_image
    compiled representation or its semantics. *)
 let revision = "jit-1"
 
-exception Malformed of string
+module Df = Dataflow
 
-let fail fmt = Format.kasprintf (fun s -> raise (Malformed s)) fmt
-
-type store_resolution =
-  | Unresolved
-  | Stored of { addr : int64; value : int64; width : Opcode.width; exc : bool }
-  | Nulled
-
-(* Mutable run-time state, capacity-sized over the whole program and
-   cleared per block. Flat token arrays plus set-flags replace the
-   interpreter's option arrays so the hot path never allocates [Some]. *)
+(* Run-time state: the core frame, capacity-sized over the whole
+   program and prepared per block, plus the readiness countdown. *)
 type state = {
-  mutable regs : int64 array;
-  mutable mem : Mem.t;
-  mutable stats : Stats.t;
-  left : Token.t array;
-  lset : bool array;
-  right : Token.t array;
-  rset : bool array;
-  pred_matched : bool array;
-  pred_exc : bool array;
-  fired : bool array;
+  df : Df.t;
   missing : int array;  (* countdown: operands + matching predicate *)
-  writes : Token.t array;
-  wset : bool array;
-  stores : store_resolution array;
-  mutable branch_set : bool;
-  mutable branch_tgt : string option;
-  mutable branch_idx : int;
-  mutable branch_exc : bool;
-  mutable pending_loads : int list;  (* instr ids deferred on LSID order *)
-  mutable writes_set : int;  (* count of set write slots, for completion *)
-  mutable stores_unres : int;  (* count of Unresolved store slots *)
+  regs : int64 array;
+  mem : Mem.t;
+  stats : Stats.t;
+  mutable next : int;  (* block index of the taken exit; -1 if unknown *)
 }
 
 type cblock = {
   img : Bi.t;
   init_missing : int array;
-  pred_ids : int array;  (* predicated instruction ids, for the
-                            mispredication count at commit *)
   enter : state -> unit;
       (* seed register reads and 0-operand instructions, then run the
          block to quiescence by direct recursion; raises [Malformed] *)
 }
 
 type t = { imgp : Bi.program; cblocks : cblock array }
-type outcome = {
-  exit_taken : string option;
-  exit_idx : int;  (* resolved block index of [exit_taken]; -1 if unknown *)
-  faulted : string option;
-}
-
-let zero_tok = Token.of_int64 0L
 
 (* Hot-path note: every index baked into a compiled closure is
-   validated against the block image at compile time (and the state
+   validated against the block image at compile time (and the frame
    arrays are capacity-sized over the whole program), so the
    per-delivery path uses unchecked array access. *)
 
 let make_state (code : t) ~regs ~mem ~stats =
-  let imgp = code.imgp in
-  let cap_n = max 1 imgp.Bi.max_n in
   {
+    df = Df.for_program code.imgp;
+    missing = Array.make (max 1 code.imgp.Bi.max_n) 0;
     regs;
     mem;
     stats;
-    left = Array.make cap_n zero_tok;
-    lset = Array.make cap_n false;
-    right = Array.make cap_n zero_tok;
-    rset = Array.make cap_n false;
-    pred_matched = Array.make cap_n false;
-    pred_exc = Array.make cap_n false;
-    fired = Array.make cap_n false;
-    missing = Array.make cap_n 0;
-    writes = Array.make (max 1 imgp.Bi.max_writes) zero_tok;
-    wset = Array.make (max 1 imgp.Bi.max_writes) false;
-    stores = Array.make (max 1 imgp.Bi.max_stores) Unresolved;
-    branch_set = false;
-    branch_tgt = None;
-    branch_idx = -1;
-    branch_exc = false;
-    pending_loads = [];
-    writes_set = 0;
-    stores_unres = 0;
+    next = -1;
   }
 
-(* fused hand-written clears: for the short blocks that dominate the
-   BB configuration, eight [Array.fill]/[blit] calls cost more than the
-   stores they perform. Predicate state is only ever read by predicated
-   instructions, so blocks without any skip those two arrays. *)
 let prepare (cb : cblock) st =
-  let img = cb.img in
-  let n = img.Bi.n in
+  Df.prepare st.df cb.img ~stats:st.stats;
   let init = cb.init_missing in
-  for i = 0 to n - 1 do
-    Array.unsafe_set st.lset i false;
-    Array.unsafe_set st.rset i false;
-    Array.unsafe_set st.fired i false;
+  for i = 0 to Array.length init - 1 do
     Array.unsafe_set st.missing i (Array.unsafe_get init i)
   done;
-  if Array.length cb.pred_ids > 0 then
-    for i = 0 to n - 1 do
-      Array.unsafe_set st.pred_matched i false;
-      Array.unsafe_set st.pred_exc i false
-    done;
-  for w = 0 to img.Bi.n_writes - 1 do
-    Array.unsafe_set st.wset w false
-  done;
-  for k = 0 to img.Bi.n_stores - 1 do
-    Array.unsafe_set st.stores k Unresolved
-  done;
-  st.branch_set <- false;
-  st.branch_tgt <- None;
-  st.branch_idx <- -1;
-  st.branch_exc <- false;
-  st.pending_loads <- [];
-  st.writes_set <- 0;
-  st.stores_unres <- img.Bi.n_stores
+  st.next <- -1
 
-let resolve_store st ~slot ~lsid r =
-  if slot < 0 then fail "store lsid %d not declared" lsid;
-  (match st.stores.(slot) with
-  | Unresolved -> ()
-  | Stored _ | Nulled -> fail "store lsid %d resolved twice" lsid);
-  st.stores.(slot) <- r;
-  st.stores_unres <- st.stores_unres - 1
-
-(* Byte-accurate store-to-load forwarding; [lower] holds the store
-   slots with LSID below the load's, in ascending-LSID order (the
-   compile-time residue of the interpreter's [store_order] scan). *)
-let read_fwd st ~width ~addr ~(lower : int array) =
-  let nbytes = Mem.width_bytes width in
-  let base_tok = Mem.load st.mem ~width ~addr in
-  if base_tok.Token.exc then base_tok
-  else begin
-    (* with no [Stored] resolution below this load, the overlay is a
-       no-op and the byte merge would reproduce [base_tok] exactly *)
-    let rec any_stored k =
-      k < Array.length lower
-      && (match Array.unsafe_get st.stores (Array.unsafe_get lower k) with
-         | Stored _ -> true
-         | Unresolved | Nulled -> any_stored (k + 1))
-    in
-    if not (any_stored 0) then base_tok
-    else begin
-    let bytes = Bytes.create nbytes in
-    for i = 0 to nbytes - 1 do
-      Bytes.set bytes i
-        (Char.chr
-           (Int64.to_int
-              (Int64.logand
-                 (Int64.shift_right_logical base_tok.Token.payload (8 * i))
-                 0xFFL)))
-    done;
-    let exc = ref false in
-    for k = 0 to Array.length lower - 1 do
-      match st.stores.(lower.(k)) with
-      | Stored { addr = sa; value; width = sw; exc = se } ->
-          let sbytes = Mem.width_bytes sw in
-          for i = 0 to sbytes - 1 do
-            let byte_addr = Int64.add sa (Int64.of_int i) in
-            let off = Int64.sub byte_addr addr in
-            if off >= 0L && off < Int64.of_int nbytes then begin
-              if se then exc := true;
-              Bytes.set bytes (Int64.to_int off)
-                (Char.chr
-                   (Int64.to_int
-                      (Int64.logand (Int64.shift_right_logical value (8 * i))
-                         0xFFL)))
-            end
-          done
-      | Unresolved | Nulled -> ()
-    done;
-    let v = ref 0L in
-    for i = nbytes - 1 downto 0 do
-      v :=
-        Int64.logor (Int64.shift_left !v 8)
-          (Int64.of_int (Char.code (Bytes.get bytes i)))
-    done;
-    let v =
-      match width with
-      | Opcode.W1 ->
-          if Int64.logand !v 0x80L <> 0L then Int64.logor !v (Int64.lognot 0xFFL)
-          else !v
-      | Opcode.W4 ->
-          if Int64.logand !v 0x80000000L <> 0L then
-            Int64.logor !v (Int64.lognot 0xFFFFFFFFL)
-          else !v
-      | Opcode.W8 -> !v
-    in
-    let tok = Token.of_int64 v in
-    if !exc then Token.with_exc tok else tok
-    end
-  end
-
-let rec stores_resolved st (lower : int array) k =
+let rec stores_resolved (df : Df.t) (lower : int array) k =
   k >= Array.length lower
-  || (match Array.unsafe_get st.stores (Array.unsafe_get lower k) with Unresolved -> false | _ -> true)
-     && stores_resolved st lower (k + 1)
+  || (match Array.unsafe_get df.Df.stores (Array.unsafe_get lower k) with
+     | Df.Unresolved -> false
+     | Df.Stored _ | Df.Nulled -> true)
+     && stores_resolved df lower (k + 1)
 
 (* parity with the interpreter, which hits the same out-of-range array
    access uncaught (a compiler bug, not a program fault) *)
@@ -289,8 +145,8 @@ let compile_block ~(resolve : string -> int) (img : Bi.t) : cblock =
   in
   (* full readiness re-check, the fallback for consumers the countdown
      cannot cover (Sand short-circuit, stores nulled at delivery,
-     spurious deliveries to already-satisfied slots) — replicates the
-     interpreter's [ready] exactly *)
+     spurious deliveries to already-satisfied slots): [Dataflow.ready]
+     specialized per instruction *)
   let checks : (state -> unit) array =
     Array.init n (fun j ->
         let i = instrs.(j) in
@@ -298,26 +154,30 @@ let compile_block ~(resolve : string -> int) (img : Bi.t) : cblock =
         match i.Bi.op with
         | Opcode.Sand ->
             fun st ->
+              let df = st.df in
               if
-                (not (Array.unsafe_get st.fired j))
-                && ((not predicated) || Array.unsafe_get st.pred_matched j)
-                && Array.unsafe_get st.lset j
-                && ((not (Token.as_predicate (Array.unsafe_get st.left j))) || Array.unsafe_get st.rset j)
+                (not (Array.unsafe_get df.Df.fired j))
+                && ((not predicated) || Array.unsafe_get df.Df.pred_matched j)
+                && Array.unsafe_get df.Df.lset j
+                && ((not (Token.as_predicate (Array.unsafe_get df.Df.left j)))
+                   || Array.unsafe_get df.Df.rset j)
               then (Array.unsafe_get fires j) st
         | _ ->
             let a = i.Bi.arity in
             fun st ->
+              let df = st.df in
               if
-                (not (Array.unsafe_get st.fired j))
-                && ((not predicated) || Array.unsafe_get st.pred_matched j)
-                && (a < 1 || Array.unsafe_get st.lset j)
-                && (a < 2 || Array.unsafe_get st.rset j)
+                (not (Array.unsafe_get df.Df.fired j))
+                && ((not predicated) || Array.unsafe_get df.Df.pred_matched j)
+                && (a < 1 || Array.unsafe_get df.Df.lset j)
+                && (a < 2 || Array.unsafe_get df.Df.rset j)
               then (Array.unsafe_get fires j) st)
   in
   let retry_loads st =
-    let loads = st.pending_loads in
-    st.pending_loads <- [];
-    List.iter (fun id -> if not (Array.unsafe_get st.fired id) then (Array.unsafe_get fires id) st) loads
+    let df = st.df in
+    let loads = df.Df.deferred in
+    df.Df.deferred <- [];
+    List.iter (fun id -> if not (Array.unsafe_get df.Df.fired id) then (Array.unsafe_get fires id) st) loads
   in
   (* [managed j] = readiness fully expressible as a countdown *)
   let managed j =
@@ -330,10 +190,11 @@ let compile_block ~(resolve : string -> int) (img : Bi.t) : cblock =
         else
           let msg = Printf.sprintf "write slot %d received two tokens" w in
           fun st tok ->
-            if Array.unsafe_get st.wset w then raise (Malformed msg);
-            Array.unsafe_set st.wset w true;
-            Array.unsafe_set st.writes w tok;
-            st.writes_set <- st.writes_set + 1
+            let df = st.df in
+            if Array.unsafe_get df.Df.wset w then raise (Df.Malformed msg);
+            Array.unsafe_set df.Df.wset w true;
+            Array.unsafe_set df.Df.writes w tok;
+            df.Df.outputs_left <- df.Df.outputs_left - 1
     | Target.To_instr { id = j; slot } -> (
         if j < 0 || j >= n then out_of_bounds
         else
@@ -345,7 +206,7 @@ let compile_block ~(resolve : string -> int) (img : Bi.t) : cblock =
                   Printf.sprintf
                     "I%d: predicate delivered to unpredicated instruction" j
                 in
-                fun _ _ -> raise (Malformed msg)
+                fun _ _ -> raise (Df.Malformed msg)
               else
                 let want =
                   match c.Bi.pred with
@@ -357,9 +218,10 @@ let compile_block ~(resolve : string -> int) (img : Bi.t) : cblock =
                 if managed j then (
                   fun st tok ->
                     if Token.as_predicate tok = want then begin
-                      if Array.unsafe_get st.pred_matched j then raise (Malformed msg);
-                      Array.unsafe_set st.pred_matched j true;
-                      Array.unsafe_set st.pred_exc j tok.Token.exc;
+                      let df = st.df in
+                      if Array.unsafe_get df.Df.pred_matched j then raise (Df.Malformed msg);
+                      Array.unsafe_set df.Df.pred_matched j true;
+                      Array.unsafe_set df.Df.pred_exc j tok.Token.exc;
                       let m = Array.unsafe_get st.missing j - 1 in
                       Array.unsafe_set st.missing j m;
                       if m = 0 then (Array.unsafe_get fires j) st
@@ -367,9 +229,10 @@ let compile_block ~(resolve : string -> int) (img : Bi.t) : cblock =
                 else
                   fun st tok ->
                     if Token.as_predicate tok = want then begin
-                      if Array.unsafe_get st.pred_matched j then raise (Malformed msg);
-                      Array.unsafe_set st.pred_matched j true;
-                      Array.unsafe_set st.pred_exc j tok.Token.exc;
+                      let df = st.df in
+                      if Array.unsafe_get df.Df.pred_matched j then raise (Df.Malformed msg);
+                      Array.unsafe_set df.Df.pred_matched j true;
+                      Array.unsafe_set df.Df.pred_exc j tok.Token.exc;
                       (Array.unsafe_get checks j) st
                     end
           | Target.Left | Target.Right -> (
@@ -382,23 +245,23 @@ let compile_block ~(resolve : string -> int) (img : Bi.t) : cblock =
               | Opcode.St _ ->
                   (* a null token arriving at a store resolves it
                      immediately as a null store (Section 4.2) *)
-                  let slot_idx = Bi.store_slot_of img c.Bi.lsid in
                   let lsid = c.Bi.lsid in
                   let nmsg = Printf.sprintf "I%d: null for fired store" j in
                   fun st tok ->
+                    let df = st.df in
                     if tok.Token.null then begin
-                      if Array.unsafe_get st.fired j then raise (Malformed nmsg);
-                      Array.unsafe_set st.fired j true;
+                      if Array.unsafe_get df.Df.fired j then raise (Df.Malformed nmsg);
+                      Array.unsafe_set df.Df.fired j true;
                       st.stats.Stats.nulls_executed <-
                         st.stats.Stats.nulls_executed + 1;
-                      resolve_store st ~slot:slot_idx ~lsid Nulled;
+                      Df.resolve_store df lsid Df.Nulled;
                       retry_loads st
                     end
                     else begin
-                      let set = if is_left then st.lset else st.rset in
-                      if Array.unsafe_get set j then raise (Malformed msg);
+                      let set = if is_left then df.Df.lset else df.Df.rset in
+                      if Array.unsafe_get set j then raise (Df.Malformed msg);
                       Array.unsafe_set set j true;
-                      Array.unsafe_set (if is_left then st.left else st.right) j tok;
+                      Array.unsafe_set (if is_left then df.Df.left else df.Df.right) j tok;
                       (Array.unsafe_get checks j) st
                     end
               | Opcode.Sand ->
@@ -409,24 +272,26 @@ let compile_block ~(resolve : string -> int) (img : Bi.t) : cblock =
                   let pred_j = c.Bi.predicated in
                   if is_left then (
                     fun st tok ->
-                      if Array.unsafe_get st.lset j then raise (Malformed msg);
-                      Array.unsafe_set st.lset j true;
-                      Array.unsafe_set st.left j tok;
+                      let df = st.df in
+                      if Array.unsafe_get df.Df.lset j then raise (Df.Malformed msg);
+                      Array.unsafe_set df.Df.lset j true;
+                      Array.unsafe_set df.Df.left j tok;
                       if
-                        (not (Array.unsafe_get st.fired j))
-                        && ((not pred_j) || Array.unsafe_get st.pred_matched j)
+                        (not (Array.unsafe_get df.Df.fired j))
+                        && ((not pred_j) || Array.unsafe_get df.Df.pred_matched j)
                         && ((not (Token.as_predicate tok))
-                           || Array.unsafe_get st.rset j)
+                           || Array.unsafe_get df.Df.rset j)
                       then (Array.unsafe_get fires j) st)
                   else (
                     fun st tok ->
-                      if Array.unsafe_get st.rset j then raise (Malformed msg);
-                      Array.unsafe_set st.rset j true;
-                      Array.unsafe_set st.right j tok;
+                      let df = st.df in
+                      if Array.unsafe_get df.Df.rset j then raise (Df.Malformed msg);
+                      Array.unsafe_set df.Df.rset j true;
+                      Array.unsafe_set df.Df.right j tok;
                       if
-                        (not (Array.unsafe_get st.fired j))
-                        && ((not pred_j) || Array.unsafe_get st.pred_matched j)
-                        && Array.unsafe_get st.lset j
+                        (not (Array.unsafe_get df.Df.fired j))
+                        && ((not pred_j) || Array.unsafe_get df.Df.pred_matched j)
+                        && Array.unsafe_get df.Df.lset j
                       then (Array.unsafe_get fires j) st)
               | _ ->
                   let canonical =
@@ -436,26 +301,29 @@ let compile_block ~(resolve : string -> int) (img : Bi.t) : cblock =
                   if canonical then
                     if is_left then (
                       fun st tok ->
-                        if Array.unsafe_get st.lset j then raise (Malformed msg);
-                        Array.unsafe_set st.lset j true;
-                        Array.unsafe_set st.left j tok;
+                        let df = st.df in
+                        if Array.unsafe_get df.Df.lset j then raise (Df.Malformed msg);
+                        Array.unsafe_set df.Df.lset j true;
+                        Array.unsafe_set df.Df.left j tok;
                         let m = Array.unsafe_get st.missing j - 1 in
                         Array.unsafe_set st.missing j m;
                         if m = 0 then (Array.unsafe_get fires j) st)
                     else (
                       fun st tok ->
-                        if Array.unsafe_get st.rset j then raise (Malformed msg);
-                        Array.unsafe_set st.rset j true;
-                        Array.unsafe_set st.right j tok;
+                        let df = st.df in
+                        if Array.unsafe_get df.Df.rset j then raise (Df.Malformed msg);
+                        Array.unsafe_set df.Df.rset j true;
+                        Array.unsafe_set df.Df.right j tok;
                         let m = Array.unsafe_get st.missing j - 1 in
                         Array.unsafe_set st.missing j m;
                         if m = 0 then (Array.unsafe_get fires j) st)
                   else
                     fun st tok ->
-                      let set = if is_left then st.lset else st.rset in
-                      if Array.unsafe_get set j then raise (Malformed msg);
+                      let df = st.df in
+                      let set = if is_left then df.Df.lset else df.Df.rset in
+                      if Array.unsafe_get set j then raise (Df.Malformed msg);
                       Array.unsafe_set set j true;
-                      Array.unsafe_set (if is_left then st.left else st.right) j tok;
+                      Array.unsafe_set (if is_left then df.Df.left else df.Df.right) j tok;
                       (Array.unsafe_get checks j) st))
   in
   let compile_fire id : state -> unit =
@@ -463,12 +331,10 @@ let compile_block ~(resolve : string -> int) (img : Bi.t) : cblock =
     let send = compose (Array.map sink_of i.Bi.targets) in
     let predicated = i.Bi.predicated in
     match i.Bi.op with
-    | Opcode.Ld width ->
+    | Opcode.Ld _ ->
         let lsid = i.Bi.lsid in
-        let imm = i.Bi.imm in
         let lower =
-          (* store slots the load must wait on / forward from, in
-             ascending-LSID order *)
+          (* store slots the load must wait on, in ascending-LSID order *)
           let acc = ref [] in
           for k = img.Bi.n_stores - 1 downto 0 do
             let slot = img.Bi.store_order.(k) in
@@ -478,110 +344,51 @@ let compile_block ~(resolve : string -> int) (img : Bi.t) : cblock =
         in
         let no_lower = Array.length lower = 0 in
         fun st ->
-          if not (Array.unsafe_get st.fired id) then
-            if no_lower || stores_resolved st lower 0 then begin
-              Array.unsafe_set st.fired id true;
+          let df = st.df in
+          if not (Array.unsafe_get df.Df.fired id) then
+            if no_lower || stores_resolved df lower 0 then begin
+              Array.unsafe_set df.Df.fired id true;
               st.stats.Stats.instrs_executed <-
                 st.stats.Stats.instrs_executed + 1;
-              let base = Array.unsafe_get st.left id in
-              let addr = Int64.add base.Token.payload imm in
-              let tok =
-                if base.Token.exc || base.Token.null then
-                  Token.taint base zero_tok
-                else if no_lower then Mem.load st.mem ~width ~addr
-                else read_fwd st ~width ~addr ~lower
-              in
-              let tok = Token.taint base tok in
-              let tok =
-                if predicated && Array.unsafe_get st.pred_exc id then
-                  Token.with_exc tok
-                else tok
-              in
-              send st tok
+              send st
+                (Df.load df id ~mem:st.mem
+                   (if no_lower then [] else Df.stores_below df lsid))
             end
-            else if not (List.mem id st.pending_loads) then
-              st.pending_loads <- id :: st.pending_loads
-    | Opcode.St width ->
-        let slot = Bi.store_slot_of img i.Bi.lsid in
+            else if not (List.mem id df.Df.deferred) then
+              df.Df.deferred <- id :: df.Df.deferred
+    | Opcode.St _ ->
         let lsid = i.Bi.lsid in
-        let imm = i.Bi.imm in
         fun st ->
-          if not (Array.unsafe_get st.fired id) then begin
-            Array.unsafe_set st.fired id true;
+          let df = st.df in
+          if not (Array.unsafe_get df.Df.fired id) then begin
+            Array.unsafe_set df.Df.fired id true;
             st.stats.Stats.instrs_executed <-
               st.stats.Stats.instrs_executed + 1;
-            let base = Array.unsafe_get st.left id and v = Array.unsafe_get st.right id in
-            if v.Token.null || base.Token.null then begin
-              resolve_store st ~slot ~lsid Nulled;
-              retry_loads st
-            end
-            else begin
-              let addr = Int64.add base.Token.payload imm in
-              let exc = base.Token.exc || v.Token.exc || Array.unsafe_get st.pred_exc id in
-              resolve_store st ~slot ~lsid
-                (Stored { addr; value = v.Token.payload; width; exc });
-              retry_loads st
-            end
+            Df.resolve_store df lsid (Df.store_result df id);
+            retry_loads st
           end
-    | Opcode.Bro ->
-        let exit_ok =
-          i.Bi.exit_idx >= 0 && i.Bi.exit_idx < Array.length img.Bi.exits
+    | Opcode.Bro | Opcode.Halt ->
+        let next =
+          match i.Bi.op with
+          | Opcode.Bro
+            when i.Bi.exit_idx >= 0 && i.Bi.exit_idx < Array.length img.Bi.exits
+            ->
+              let t = img.Bi.exits.(i.Bi.exit_idx) in
+              if String.equal t Block.halt_exit then -1 else resolve t
+          | _ -> -1
         in
-        let tgt_opt =
-          if not exit_ok then None
-          else
-            let t = img.Bi.exits.(i.Bi.exit_idx) in
-            if String.equal t Block.halt_exit then None else Some t
-        in
-        let tgt_idx = match tgt_opt with None -> -1 | Some t -> resolve t in
         fun st ->
-          if not (Array.unsafe_get st.fired id) then begin
-            Array.unsafe_set st.fired id true;
+          let df = st.df in
+          if not (Array.unsafe_get df.Df.fired id) then begin
+            Array.unsafe_set df.Df.fired id true;
             st.stats.Stats.instrs_executed <-
               st.stats.Stats.instrs_executed + 1;
-            if st.branch_set then fail "two branches fired";
-            if not exit_ok then invalid_arg "index out of bounds";
-            st.branch_set <- true;
-            st.branch_tgt <- tgt_opt;
-            st.branch_idx <- tgt_idx;
-            st.branch_exc <- Array.unsafe_get st.pred_exc id
-          end
-    | Opcode.Halt ->
-        fun st ->
-          if not (Array.unsafe_get st.fired id) then begin
-            Array.unsafe_set st.fired id true;
-            st.stats.Stats.instrs_executed <-
-              st.stats.Stats.instrs_executed + 1;
-            if st.branch_set then fail "two branches fired";
-            st.branch_set <- true;
-            st.branch_tgt <- None;
-            st.branch_exc <- Array.unsafe_get st.pred_exc id
-          end
-    | Opcode.Sand ->
-        fun st ->
-          if not (Array.unsafe_get st.fired id) then begin
-            Array.unsafe_set st.fired id true;
-            let stats = st.stats in
-            stats.Stats.instrs_executed <- stats.Stats.instrs_executed + 1;
-            stats.Stats.tests_executed <- stats.Stats.tests_executed + 1;
-            let l = Array.unsafe_get st.left id in
-            let tok =
-              if not (Token.as_predicate l) then Token.taint l zero_tok
-              else
-                let r = Array.unsafe_get st.right id in
-                Token.taint l
-                  (Token.taint r
-                     (Token.of_int64 (if Token.as_predicate r then 1L else 0L)))
-            in
-            let tok =
-              if predicated && Array.unsafe_get st.pred_exc id then Token.with_exc tok
-              else tok
-            in
-            send st tok
+            Df.resolve_branch df id;
+            st.next <- next
           end
     | ( Opcode.Iop _ | Opcode.Iopi _ | Opcode.Tst _ | Opcode.Tsti _
       | Opcode.Fop _ | Opcode.Ftst _ | Opcode.Un _ | Opcode.Movi | Opcode.Geni
-      | Opcode.Mov4 | Opcode.Null ) as op ->
+      | Opcode.Mov4 | Opcode.Null | Opcode.Sand ) as op ->
         let compute : state -> Token.t =
           match i.Bi.arity with
           | 0 -> (
@@ -594,36 +401,41 @@ let compile_block ~(resolve : string -> int) (img : Bi.t) : cblock =
           | 1 -> (
               match op with
               | Opcode.Un Opcode.Mov | Opcode.Mov4 ->
-                  fun st -> Array.unsafe_get st.left id
+                  fun st -> Array.unsafe_get st.df.Df.left id
               | _ ->
                   let f = Alu.jit1 op ~imm:i.Bi.imm in
-                  fun st -> f (Array.unsafe_get st.left id))
+                  fun st -> f (Array.unsafe_get st.df.Df.left id))
           | _ ->
               let f = Alu.jit2 op in
-              fun st -> f (Array.unsafe_get st.left id) (Array.unsafe_get st.right id)
+              fun st ->
+                let df = st.df in
+                f (Array.unsafe_get df.Df.left id) (Array.unsafe_get df.Df.right id)
         in
         match (i.Bi.cls, predicated) with
         | Bi.Splain, false ->
             fun st ->
-              if not (Array.unsafe_get st.fired id) then begin
-                Array.unsafe_set st.fired id true;
+              let df = st.df in
+              if not (Array.unsafe_get df.Df.fired id) then begin
+                Array.unsafe_set df.Df.fired id true;
                 let stats = st.stats in
                 stats.Stats.instrs_executed <- stats.Stats.instrs_executed + 1;
                 send st (compute st)
               end
         | Bi.Splain, true ->
             fun st ->
-              if not (Array.unsafe_get st.fired id) then begin
-                Array.unsafe_set st.fired id true;
+              let df = st.df in
+              if not (Array.unsafe_get df.Df.fired id) then begin
+                Array.unsafe_set df.Df.fired id true;
                 let stats = st.stats in
                 stats.Stats.instrs_executed <- stats.Stats.instrs_executed + 1;
                 let tok = compute st in
-                send st (if Array.unsafe_get st.pred_exc id then Token.with_exc tok else tok)
+                send st (if Array.unsafe_get df.Df.pred_exc id then Token.with_exc tok else tok)
               end
         | Bi.Smove, false ->
             fun st ->
-              if not (Array.unsafe_get st.fired id) then begin
-                Array.unsafe_set st.fired id true;
+              let df = st.df in
+              if not (Array.unsafe_get df.Df.fired id) then begin
+                Array.unsafe_set df.Df.fired id true;
                 let stats = st.stats in
                 stats.Stats.instrs_executed <- stats.Stats.instrs_executed + 1;
                 stats.Stats.moves_executed <- stats.Stats.moves_executed + 1;
@@ -631,13 +443,14 @@ let compile_block ~(resolve : string -> int) (img : Bi.t) : cblock =
               end
         | Bi.Smove, true ->
             fun st ->
-              if not (Array.unsafe_get st.fired id) then begin
-                Array.unsafe_set st.fired id true;
+              let df = st.df in
+              if not (Array.unsafe_get df.Df.fired id) then begin
+                Array.unsafe_set df.Df.fired id true;
                 let stats = st.stats in
                 stats.Stats.instrs_executed <- stats.Stats.instrs_executed + 1;
                 stats.Stats.moves_executed <- stats.Stats.moves_executed + 1;
                 let tok = compute st in
-                send st (if Array.unsafe_get st.pred_exc id then Token.with_exc tok else tok)
+                send st (if Array.unsafe_get df.Df.pred_exc id then Token.with_exc tok else tok)
               end
         | cls, _ ->
             let bump : Stats.t -> unit =
@@ -652,20 +465,22 @@ let compile_block ~(resolve : string -> int) (img : Bi.t) : cblock =
             in
             if predicated then (
               fun st ->
-                if not (Array.unsafe_get st.fired id) then begin
-                  Array.unsafe_set st.fired id true;
+                let df = st.df in
+                if not (Array.unsafe_get df.Df.fired id) then begin
+                  Array.unsafe_set df.Df.fired id true;
                   let stats = st.stats in
                   stats.Stats.instrs_executed <-
                     stats.Stats.instrs_executed + 1;
                   bump stats;
                   let tok = compute st in
                   send st
-                    (if Array.unsafe_get st.pred_exc id then Token.with_exc tok else tok)
+                    (if Array.unsafe_get df.Df.pred_exc id then Token.with_exc tok else tok)
                 end)
             else
               fun st ->
-                if not (Array.unsafe_get st.fired id) then begin
-                  Array.unsafe_set st.fired id true;
+                let df = st.df in
+                if not (Array.unsafe_get df.Df.fired id) then begin
+                  Array.unsafe_set df.Df.fired id true;
                   let stats = st.stats in
                   stats.Stats.instrs_executed <-
                     stats.Stats.instrs_executed + 1;
@@ -686,9 +501,6 @@ let compile_block ~(resolve : string -> int) (img : Bi.t) : cblock =
   in
   let seeds = img.Bi.seeds in
   let enter st =
-    let stats = st.stats in
-    stats.Stats.blocks_executed <- stats.Stats.blocks_executed + 1;
-    stats.Stats.instrs_fetched <- stats.Stats.instrs_fetched + n;
     for k = 0 to Array.length read_seeds - 1 do
       (Array.unsafe_get read_seeds k) st
     done;
@@ -696,14 +508,7 @@ let compile_block ~(resolve : string -> int) (img : Bi.t) : cblock =
       (Array.unsafe_get checks (Array.unsafe_get seeds k)) st
     done
   in
-  let pred_ids =
-    let acc = ref [] in
-    for id = n - 1 downto 0 do
-      if instrs.(id).Bi.predicated then acc := id :: !acc
-    done;
-    Array.of_list !acc
-  in
-  { img; init_missing; pred_ids; enter }
+  { img; init_missing; enter }
 
 let build (imgp : Bi.program) : t =
   let resolve name =
@@ -711,65 +516,15 @@ let build (imgp : Bi.program) : t =
   in
   { imgp; cblocks = Array.map (compile_block ~resolve) imgp.Bi.blocks }
 
-(* execute the block [st] was prepared for and commit its outputs;
-   mirrors [Functional.exec_block] including diagnostics *)
+(* run the block [st] was prepared for to quiescence and commit it
+   through the core; [Ok] carries the fault, if any *)
 let exec_block (cb : cblock) st =
   match
-    let img = cb.img in
     cb.enter st;
-    let complete =
-      st.writes_set = img.Bi.n_writes && st.stores_unres = 0 && st.branch_set
-    in
-    if not complete then begin
-      let missing = Buffer.create 64 in
-      for w = 0 to img.Bi.n_writes - 1 do
-        if not st.wset.(w) then
-          Buffer.add_string missing (Printf.sprintf " W%d" w)
-      done;
-      for k = 0 to img.Bi.n_stores - 1 do
-        if st.stores.(k) = Unresolved then
-          Buffer.add_string missing
-            (Printf.sprintf " S%d" img.Bi.store_lsids.(k))
-      done;
-      if not st.branch_set then Buffer.add_string missing " branch";
-      fail "block %s deadlocked; missing:%s" img.Bi.name
-        (Buffer.contents missing)
-    end;
-    let stats = st.stats in
-    let pred_ids = cb.pred_ids in
-    for k = 0 to Array.length pred_ids - 1 do
-      if not st.fired.(pred_ids.(k)) then
-        stats.Stats.mispredicated_fetched <-
-          stats.Stats.mispredicated_fetched + 1
-    done;
-    let fault = ref None in
-    for k = 0 to img.Bi.n_stores - 1 do
-      let slot = img.Bi.store_order.(k) in
-      match st.stores.(slot) with
-      | Stored { addr; value; width; exc } ->
-          if exc then
-            fault :=
-              Some (Printf.sprintf "store lsid %d" img.Bi.store_lsids.(slot))
-          else (
-            match Mem.store st.mem ~width ~addr value with
-            | Ok () -> ()
-            | Error () ->
-                fault := Some (Printf.sprintf "store fault at %Ld" addr))
-      | Nulled -> ()
-      | Unresolved -> assert false
-    done;
-    for w = 0 to img.Bi.n_writes - 1 do
-      let t = st.writes.(w) in
-      if t.Token.null then ()
-      else if t.Token.exc then fault := Some (Printf.sprintf "write W%d" w)
-      else st.regs.(img.Bi.write_regs.(w)) <- t.Token.payload
-    done;
-    if st.branch_exc then fault := Some "branch";
-    stats.Stats.blocks_committed <- stats.Stats.blocks_committed + 1;
-    Ok { exit_taken = st.branch_tgt; exit_idx = st.branch_idx; faulted = !fault }
+    Df.commit st.df ~regs:st.regs ~mem:st.mem
   with
-  | r -> r
-  | exception Malformed m -> Error m
+  | faulted -> Ok faulted
+  | exception Df.Malformed m -> Error m
 
 (* ---- content-addressed code cache ----
 
@@ -797,7 +552,7 @@ let compile program =
   Mutex.unlock cache_mu;
   code
 
-let run ?(fuel_blocks = 10_000_000) program ~regs ~mem =
+let run program ~regs ~mem =
   let stats = Stats.create () in
   let code = compile program in
   let st = make_state code ~regs ~mem ~stats in
@@ -808,14 +563,16 @@ let run ?(fuel_blocks = 10_000_000) program ~regs ~mem =
       prepare cb st;
       match exec_block cb st with
       | Error m -> Error ("malformed: " ^ m)
-      | Ok { faulted = Some f; _ } -> Error ("fault: " ^ f)
-      | Ok { exit_taken = None; _ } -> Ok stats
-      | Ok { exit_taken = Some next; exit_idx; _ } ->
-          if exit_idx < 0 then
-            Error (Printf.sprintf "malformed: no block %s" next)
-          else go exit_idx (fuel - 1)
+      | Ok (Some f) -> Error ("fault: " ^ f)
+      | Ok None -> (
+          match st.df.Df.branch_tgt with
+          | None -> Ok stats
+          | Some next ->
+              if st.next < 0 then
+                Error (Printf.sprintf "malformed: no block %s" next)
+              else go st.next (fuel - 1))
   in
   let entry = code.imgp.Bi.entry in
   if entry < 0 then
     Error (Printf.sprintf "malformed: no block %s" program.Program.entry)
-  else go entry fuel_blocks
+  else go entry Df.block_limit

@@ -1,17 +1,20 @@
 (** Cycle-level simulator of the tiled EDGE microarchitecture (the
     tsim-proc substitute used for every number in Section 6).
 
-    Modeled mechanisms: next-block prediction (3 cycles) and 8-cycle
-    block fetch through a 64 KB L1 I-cache; up to 8 blocks in flight;
-    per-tile reservation stations with predicate-aware wakeup
-    (Section 4.1); single-issue-per-tile execution with opcode latencies;
-    a one-cycle-per-hop operand network using the compiler's placement;
-    a 32 KB 2-cycle L1 D-cache backed by an L2 and memory; an LSQ with
-    intra- and inter-block LSID ordering, store-to-load forwarding,
-    aggressive load speculation with a dependence predictor and violation
-    flushes; null-token output resolution (Section 4.2); block completion
-    by output counting with early mispredication termination
-    (Section 4.3); and exception-bit commit semantics (Section 4.4). *)
+    A timing model over the {!Dataflow} core: each in-flight block is a
+    core frame, so predicate matching and predicate-OR (Section 4.1),
+    null-token output resolution (4.2), output-count completion (4.3),
+    exception bits (4.4), store-to-load forwarding, deadlock diagnosis
+    and commit are the functional simulator's own. This module adds only
+    when things happen and what they cost: next-block prediction
+    (3 cycles) and 8-cycle block fetch; up to 8 blocks in flight;
+    per-tile reservation stations and single-issue-per-tile execution
+    with opcode latencies; a one-cycle-per-hop operand network using the
+    compiler's placement; cross-frame register forwarding; an LSQ with
+    inter-block LSID ordering, aggressive load speculation with a
+    dependence predictor and violation flushes; early mispredication
+    termination (Section 4.3). Caches, predictor and their accounting
+    are the {!Memsys} both backends share. *)
 
 type placement_fn = string -> int array
 (** Tile placement per block (from [Dfp.Schedule]); defaults to a
@@ -42,9 +45,9 @@ val run :
     instrumentation site reduces to a dead branch, so the uninstrumented
     fast path is unchanged.
 
-    [arena] (default [true]) recycles per-frame operand/state arrays
-    across block instances instead of allocating them per dispatch;
-    results are identical either way (the [DFP_ARENA_DEBUG] environment
-    variable additionally asserts each recycled frame prefix is
-    indistinguishable from fresh arrays). Pass [false] to force fresh
-    allocation, e.g. for differential testing of the arena itself. *)
+    [arena] (default [true]) recycles one core frame per frame slot
+    across block instances; [false] creates a fresh core frame per
+    dispatch, for differential testing of the recycling itself. Results
+    are identical either way (the [DFP_ARENA_DEBUG] environment variable
+    additionally asserts each recycled frame prefix is indistinguishable
+    from fresh arrays). *)

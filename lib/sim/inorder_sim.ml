@@ -32,22 +32,15 @@ module Token = Edge_isa.Token
 module Mem = Edge_isa.Mem
 module Program = Edge_isa.Program
 module Bi = Block_image
+module Df = Dataflow
+module Ms = Memsys
 module Obs = Edge_obs.Obs
 module Ev = Edge_obs.Event
-module Mx = Edge_obs.Metrics
 module Engine = Functional.Engine
 
 (* bump when the timing model or [Stats] accounting changes: the
    persistent result cache keys on it *)
 let revision = "inorder-sim-1"
-
-(* per-block static timing tables, computed once per run *)
-type binfo = {
-  img : Bi.t;
-  producers : int array array;  (* per instr: static fan-in instr ids *)
-  base_addr : int64;  (* code address of the block *)
-  n_lines : int;  (* I-cache lines fetched per dispatch *)
-}
 
 type sim = {
   imgp : Bi.program;
@@ -56,104 +49,32 @@ type sim = {
   regs : int64 array;
   mem : Mem.t;
   stats : Stats.t;
-  l1d : Cache.t;
-  l1i : Cache.t;
-  l2 : Cache.t;
-  predictor : Predictor.t;
-  binfos : binfo option array;
+  ms : Ms.t;
+  producers : int array array option array;
+      (* per block index, built lazily: per instr, static fan-in ids *)
   comp : int array;  (* capacity: completion cycle per instruction *)
   window : int array;  (* ring: completion cycles of issued instrs *)
   mutable clock : int;
   mutable seq : int;
-  obs : Obs.t;
-  otrace : bool;
-  ofull : bool;
-  oactive : bool;
-  ometrics : Mx.t option;
 }
 
-let emit sim e = Obs.emit sim.obs e
-
-let mincr ?by sim name =
-  match sim.ometrics with Some m -> Mx.incr ?by m name | None -> ()
-
-let mobserve sim name v =
-  match sim.ometrics with Some m -> Mx.observe m name v | None -> ()
-
-let make_binfo sim idx =
-  let img = sim.imgp.Bi.blocks.(idx) in
-  let producers = Array.make img.Bi.n [] in
-  Array.iteri
-    (fun id (i : Bi.inst) ->
-      Array.iter
-        (function
-          | Target.To_instr { id = d; _ } -> producers.(d) <- id :: producers.(d)
-          | Target.To_write _ -> ())
-        i.Bi.targets)
-    img.Bi.instrs;
-  let lb = sim.machine.Machine.line_bytes in
-  {
-    img;
-    producers = Array.map Array.of_list producers;
-    base_addr = Int64.of_int (img.Bi.index * 1024);
-    n_lines = max 1 ((img.Bi.size_words * 4) + lb - 1) / lb;
-  }
-
-let binfo sim idx =
-  match sim.binfos.(idx) with
-  | Some b -> b
+let producers sim idx =
+  match sim.producers.(idx) with
+  | Some p -> p
   | None ->
-      let b = make_binfo sim idx in
-      sim.binfos.(idx) <- Some b;
-      b
-
-(* ---------- memory timing (same accounting as the grid backend) ---------- *)
-
-let dcache_latency sim ~addr ~write =
-  sim.stats.Stats.dcache_accesses <- sim.stats.Stats.dcache_accesses + 1;
-  if sim.oactive then mincr sim "sim.dcache_accesses";
-  if Cache.access sim.l1d ~addr ~write then begin
-    if sim.otrace && sim.ofull then
-      emit sim (Ev.Cache { cycle = sim.clock; cache = "l1d"; write; hit = true });
-    Cache.hit_latency sim.l1d
-  end
-  else begin
-    sim.stats.Stats.dcache_misses <- sim.stats.Stats.dcache_misses + 1;
-    if sim.oactive then mincr sim "sim.dcache_misses";
-    if sim.otrace && sim.ofull then
-      emit sim (Ev.Cache { cycle = sim.clock; cache = "l1d"; write; hit = false });
-    let l2_hit = Cache.access sim.l2 ~addr ~write in
-    if sim.otrace && sim.ofull then
-      emit sim (Ev.Cache { cycle = sim.clock; cache = "l2"; write; hit = l2_hit });
-    if l2_hit then Cache.hit_latency sim.l1d + sim.machine.Machine.l2_latency
-    else
-      Cache.hit_latency sim.l1d + sim.machine.Machine.l2_latency
-      + sim.machine.Machine.mem_latency
-  end
-
-let icache_penalty sim bt =
-  let pen = ref 0 in
-  for i = 0 to bt.n_lines - 1 do
-    sim.stats.Stats.icache_accesses <- sim.stats.Stats.icache_accesses + 1;
-    if sim.oactive then mincr sim "sim.icache_accesses";
-    let addr =
-      Int64.add bt.base_addr (Int64.of_int (i * sim.machine.Machine.line_bytes))
-    in
-    let l1i_hit = Cache.access sim.l1i ~addr ~write:false in
-    if sim.otrace && sim.ofull then
-      emit sim
-        (Ev.Cache { cycle = sim.clock; cache = "l1i"; write = false; hit = l1i_hit });
-    if not l1i_hit then begin
-      sim.stats.Stats.icache_misses <- sim.stats.Stats.icache_misses + 1;
-      if sim.oactive then mincr sim "sim.icache_misses";
-      pen :=
-        !pen
-        + (if Cache.access sim.l2 ~addr ~write:false then
-             sim.machine.Machine.l2_latency
-           else sim.machine.Machine.l2_latency + sim.machine.Machine.mem_latency)
-    end
-  done;
-  !pen
+      let img = sim.imgp.Bi.blocks.(idx) in
+      let acc = Array.make img.Bi.n [] in
+      Array.iteri
+        (fun id (i : Bi.inst) ->
+          Array.iter
+            (function
+              | Target.To_instr { id = d; _ } -> acc.(d) <- id :: acc.(d)
+              | Target.To_write _ -> ())
+            i.Bi.targets)
+        img.Bi.instrs;
+      let p = Array.map Array.of_list acc in
+      sim.producers.(idx) <- Some p;
+      p
 
 (* ---------- per-block step ---------- *)
 
@@ -165,29 +86,31 @@ type block_result =
 
 let run_block sim idx =
   let m = sim.machine in
-  let bt = binfo sim idx in
-  let img = bt.img in
+  let ms = sim.ms in
+  let img = sim.imgp.Bi.blocks.(idx) in
+  let producers = producers sim idx in
   let seq = sim.seq in
   sim.seq <- seq + 1;
   let block_start = sim.clock in
   (* serialized front end: every block pays fetch + I-cache penalty *)
-  let pen = icache_penalty sim bt in
-  if sim.otrace then
-    emit sim (Ev.Fetch { cycle = sim.clock; block = img.Bi.name; penalty = pen });
+  let pen = Ms.icache_penalty ms ~cycle:sim.clock img in
+  if ms.Ms.otrace then
+    Ms.emit ms (Ev.Fetch { cycle = sim.clock; block = img.Bi.name; penalty = pen });
   let start = sim.clock + m.Machine.fetch_cycles + pen in
   (* predict the next block before executing, as real hardware must *)
   let predicted =
-    Predictor.predict_hashed sim.predictor ~block_hash:img.Bi.name_hash
+    Predictor.predict_hashed ms.Ms.predictor ~block_hash:img.Bi.name_hash
   in
   (* architectural execution: the functional engine is authoritative *)
   let fstats = Stats.create () in
-  Engine.prepare sim.eng img;
-  match Engine.exec_block sim.eng ~regs:sim.regs ~mem:sim.mem ~stats:fstats with
+  Engine.prepare sim.eng img ~stats:fstats;
+  match Engine.exec_block sim.eng ~regs:sim.regs ~mem:sim.mem with
   | Error msg -> Malformed msg
   | Ok outcome ->
+      let df = Engine.frame sim.eng in
       fstats.Stats.instrs_committed <- fstats.Stats.instrs_executed;
-      if sim.otrace then
-        emit sim
+      if ms.Ms.otrace then
+        Ms.emit ms
           (Ev.Dispatch
              {
                cycle = start;
@@ -196,7 +119,7 @@ let run_block sim idx =
                fid = 0;
                instrs = img.Bi.n;
              });
-      if sim.oactive then mincr sim "sim.blocks_dispatched";
+      if ms.Ms.oactive then Ms.mincr ms "sim.blocks_dispatched";
       (* Timing pass over the firings the engine performed. Block index
          order is not topological (predicate producers regularly sit
          after their consumers), so issue is dataflow-ordered: every
@@ -205,7 +128,7 @@ let run_block sim idx =
          until the firing [window_size] issues back has completed.
          [comp.(id)] is the completion cycle, -1 while unscheduled;
          the dataflow graph is acyclic so the scan always progresses. *)
-      let fired id = Engine.fired sim.eng id in
+      let fired id = df.Df.fired.(id) in
       let n = img.Bi.n in
       let comp = sim.comp in
       let wsize = m.Machine.window_size in
@@ -236,13 +159,13 @@ let run_block sim idx =
             if fired p then
               if comp.(p) < 0 then ok := false
               else if comp.(p) > !t then t := comp.(p))
-          bt.producers.(id);
+          producers.(id);
         if !ok then Some !t else None
       in
       let issue_one id =
         let i = img.Bi.instrs.(id) in
-        if sim.otrace && sim.ofull then
-          emit sim
+        if ms.Ms.otrace && ms.Ms.ofull then
+          Ms.emit ms
             (Ev.Issue
                {
                  cycle = !cur;
@@ -256,16 +179,9 @@ let run_block sim idx =
           i.Bi.latency
           +
           match i.Bi.op with
-          | Opcode.Ld _ -> (
-              match Engine.left_operand sim.eng id with
-              | Some base when not base.Token.null ->
-                  (* keep the trace clock at the access cycle so Cache
-                     events stay in nondecreasing cycle order *)
-                  sim.clock <- !cur;
-                  dcache_latency sim
-                    ~addr:(Int64.add base.Token.payload i.Bi.imm)
-                    ~write:false
-              | Some _ | None -> 0)
+          | Opcode.Ld _ when not df.Df.left.(id).Token.null ->
+              Ms.dcache_latency ms ~cycle:!cur ~addr:(Df.address df id)
+                ~write:false
           | _ -> 0
         in
         let c = !cur + lat in
@@ -311,21 +227,24 @@ let run_block sim idx =
         end
       done;
       (* store commit: the engine already wrote memory; charge the
-         D-cache and the commit bandwidth for the stores that stuck *)
+         D-cache and the commit bandwidth for every fired store holding
+         two non-null operands. That includes a store a later null
+         token resolved as [Nulled] after both operands arrived, which
+         commits nothing: the model has always charged it, and the
+         committed cycle counts depend on it. *)
       sim.clock <- !exec_done;
       let committed_stores = ref 0 in
       Array.iteri
         (fun id (i : Bi.inst) ->
-          if i.Bi.is_store && fired id then
-            match (Engine.left_operand sim.eng id, Engine.right_operand sim.eng id)
-            with
-            | Some base, Some v when not (base.Token.null || v.Token.null) ->
-                ignore
-                  (dcache_latency sim
-                     ~addr:(Int64.add base.Token.payload i.Bi.imm)
-                     ~write:true);
-                incr committed_stores
-            | _ -> ())
+          if
+            i.Bi.is_store && fired id && df.Df.lset.(id) && df.Df.rset.(id)
+            && not (df.Df.left.(id).Token.null || df.Df.right.(id).Token.null)
+          then begin
+            ignore
+              (Ms.dcache_latency ms ~cycle:sim.clock ~addr:(Df.address df id)
+                 ~write:true);
+            incr committed_stores
+          end)
         img.Bi.instrs;
       let cps = m.Machine.commit_stores_per_cycle in
       let commit_done = !exec_done + ((!committed_stores + cps - 1) / cps) in
@@ -335,18 +254,13 @@ let run_block sim idx =
         | None -> Block.halt_exit
         | Some t -> t
       in
-      let exit_idx = ref 0 in
-      Array.iteri
-        (fun id (i : Bi.inst) ->
-          if i.Bi.exit_idx >= 0 && fired id then exit_idx := i.Bi.exit_idx)
-        img.Bi.instrs;
-      Predictor.update_hashed sim.predictor ~block_hash:img.Bi.name_hash
-        ~exit_idx:!exit_idx ~target:actual;
+      Predictor.update_hashed ms.Ms.predictor ~block_hash:img.Bi.name_hash
+        ~exit_idx:df.Df.branch_exit ~target:actual;
       let mispredicted =
         match predicted with
         | Some p ->
             let correct = String.equal p actual in
-            Predictor.record_outcome sim.predictor ~correct;
+            Predictor.record_outcome ms.Ms.predictor ~correct;
             not correct
         | None -> false
       in
@@ -355,11 +269,11 @@ let run_block sim idx =
       if mispredicted then
         sim.stats.Stats.branch_mispredicts <-
           sim.stats.Stats.branch_mispredicts + 1;
-      if sim.oactive then begin
-        mincr sim "sim.branch_resolutions";
-        if mispredicted then mincr sim "sim.branch_mispredicts";
-        if sim.otrace then
-          emit sim
+      if ms.Ms.oactive then begin
+        Ms.mincr ms "sim.branch_resolutions";
+        if mispredicted then Ms.mincr ms "sim.branch_mispredicts";
+        if ms.Ms.otrace then
+          Ms.emit ms
             (Ev.Branch
                {
                  cycle = !exec_done;
@@ -368,12 +282,12 @@ let run_block sim idx =
                  target = actual;
                  mispredict = mispredicted;
                });
-        mincr sim "sim.blocks_committed";
-        mincr sim ~by:fstats.Stats.instrs_committed "sim.instrs_committed";
-        mobserve sim "block.occupancy" (commit_done - block_start);
-        mobserve sim "block.mispredicated" fstats.Stats.mispredicated_fetched;
-        if sim.otrace then
-          emit sim
+        Ms.mincr ms "sim.blocks_committed";
+        Ms.mincr ms ~by:fstats.Stats.instrs_committed "sim.instrs_committed";
+        Ms.mobserve ms "block.occupancy" (commit_done - block_start);
+        Ms.mobserve ms "block.mispredicated" fstats.Stats.mispredicated_fetched;
+        if ms.Ms.otrace then
+          Ms.emit ms
             (Ev.Commit
                {
                  cycle = commit_done;
@@ -403,8 +317,8 @@ let run_block sim idx =
 
 let run ?(machine = Machine.inorder_edge) ?(obs = Obs.null) program ~regs ~mem =
   let imgp = Bi.of_program program in
-  let n_blocks = Array.length imgp.Bi.blocks in
   let m = machine in
+  let stats = Stats.create () in
   let sim =
     {
       imgp;
@@ -412,29 +326,13 @@ let run ?(machine = Machine.inorder_edge) ?(obs = Obs.null) program ~regs ~mem =
       eng = Engine.make imgp;
       regs;
       mem;
-      stats = Stats.create ();
-      l1d =
-        Cache.create ~size_bytes:m.Machine.l1d_size ~ways:m.Machine.l1d_ways
-          ~line_bytes:m.Machine.line_bytes ~hit_latency:m.Machine.l1d_latency;
-      l1i =
-        Cache.create ~size_bytes:m.Machine.l1i_size ~ways:m.Machine.l1i_ways
-          ~line_bytes:m.Machine.line_bytes ~hit_latency:m.Machine.l1i_latency;
-      l2 =
-        Cache.create ~size_bytes:m.Machine.l2_size ~ways:m.Machine.l2_ways
-          ~line_bytes:m.Machine.line_bytes ~hit_latency:m.Machine.l2_latency;
-      predictor =
-        Predictor.create ~history_bits:m.Machine.predictor_history_bits
-          ~table_bits:m.Machine.predictor_table_bits ();
-      binfos = Array.make (max 1 n_blocks) None;
+      stats;
+      ms = Ms.create machine ~stats ~obs;
+      producers = Array.make (max 1 (Array.length imgp.Bi.blocks)) None;
       comp = Array.make (max 1 imgp.Bi.max_n) 0;
       window = Array.make (max 1 m.Machine.window_size) 0;
       clock = 0;
       seq = 0;
-      obs;
-      otrace = Obs.tracing obs;
-      ofull = obs.Obs.full;
-      oactive = Obs.active obs;
-      ometrics = obs.Obs.metrics;
     }
   in
   let rec go name =

@@ -11,10 +11,11 @@
 
     Architectural semantics are not modeled here at all: every block is
     executed by {!Functional.Engine}, the functional simulator's own
-    per-block engine, and the timing layer charges cycles for the
-    firings that engine performed. Results therefore cannot diverge
-    from the functional simulator; only cycle counts are this module's
-    own. *)
+    per-block interpreter over the {!Dataflow} core, and the timing
+    layer charges cycles for the firings that engine performed. Results
+    therefore cannot diverge from the functional simulator; only cycle
+    counts are this module's own. Caches, predictor and their accounting
+    are the {!Memsys} the grid backend also holds. *)
 
 val revision : string
 (** Bumped whenever the timing model or [Stats] accounting changes; the

@@ -1,11 +1,12 @@
 (* Arena-vs-fresh differential property.
 
-   The cycle simulator's frame arena (recycled per-frame operand/state
-   arrays) is a pure allocation strategy: it must be observationally
-   invisible. Every corpus kernel and 50 fixed-seed generated kernels
-   are compiled under every oracle configuration and cycle-simulated
-   twice — once with the pooled arena (the default) and once with
-   fresh per-block allocation — and the two runs must agree exactly on
+   The cycle simulator's frame arena (one dataflow-core frame recycled
+   per frame slot) is a pure allocation strategy: it must be
+   observationally invisible. Every corpus kernel and 50 fixed-seed
+   generated kernels are compiled under every oracle configuration and
+   cycle-simulated twice — once with the pooled arena (the default) and
+   once creating a fresh core frame per block — and the two runs must
+   agree exactly on
    the return value, the final memory image, the committed-store
    count, and every [Stats] counter. *)
 

@@ -16,7 +16,7 @@
    FIFO ring (initial capacity 64, must grow), and a
    [DFP_ARENA_DEBUG] cycle-simulator run with the JIT enabled, so the
    arena cross-check and the JIT'd functional verification are
-   exercised together. *)
+   exercised together, down to identical fault text. *)
 
 module Fz = Edge_fuzz
 module Conv = Edge_isa.Conventions
@@ -208,10 +208,10 @@ let arena_debug_cross_check () =
                  ( Edge_sim.Cycle_sim.run ~placement program ~regs ~mem,
                    fsim.error )
                with
-              | Error _, Some _ ->
-                  (* program fault: both simulators must report one; the
-                     exact text is simulator-specific *)
-                  ()
+              | Error e, Some ej ->
+                  (* program fault: both simulators commit through the
+                     one dataflow core, so they name the same fault *)
+                  Alcotest.(check string) (name ^ ": cycle vs jit error") ej e
               | Error e, None ->
                   Alcotest.failf "%s: only the cycle sim faulted: %s" name e
               | Ok _, Some e ->

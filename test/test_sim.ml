@@ -12,6 +12,22 @@ let run_one b =
   let stats = Edge_sim.Stats.create () in
   (regs, mem, stats, Edge_sim.Functional.run_block b ~regs ~mem ~stats)
 
+(* run a one-block program on every executor: the reference
+   interpreter, the JIT, the grid and the in-order core *)
+let on_all_paths (b : B.t) =
+  let program = Result.get_ok (Edge_isa.Program.make ~entry:b.B.name [ b ]) in
+  let run path f =
+    let regs = Array.make 128 0L in
+    let mem = Edge_isa.Mem.create ~size:4096 in
+    (path, f program ~regs ~mem)
+  in
+  [
+    run "interpreter" (Edge_sim.Functional.run ~jit:false);
+    run "jit" (Edge_sim.Functional.run ~jit:true);
+    run "grid" (fun p ~regs ~mem -> Edge_sim.Cycle_sim.run p ~regs ~mem);
+    run "in-order" (fun p ~regs ~mem -> Edge_sim.Inorder_sim.run p ~regs ~mem);
+  ]
+
 (* predicate-OR: two producers target one predicate operand; only the
    matching one fires the consumer (Section 3.5 / rule 3) *)
 let predicate_or () =
@@ -267,9 +283,18 @@ let deadlock_diagnosed () =
     }
   in
   let _, _, _, r = run_one b in
-  match r with
+  (match r with
   | Error e -> check "deadlock reported" true (String.length e > 0)
-  | Ok _ -> Alcotest.fail "starved output must be diagnosed"
+  | Ok _ -> Alcotest.fail "starved output must be diagnosed");
+  (* one diagnostic on every path *)
+  List.iter
+    (fun (path, r) ->
+      match r with
+      | Error e ->
+          Alcotest.(check string) path
+            "malformed: block dl deadlocked; missing: W0" e
+      | Ok _ -> Alcotest.failf "%s: starved output must be diagnosed" path)
+    (on_all_paths b)
 
 let cache_behaviour () =
   let c =
@@ -664,6 +689,156 @@ let cache_eviction_flush () =
   C.flush c;
   check "flush empties" false (C.access c ~addr:0L ~write:false)
 
+(* one fault rule: a faulting load feeding both W0 and store LSID 1
+   raises two exceptional outputs; every path names the first in
+   commit order (stores by LSID, then writes, then the branch) *)
+let two_fault_block () =
+  let b =
+    {
+      B.name = "twofault";
+      instrs =
+        [|
+          (* misaligned: the load faults *)
+          I.make ~id:0 ~opcode:O.Movi ~imm:3999L
+            ~targets:[ T.To_instr { id = 1; slot = T.Left } ] ();
+          I.make ~id:1 ~opcode:(O.Ld O.W8) ~lsid:0
+            ~targets:[ T.To_write 0; T.To_instr { id = 3; slot = T.Right } ]
+            ();
+          I.make ~id:2 ~opcode:O.Movi ~imm:64L
+            ~targets:[ T.To_instr { id = 3; slot = T.Left } ] ();
+          I.make ~id:3 ~opcode:(O.St O.W8) ~lsid:1 ();
+          I.make ~id:4 ~opcode:O.Halt ();
+        |];
+      reads = [||];
+      writes = [| { B.wslot = 0; wreg = 9 } |];
+      store_lsids = [ 1 ];
+      exits = [| B.halt_exit |];
+    }
+  in
+  List.iter
+    (fun (path, r) ->
+      match r with
+      | Error e -> Alcotest.(check string) path "fault: store lsid 1" e
+      | Ok _ -> Alcotest.failf "%s: the two-fault block must fault" path)
+    (on_all_paths b)
+
+(* a [sand] is a test instruction on every path *)
+let sand_counts_as_test () =
+  let b =
+    {
+      B.name = "sandtest";
+      instrs =
+        [|
+          I.make ~id:0 ~opcode:O.Movi ~imm:1L
+            ~targets:[ T.To_instr { id = 2; slot = T.Left } ] ();
+          I.make ~id:1 ~opcode:O.Movi ~imm:1L
+            ~targets:[ T.To_instr { id = 2; slot = T.Right } ] ();
+          I.make ~id:2 ~opcode:O.Sand ~targets:[ T.To_write 0 ] ();
+          I.make ~id:3 ~opcode:O.Halt ();
+        |];
+      reads = [||];
+      writes = [| { B.wslot = 0; wreg = 9 } |];
+      store_lsids = [];
+      exits = [| B.halt_exit |];
+    }
+  in
+  List.iter
+    (fun (path, r) ->
+      match r with
+      | Ok s ->
+          Alcotest.(check int) (path ^ " tests") 1 s.Edge_sim.Stats.tests_executed
+      | Error e -> Alcotest.failf "%s: %s" path e)
+    (on_all_paths b)
+
+(* the one byte overlay behind store-to-load forwarding on every path *)
+let overlay_bytes () =
+  let module Df = Edge_sim.Dataflow in
+  let a = 64L in
+  let mem_tok = Tok.of_int64 0x0807060504030201L in
+  let st ?(exc = false) width off value =
+    { Df.addr = Int64.add a (Int64.of_int off); value; width; exc }
+  in
+  let load ?(width = O.W8) ?(mem = mem_tok) stores =
+    Df.overlay ~width ~addr:a mem stores
+  in
+  let value name expect stores =
+    let t = load stores in
+    Alcotest.(check int64) name expect t.Tok.payload;
+    check (name ^ ": no exception") false t.Tok.exc
+  in
+  (* W1 stores replace one byte wherever they land in the W8 load *)
+  value "W1 at +0" 0x08070605040302AAL [ st O.W1 0 0xAAL ];
+  value "W1 at +3" 0x08070605AA030201L [ st O.W1 3 0xAAL ];
+  value "W1 at +7" 0xAA07060504030201L [ st O.W1 7 0xAAL ];
+  (* W4 stores inside the load, and straddling either edge of it *)
+  value "W4 at +4" 0xDDCCBBAA04030201L [ st O.W4 4 0xDDCCBBAAL ];
+  value "W4 at -2" 0x080706050403DDCCL [ st O.W4 (-2) 0xDDCCBBAAL ];
+  value "W4 at +6" 0xBBAA060504030201L [ st O.W4 6 0xDDCCBBAAL ];
+  value "W4 at +8 misses" 0x0807060504030201L [ st O.W4 8 0xDDCCBBAAL ];
+  (* stores apply oldest first: the younger W1 wins its byte *)
+  value "W4 then W1" 0x0807060544EE2211L
+    [ st O.W4 0 0x44332211L; st O.W1 2 0xEEL ];
+  value "W1 then W4" 0x0807060544332211L
+    [ st O.W1 2 0xEEL; st O.W4 0 0x44332211L ];
+  (* sub-word loads sign-extend the overlaid bytes *)
+  let zero = Tok.of_int64 0L in
+  let sub name width expect stores =
+    Alcotest.(check int64) name expect (load ~width ~mem:zero stores).Tok.payload
+  in
+  sub "W1 negative" O.W1 0xFFFFFFFFFFFFFF80L [ st O.W1 0 0x80L ];
+  sub "W1 positive" O.W1 0x7FL [ st O.W1 0 0x7FL ];
+  sub "W4 negative" O.W4 0xFFFFFFFF80000000L [ st O.W4 0 0x80000000L ];
+  sub "W4 positive" O.W4 0x7FFFFFFFL [ st O.W4 0 0x7FFFFFFFL ];
+  sub "W1 into W4 high byte" O.W4 0xFFFFFFFF90000000L [ st O.W1 3 0x90L ];
+  (* an exceptional store taints the load only if it covers a loaded
+     byte *)
+  check "overlapping exception taints" true
+    (load [ st ~exc:true O.W1 5 0x11L ]).Tok.exc;
+  check "straddling exception taints" true
+    (load [ st ~exc:true O.W4 (-3) 0x11L ]).Tok.exc;
+  let t = load [ st ~exc:true O.W4 8 0x11L; st ~exc:true O.W8 (-8) 0x22L ] in
+  check "disjoint exception ignored" false t.Tok.exc;
+  Alcotest.(check int64) "disjoint stores ignored" 0x0807060504030201L
+    t.Tok.payload;
+  (* an exceptional memory read is returned untouched *)
+  check "memory exception kept" true
+    (load ~mem:(Tok.with_exc zero) [ st O.W1 0 0x11L ]).Tok.exc
+
+(* a load sees only its own frame's stores below its LSID *)
+let overlay_lsid_order () =
+  let module Df = Edge_sim.Dataflow in
+  let b =
+    {
+      B.name = "lsids";
+      instrs =
+        [|
+          I.make ~id:0 ~opcode:(O.St O.W1) ~lsid:0 ();
+          I.make ~id:1 ~opcode:(O.Ld O.W8) ~lsid:1 ();
+          I.make ~id:2 ~opcode:(O.St O.W1) ~lsid:2 ();
+          I.make ~id:3 ~opcode:O.Halt ();
+        |];
+      reads = [||];
+      writes = [||];
+      store_lsids = [ 0; 2 ];
+      exits = [| B.halt_exit |];
+    }
+  in
+  let img = Edge_sim.Block_image.of_block b in
+  let df = Df.for_block img in
+  Df.prepare df img ~stats:(Edge_sim.Stats.create ());
+  let stored off value =
+    Df.Stored { Df.addr = Int64.of_int (64 + off); value; width = O.W1; exc = false }
+  in
+  (* the younger store resolves first and must stay invisible *)
+  Df.resolve_store df 2 (stored 1 0xBBL);
+  check "lower store unresolved" false (Df.lower_resolved df 1);
+  Df.resolve_store df 0 (stored 0 0xAAL);
+  check "lower store resolved" true (Df.lower_resolved df 1);
+  let stores = Df.stores_below df 1 in
+  Alcotest.(check int) "one store below LSID 1" 1 (List.length stores);
+  let t = Df.overlay ~width:O.W8 ~addr:64L (Tok.of_int64 0L) stores in
+  Alcotest.(check int64) "higher LSID invisible" 0xAAL t.Tok.payload
+
 let tests =
 
 
@@ -692,4 +867,9 @@ let tests =
     Alcotest.test_case "predictor update/mispredict" `Quick
       predictor_update_mispredict;
     Alcotest.test_case "cache eviction + flush" `Quick cache_eviction_flush;
+    Alcotest.test_case "two-fault block, all paths" `Quick two_fault_block;
+    Alcotest.test_case "sand counts as a test, all paths" `Quick
+      sand_counts_as_test;
+    Alcotest.test_case "overlay bytes" `Quick overlay_bytes;
+    Alcotest.test_case "overlay LSID order" `Quick overlay_lsid_order;
   ]
