@@ -24,6 +24,10 @@ let opcode_classes () =
   check "reg forms have 2 targets" true (O.max_targets (O.Iop O.Add) = 2);
   check "mov4 has 4 targets" true (O.max_targets O.Mov4 = 4);
   check "div is slow" true (O.latency (O.Iop O.Div) > O.latency (O.Iop O.Add));
+  (* the in-order scheduler relies on it: no issue readies another
+     instruction in the same cycle *)
+  check "every latency >= 1" true
+    (List.for_all (fun o -> O.latency o >= 1) O.all);
   check "branches produce no value" false (O.produces_value O.Bro)
 
 let target_roundtrip () =
