@@ -43,9 +43,12 @@
    ~20-job mixed battery against a spawned server — cold and warm
    workload jobs, a source job, a traced job, a guaranteed timeout, a
    malformed request, bad config/workload names — then a clean
-   shutdown, asserting structured errors (never a dead server), a
+   shutdown, asserting structured errors (never a dead server), cold
+   run_digests byte-identical to the direct in-process runs, a
    warm:cold ratio >= 10, and zero leaked sockets or cache temp
-   files. *)
+   files; it ends with the pre-encoded image check on its own specs.
+   These are the host-independent flags of BENCH_serve.json
+   ([identical], [preencoded.identical]), checked fresh. *)
 
 module Client = Edge_serve.Client
 module Json = Edge_serve.Json
@@ -841,6 +844,13 @@ let run_smoke () =
       let cold = run_pass ~socket ~threads:4 jobs in
       let cold_wall = Unix.gettimeofday () -. t0 in
       Array.iter (fun (_, v) -> ignore (expect_done v)) cold;
+      (* the served results must be the direct in-process runs' *)
+      let direct = List.map direct_digest smoke_specs in
+      List.iteri
+        (fun i (d, _) ->
+          if digest_of (snd cold.(i)) <> d then
+            die "cold job %d differs from its direct run" i)
+        direct;
       (* 8 warm jobs, byte-identical to the cold ones: one lock-step
          pass, checked here, and one batched frame, which
          run_pass_lean checks itself *)
@@ -944,9 +954,12 @@ let run_smoke () =
       if Sys.file_exists socket then die "socket file leaked";
       let tmp = count_tmp_files cache_dir in
       if tmp <> 0 then die "%d cache temp file(s) leaked" tmp;
+      if not (preencoded_check smoke_specs direct) then
+        die "pre-encoded image jobs diverge from direct runs";
       Printf.printf
         "serve-smoke: OK (cold %.2fs, warm %.2fs, %.0fx; 20 requests incl. \
-         timeout + malformed; no leaks)\n"
+         timeout + malformed; cold and pre-encoded jobs identical to direct \
+         runs; no leaks)\n"
         cold_wall warm_wall ratio)
 
 let () =

@@ -1,26 +1,33 @@
-(* The in-order single-issue EDGE backend.
+(* The in-order EDGE backend.
 
-   One centralized tile holds the whole block; instructions issue in
-   block order, [issue_per_tile] per cycle, from an in-order window of
-   [window_size] in-flight instructions; one block is in flight at a
-   time. Architectural execution is delegated to [Functional.Engine] —
-   the functional simulator's own per-block interpreter — and the
-   timing pass below charges cycles for exactly the firings that engine
+   One centralized tile holds the whole block; instructions issue
+   [issue_per_tile] per cycle from an in-order window of [window_size]
+   in-flight instructions; one block is in flight at a time.
+   Architectural execution is delegated to [Functional.Engine] — the
+   functional simulator's own per-block interpreter — and the timing
+   pass below charges cycles for exactly the firings that engine
    performed. Results therefore cannot diverge from the functional
    simulator by construction; only the cycle counts are modeled here.
 
-   The timing pass works off the static dataflow graph: a fired
-   instruction becomes ready once every fired producer that targets one
-   of its slots has completed (register reads and immediates are
-   available at dispatch), and issues at the first cycle >= ready where
-   (a) the issue width of the cycle is not exhausted, and (b) the
-   firing [window_size] issues older has completed — the small window
-   serializes the block far more than the grid's distributed
-   reservation stations do. Ready instructions issue lowest block index
-   first (block index order is not topological — predicate producers
-   regularly sit after their consumers — so issue itself must be
-   dataflow-ordered). Loads pay the D-cache latency for the address the
-   engine actually computed; committed stores drain
+   The timing pass is a list scheduler over the static dataflow graph:
+   a fired instruction becomes ready once every fired producer that
+   targets one of its slots has completed (register reads and
+   immediates are available at dispatch), and issues at the first
+   cycle >= ready where (a) the issue width of the cycle is not
+   exhausted, and (b) the firing [window_size] issues older has
+   completed — the small window serializes the block far more than the
+   grid's distributed reservation stations do. Ready instructions issue
+   lowest block index first. Block index order is not topological
+   (predicate producers regularly sit after their consumers), so the
+   scheduler is incremental: each fired instruction counts its fired
+   producers once; an issue raises its consumers' ready cycles and
+   counts them down; at zero a consumer waits in a heap keyed by ready
+   cycle, and once that cycle is reached, in a heap keyed by block
+   index that issue draws from. Every opcode latency is >= 1, so no
+   issue readies an instruction within its own cycle, and the
+   scheduler jumps straight to the next cycle anything can issue.
+   Loads pay the D-cache latency for the address the engine actually
+   computed, probed in issue order; committed stores drain
    [commit_stores_per_cycle] per cycle after the last firing. The
    window already serializes a block's memory traffic, so
    [aggressive_loads] has no effect on this backend. *)
@@ -42,6 +49,46 @@ module Engine = Functional.Engine
    persistent result cache keys on it *)
 let revision = "inorder-sim-1"
 
+(* A fixed-capacity binary min-heap of ints under int keys. *)
+module Heap = struct
+  type t = { keys : int array; vals : int array; mutable size : int }
+
+  let create cap = { keys = Array.make cap 0; vals = Array.make cap 0; size = 0 }
+  let min_key h = h.keys.(0)
+
+  let push h ~key v =
+    let i = ref h.size in
+    h.size <- h.size + 1;
+    while !i > 0 && h.keys.((!i - 1) / 2) > key do
+      let p = (!i - 1) / 2 in
+      h.keys.(!i) <- h.keys.(p);
+      h.vals.(!i) <- h.vals.(p);
+      i := p
+    done;
+    h.keys.(!i) <- key;
+    h.vals.(!i) <- v
+
+  let pop h =
+    let top = h.vals.(0) in
+    let n = h.size - 1 in
+    h.size <- n;
+    let key = h.keys.(n) and v = h.vals.(n) in
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      let c = if l + 1 < n && h.keys.(l + 1) < h.keys.(l) then l + 1 else l in
+      if c < n && h.keys.(c) < key then begin
+        h.keys.(!i) <- h.keys.(c);
+        h.vals.(!i) <- h.vals.(c);
+        i := c
+      end
+      else sifting := false
+    done;
+    h.keys.(!i) <- key;
+    h.vals.(!i) <- v;
+    top
+end
+
 type sim = {
   imgp : Bi.program;
   machine : Machine.t;
@@ -50,31 +97,23 @@ type sim = {
   mem : Mem.t;
   stats : Stats.t;
   ms : Ms.t;
-  producers : int array array option array;
-      (* per block index, built lazily: per instr, static fan-in ids *)
-  comp : int array;  (* capacity: completion cycle per instruction *)
-  window : int array;  (* ring: completion cycles of issued instrs *)
+  waiting : int array;  (* per instr: fired producers not yet issued *)
+  ready : int array;  (* per instr: block start or latest producer completion *)
+  by_cycle : Heap.t;  (* all producers issued: ids keyed by ready cycle *)
+  by_index : Heap.t;  (* ready by the current cycle: ids keyed by id *)
+  window : int array;  (* ring: completion cycles of the latest issues *)
   mutable clock : int;
   mutable seq : int;
 }
 
-let producers sim idx =
-  match sim.producers.(idx) with
-  | Some p -> p
-  | None ->
-      let img = sim.imgp.Bi.blocks.(idx) in
-      let acc = Array.make img.Bi.n [] in
-      Array.iteri
-        (fun id (i : Bi.inst) ->
-          Array.iter
-            (function
-              | Target.To_instr { id = d; _ } -> acc.(d) <- id :: acc.(d)
-              | Target.To_write _ -> ())
-            i.Bi.targets)
-        img.Bi.instrs;
-      let p = Array.map Array.of_list acc in
-      sim.producers.(idx) <- Some p;
-      p
+(* the window gate of issue number [issued] in a block: the completion
+   cycle of the issue [window_size] back, read before it is
+   overwritten. [issued] restarts every block and stays below the
+   largest block, so the ring is sized by that bound, not the machine's
+   window: a longer ring would never be read. *)
+let gate window issued =
+  let w = Array.length window in
+  if issued >= w then window.(issued mod w) else min_int
 
 (* ---------- per-block step ---------- *)
 
@@ -88,7 +127,6 @@ let run_block sim idx =
   let m = sim.machine in
   let ms = sim.ms in
   let img = sim.imgp.Bi.blocks.(idx) in
-  let producers = producers sim idx in
   let seq = sim.seq in
   sim.seq <- seq + 1;
   let block_start = sim.clock in
@@ -120,111 +158,90 @@ let run_block sim idx =
                instrs = img.Bi.n;
              });
       if ms.Ms.oactive then Ms.mincr ms "sim.blocks_dispatched";
-      (* Timing pass over the firings the engine performed. Block index
-         order is not topological (predicate producers regularly sit
-         after their consumers), so issue is dataflow-ordered: every
-         cycle the ready instructions issue lowest-index-first,
-         [issue_per_tile] of them, and the window ring stalls issue
-         until the firing [window_size] issues back has completed.
-         [comp.(id)] is the completion cycle, -1 while unscheduled;
-         the dataflow graph is acyclic so the scan always progresses. *)
-      let fired id = df.Df.fired.(id) in
+      (* Timing pass: the incremental list scheduler of the header.
+         Each visited cycle first moves the due entries of [by_cycle]
+         into [by_index], then issues lowest index first while issue
+         slots remain and the window gate allows, so D-cache probes run
+         in cycle order and in index order within a cycle. A static
+         cycle among fired instructions (an absorbed predicate can
+         close one) never counts down: its members go uncharged and the
+         pass still ends. *)
+      let fired = df.Df.fired in
       let n = img.Bi.n in
-      let comp = sim.comp in
-      let wsize = m.Machine.window_size in
-      let issue_w = m.Machine.issue_per_tile in
-      let total = ref 0 in
+      let instrs = img.Bi.instrs in
+      let waiting = sim.waiting and ready = sim.ready in
+      let by_cycle = sim.by_cycle and by_index = sim.by_index in
+      let window = sim.window in
+      Array.fill waiting 0 n 0;
+      Array.fill ready 0 n start;
       for id = 0 to n - 1 do
-        if fired id then begin
-          comp.(id) <- -1;
-          incr total
+        if fired.(id) then begin
+          let targets = instrs.(id).Bi.targets in
+          for k = 0 to Array.length targets - 1 do
+            match targets.(k) with
+            | Target.To_instr { id = d; _ } when fired.(d) ->
+                waiting.(d) <- waiting.(d) + 1
+            | Target.To_instr _ | Target.To_write _ -> ()
+          done
         end
+      done;
+      for id = 0 to n - 1 do
+        if fired.(id) && waiting.(id) = 0 then Heap.push by_index ~key:id id
       done;
       let cur = ref start in
       let issued = ref 0 in
-      let scheduled = ref 0 in
       let exec_done = ref start in
-      (* the completion gate of the next issue slot: the ring holds the
-         last [wsize] completion times, read before being overwritten *)
-      let gate () =
-        if !issued >= wsize then sim.window.(!issued mod wsize) else min_int
-      in
-      let ready_at id =
-        (* max completion over fired producers; unscheduled producer =
-           not ready yet *)
-        let t = ref start in
-        let ok = ref true in
-        Array.iter
-          (fun p ->
-            if fired p then
-              if comp.(p) < 0 then ok := false
-              else if comp.(p) > !t then t := comp.(p))
-          producers.(id);
-        if !ok then Some !t else None
-      in
-      let issue_one id =
-        let i = img.Bi.instrs.(id) in
-        if ms.Ms.otrace && ms.Ms.ofull then
-          Ms.emit ms
-            (Ev.Issue
-               {
-                 cycle = !cur;
-                 block = img.Bi.name;
-                 seq;
-                 id;
-                 op = i.Bi.mn;
-                 tile = 0;
-               });
-        let lat =
-          i.Bi.latency
-          +
-          match i.Bi.op with
-          | Opcode.Ld _ when not df.Df.left.(id).Token.null ->
-              Ms.dcache_latency ms ~cycle:!cur ~addr:(Df.address df id)
-                ~write:false
-          | _ -> 0
-        in
-        let c = !cur + lat in
-        comp.(id) <- c;
-        sim.window.(!issued mod wsize) <- c;
-        incr issued;
-        incr scheduled;
-        if c > !exec_done then exec_done := c
-      in
-      while !scheduled < !total do
-        (* issue everything possible at cycle [!cur]; rescan so a
-           zero-latency producer can feed a lower-indexed consumer
-           within the cycle *)
-        let slots = ref issue_w in
-        let progress = ref true in
-        while !progress && !slots > 0 do
-          progress := false;
-          let id = ref 0 in
-          while !id < n && !slots > 0 do
-            (if fired !id && comp.(!id) < 0 && gate () <= !cur then
-               match ready_at !id with
-               | Some t when t <= !cur ->
-                   issue_one !id;
-                   decr slots;
-                   progress := true
-               | Some _ | None -> ());
-            incr id
+      while by_index.Heap.size > 0 || by_cycle.Heap.size > 0 do
+        while by_cycle.Heap.size > 0 && Heap.min_key by_cycle <= !cur do
+          let id = Heap.pop by_cycle in
+          Heap.push by_index ~key:id id
+        done;
+        let slots = ref m.Machine.issue_per_tile in
+        while !slots > 0 && by_index.Heap.size > 0 && gate window !issued <= !cur
+        do
+          let id = Heap.pop by_index in
+          let i = instrs.(id) in
+          if ms.Ms.otrace && ms.Ms.ofull then
+            Ms.emit ms
+              (Ev.Issue
+                 {
+                   cycle = !cur;
+                   block = img.Bi.name;
+                   seq;
+                   id;
+                   op = i.Bi.mn;
+                   tile = 0;
+                 });
+          let lat =
+            i.Bi.latency
+            +
+            match i.Bi.op with
+            | Opcode.Ld _ when not df.Df.left.(id).Token.null ->
+                Ms.dcache_latency ms ~cycle:!cur ~addr:(Df.address df id)
+                  ~write:false
+            | _ -> 0
+          in
+          let c = !cur + lat in
+          window.(!issued mod Array.length window) <- c;
+          incr issued;
+          decr slots;
+          if c > !exec_done then exec_done := c;
+          let targets = i.Bi.targets in
+          for k = 0 to Array.length targets - 1 do
+            match targets.(k) with
+            | Target.To_instr { id = d; _ } when fired.(d) ->
+                if c > ready.(d) then ready.(d) <- c;
+                waiting.(d) <- waiting.(d) - 1;
+                if waiting.(d) = 0 then Heap.push by_cycle ~key:ready.(d) d
+            | Target.To_instr _ | Target.To_write _ -> ()
           done
         done;
-        (* jump to the next cycle anything can issue: the earliest
-           ready-and-ungated time of a schedulable instruction *)
-        if !scheduled < !total then begin
-          let next = ref max_int in
-          for id = 0 to n - 1 do
-            if fired id && comp.(id) < 0 then
-              match ready_at id with
-              | Some t ->
-                  let t = max t (max (gate ()) (!cur + 1)) in
-                  if t < !next then next := t
-              | None -> ()
-          done;
-          cur := (if !next = max_int then !cur + 1 else !next)
-        end
+        (* jump to the next cycle anything can issue: everything left
+           in [by_cycle] is ready after [!cur] *)
+        if by_index.Heap.size > 0 then
+          cur := max (!cur + 1) (gate window !issued)
+        else if by_cycle.Heap.size > 0 then
+          cur := max (Heap.min_key by_cycle) (gate window !issued)
       done;
       (* store commit: the engine already wrote memory; charge the
          D-cache and the commit bandwidth for every fired store holding
@@ -234,18 +251,18 @@ let run_block sim idx =
          committed cycle counts depend on it. *)
       sim.clock <- !exec_done;
       let committed_stores = ref 0 in
-      Array.iteri
-        (fun id (i : Bi.inst) ->
-          if
-            i.Bi.is_store && fired id && df.Df.lset.(id) && df.Df.rset.(id)
-            && not (df.Df.left.(id).Token.null || df.Df.right.(id).Token.null)
-          then begin
-            ignore
-              (Ms.dcache_latency ms ~cycle:sim.clock ~addr:(Df.address df id)
-                 ~write:true);
-            incr committed_stores
-          end)
-        img.Bi.instrs;
+      for id = 0 to n - 1 do
+        if
+          instrs.(id).Bi.is_store && fired.(id) && df.Df.lset.(id)
+          && df.Df.rset.(id)
+          && not (df.Df.left.(id).Token.null || df.Df.right.(id).Token.null)
+        then begin
+          ignore
+            (Ms.dcache_latency ms ~cycle:sim.clock ~addr:(Df.address df id)
+               ~write:true);
+          incr committed_stores
+        end
+      done;
       let cps = m.Machine.commit_stores_per_cycle in
       let commit_done = !exec_done + ((!committed_stores + cps - 1) / cps) in
       (* branch resolution and predictor training *)
@@ -319,6 +336,7 @@ let run ?(machine = Machine.inorder_edge) ?(obs = Obs.null) program ~regs ~mem =
   let imgp = Bi.of_program program in
   let m = machine in
   let stats = Stats.create () in
+  let cap = max 1 imgp.Bi.max_n in
   let sim =
     {
       imgp;
@@ -328,9 +346,11 @@ let run ?(machine = Machine.inorder_edge) ?(obs = Obs.null) program ~regs ~mem =
       mem;
       stats;
       ms = Ms.create machine ~stats ~obs;
-      producers = Array.make (max 1 (Array.length imgp.Bi.blocks)) None;
-      comp = Array.make (max 1 imgp.Bi.max_n) 0;
-      window = Array.make (max 1 m.Machine.window_size) 0;
+      waiting = Array.make cap 0;
+      ready = Array.make cap 0;
+      by_cycle = Heap.create cap;
+      by_index = Heap.create cap;
+      window = Array.make (max 1 (min m.Machine.window_size imgp.Bi.max_n)) 0;
       clock = 0;
       seq = 0;
     }
