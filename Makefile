@@ -1,5 +1,5 @@
 .PHONY: all build test check smoke check-smoke analyze-smoke fuzz-smoke \
-	matrix-smoke trace-smoke jit-smoke perf-smoke serve-smoke \
+	matrix-smoke trace-smoke perf-smoke serve-smoke \
 	serve-scale-smoke serve-bench cross-cache-smoke bench-compare \
 	regen-golden bench clean
 
@@ -21,7 +21,7 @@ test:
 check:
 	dune build @all && dune runtest && $(MAKE) fuzz-smoke && $(MAKE) matrix-smoke \
 	&& $(MAKE) check-smoke && $(MAKE) analyze-smoke \
-	&& $(MAKE) trace-smoke && $(MAKE) jit-smoke && $(MAKE) perf-smoke \
+	&& $(MAKE) trace-smoke && $(MAKE) perf-smoke \
 	&& $(MAKE) serve-smoke && $(MAKE) serve-scale-smoke \
 	&& tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT \
 	&& ./_build/default/bench/main.exe fig7 -j 1 --no-cache --json "$$tmp" >/dev/null \
@@ -65,28 +65,6 @@ NEW ?= BENCH_fig7.json
 bench-compare: build
 	dune exec bin/bench_compare.exe -- $(BASE) $(NEW)
 
-# run every example kernel through tsim twice -- threaded-code JIT
-# (default) and reference interpreter (--no-jit) -- and require
-# byte-identical output, text trace included
-jit-smoke: build
-	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
-	for k in examples/kernels/*.k; do \
-	  n=$$(basename $$k .k) && \
-	  ./_build/default/bin/tsim.exe "$$k" -c both \
-	    --trace-text "$$dir/$$n.jit.trace" \
-	    | grep -v '^wrote ' > "$$dir/$$n.jit.out" || \
-	    { echo "jit-smoke: FAIL: $$n (jit run)"; exit 1; }; \
-	  ./_build/default/bin/tsim.exe "$$k" -c both --no-jit \
-	    --trace-text "$$dir/$$n.int.trace" \
-	    | grep -v '^wrote ' > "$$dir/$$n.int.out" || \
-	    { echo "jit-smoke: FAIL: $$n (interpreter run)"; exit 1; }; \
-	  diff "$$dir/$$n.jit.out" "$$dir/$$n.int.out" || \
-	    { echo "jit-smoke: FAIL: $$n output differs jit vs interpreter"; exit 1; }; \
-	  diff "$$dir/$$n.jit.trace" "$$dir/$$n.int.trace" || \
-	    { echo "jit-smoke: FAIL: $$n trace differs jit vs interpreter"; exit 1; }; \
-	done && \
-	echo "jit-smoke: OK (examples byte-identical)"
-
 # run the smoke sweep twice against a fresh temporary cache directory:
 # the warm run must hit the cache for every experiment, report at least
 # a 2x wall-time improvement, and print identical cycle counts
@@ -106,8 +84,7 @@ perf-smoke: build
 	wt=$$(printf '%s\n' "$$warm" | sed -n 's/^smoke: \([0-9.]*\)s wall.*/\1/p') && \
 	awk -v c="$$ct" -v w="$$wt" 'BEGIN { exit !(2 * w <= c) }' || \
 	  { echo "perf-smoke: FAIL: warm run not 2x faster ($$ct s -> $$wt s)"; exit 1; } && \
-	echo "perf-smoke: OK (cold $$ct s, warm $$wt s, cycles identical)" && \
-	./_build/default/bin/fsim_bench.exe --smoke --min-ratio 2
+	echo "perf-smoke: OK (cold $$ct s, warm $$wt s, cycles identical)"
 
 # spawn dfpd.exe, drive ~20 mixed jobs through the socket (cold + warm
 # workload jobs, a source job, a traced job, a guaranteed timeout, a

@@ -30,7 +30,6 @@
 
 module Json = Edge_obs.Json
 module Figure7 = Edge_harness.Figure7
-module Fsim_bench = Edge_harness.Fsim_bench
 
 let fig7 ~progress ?cache ?machine ~trace_blocks ~jobs () =
   Figure7.run
@@ -49,8 +48,7 @@ let write_file path contents =
       (* don't lose a finished sweep to an unwritable path *)
       Printf.eprintf "warning: could not write %s: %s\n%!" path e
 
-let fig7_json ~wall_s ~alloc ~(fsim : Fsim_bench.result) ~backends
-    (r : Figure7.result) =
+let fig7_json ~wall_s ~alloc ~backends (r : Figure7.result) =
   let str s = Json.Str s in
   let int i = Json.Num (float_of_int i) in
   let table f kvs = Json.Obj (List.map (fun (k, v) -> (k, f v)) kvs) in
@@ -78,29 +76,6 @@ let fig7_json ~wall_s ~alloc ~(fsim : Fsim_bench.result) ~backends
           [
             ("minor_words", Json.fixed 0 minor_words);
             ("major_words", Json.fixed 0 major_words);
-          ] );
-      ( "fsim_throughput",
-        Json.Obj
-          [
-            ("workloads", Json.Arr (List.map str fsim.Fsim_bench.workloads));
-            ( "rows",
-              Json.Arr
-                (List.map
-                   (fun (row : Fsim_bench.row) ->
-                     Json.Obj
-                       [
-                         ("config", str row.Fsim_bench.config);
-                         ( "jit_blocks_s",
-                           Json.fixed 0 row.Fsim_bench.jit_blocks_s );
-                         ( "jit_instrs_s",
-                           Json.fixed 0 row.Fsim_bench.jit_instrs_s );
-                         ( "interp_blocks_s",
-                           Json.fixed 0 row.Fsim_bench.interp_blocks_s );
-                         ( "interp_instrs_s",
-                           Json.fixed 0 row.Fsim_bench.interp_instrs_s );
-                         ("speedup", Json.fixed 2 row.Fsim_bench.speedup);
-                       ])
-                   fsim.Fsim_bench.rows) );
           ] );
       ("geomean_speedups", speedups r.Figure7.mean_speedups);
       ( "benches",
@@ -173,12 +148,7 @@ let run_sweep ?cache ~jobs ~json ~trace_out () =
               () ))
         [ ("inorder_edge", Edge_sim.Machine.inorder_edge) ]
     in
-    (* functional-simulator throughput rides along in the same JSON so
-       the committed numbers track the code; measured outside the timed
-       sweep window *)
-    Printf.eprintf "  fsim throughput (jit vs interpreter)...\n%!";
-    let fsim = Fsim_bench.measure () in
-    write_file json (Json.pretty (fig7_json ~wall_s ~alloc ~fsim ~backends r))
+    write_file json (Json.pretty (fig7_json ~wall_s ~alloc ~backends r))
   end;
   Option.iter
     (fun path -> write_file path (Json.pretty (trace_json r)))

@@ -75,27 +75,6 @@ let backends_of (v : t) : (string * (string * (string * int) list) list) list
 
 let wall_of v = Option.bind (member "wall_s" v) (num_member "total")
 
-(* (config, (jit_instrs_s, speedup)) per row of the optional
-   fsim_throughput section; [] when a file predates it *)
-let fsim_of v =
-  match member "fsim_throughput" v with
-  | Some (Obj fields) -> (
-      match List.assoc_opt "rows" fields with
-      | Some (Arr rows) ->
-          List.filter_map
-            (fun row ->
-              match
-                ( member "config" row,
-                  num_member "jit_instrs_s" row,
-                  num_member "speedup" row )
-              with
-              | Some (Str cfg), Some instrs, Some speedup ->
-                  Some (cfg, (instrs, speedup))
-              | _ -> None)
-            rows
-      | _ -> [])
-  | _ -> []
-
 (* per -j row of a BENCH_serve.json: (j, warm_jobs_s, ratio, p99_ms) *)
 let serve_rows v =
   match member "rows" v with
@@ -312,22 +291,6 @@ let () =
       Printf.printf "wall: %.3fs -> %.3fs (%+.1f%%)\n" wb wn
         (if wb > 0. then (wn -. wb) /. wb *. 100. else 0.)
   | _ -> ());
-  (* throughput is machine-dependent: report, never fail *)
-  (match (fsim_of base, fsim_of next) with
-  | [], _ | _, [] -> ()
-  | base_fsim, new_fsim ->
-      List.iter
-        (fun (cfg, (ib, sb)) ->
-          match List.assoc_opt cfg new_fsim with
-          | None -> ()
-          | Some (inw, sn) ->
-              Printf.printf
-                "fsim %-6s jit %.1fM -> %.1fM instr/s (%+.1f%%), speedup \
-                 %.2fx -> %.2fx\n"
-                cfg (ib /. 1e6) (inw /. 1e6)
-                (if ib > 0. then (inw -. ib) /. ib *. 100. else 0.)
-                sb sn)
-        base_fsim);
   if !drifts > 0 then begin
     Printf.printf "FAIL: %d cycle drift(s) over %d comparisons\n" !drifts
       !compared;

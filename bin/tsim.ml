@@ -174,9 +174,8 @@ let run_lint workload config_name =
   Ok ()
 
 let run workload config_name machine_name functional_only no_early in_order
-    no_jit check lint asm_args trace_out trace_text metrics =
+    check lint asm_args trace_out trace_text metrics =
   let ( let* ) = Result.bind in
-  if no_jit then Edge_sim.Functional.set_jit false;
   if check then Edge_check.Check.set_enabled true;
   let oopts = { trace_out; trace_text; metrics } in
   let machine_of () =
@@ -339,14 +338,6 @@ let lint_arg =
   in
   Arg.(value & flag & info [ "lint" ] ~doc)
 
-let no_jit_arg =
-  let doc =
-    "Run the functional simulator through the reference token-pushing \
-     interpreter instead of the threaded-code JIT. Results are identical \
-     either way; use for differential testing of the JIT."
-  in
-  Arg.(value & flag & info [ "no-jit" ] ~doc)
-
 let trace_out_arg =
   let doc =
     "Write a Chrome trace-event JSON of the cycle-simulator run to \
@@ -371,7 +362,7 @@ let cmd =
     (Cmd.info "tsim" ~doc)
     Term.(
       const run $ workload_arg $ config_arg $ machine_arg $ functional_arg
-      $ no_early_arg $ in_order_arg $ no_jit_arg $ check_arg
+      $ no_early_arg $ in_order_arg $ check_arg
       $ lint_arg $ asm_args_arg $ trace_out_arg $ trace_text_arg
       $ metrics_arg)
 

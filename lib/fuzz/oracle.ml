@@ -297,7 +297,6 @@ let check_cache_key ?cycle ?(machines = default_machines) ?validate ?check
   String.concat "|"
     [
       "fuzz-oracle-v4";
-      Edge_sim.Block_jit.revision;
       (* one entry per machine on the axis: its backend's revision plus
          the full description, so axis changes re-verify *)
       String.concat ","

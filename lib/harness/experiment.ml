@@ -106,7 +106,6 @@ let cache_key (w : Workload.t) config_name config machine =
     [
       "run-v2";
       Edge_sim.Backend.revision machine;
-      Edge_sim.Block_jit.revision;
       w.Workload.name;
       Digest.to_hex (Digest.string w.Workload.source);
       string_of_int w.Workload.mem_size;

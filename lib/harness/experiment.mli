@@ -110,8 +110,8 @@ val cache_key :
   Edge_sim.Machine.t ->
   string
 (** The persistent-cache key of one run: workload source digest, config
-    (name + fingerprint), machine description and backend/JIT
-    revisions. Exposed so the machine tests can assert that two
+    (name + fingerprint), machine description and backend revision.
+    Exposed so the machine tests can assert that two
     distinct machines never share a cache entry. *)
 
 val compile :

@@ -54,38 +54,43 @@ let default_config ?cache ~socket_path () =
   }
 
 (* a connection: its fd plus a mutex serializing writers (the reader
-   thread, worker domains and trace sinks all send on it) *)
+   thread, worker domains and trace sinks all send on it). The reader
+   thread holds [send_mu] from a job's admission until its synchronous
+   answer is written, so no worker line for that job can overtake it.
+   Lock order: [send_mu] before [t.mu]; nothing takes a [send_mu] while
+   holding [t.mu]. *)
 type conn = {
   fd : Unix.file_descr;
   send_mu : Mutex.t;
   mutable alive : bool;
 }
 
-let send_raw conn (s : string) =
-  Mutex.lock conn.send_mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock conn.send_mu)
-    (fun () ->
-      if conn.alive then
-        let buf = Bytes.of_string (s ^ "\n") in
-        let len = Bytes.length buf in
-        let rec write off =
-          if off < len then
-            match Unix.write conn.fd buf off (len - off) with
-            | n -> write (off + n)
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> write off
-            | exception Unix.Unix_error _ -> conn.alive <- false
-        in
-        write 0)
+(* write one rendered line; the caller holds [conn.send_mu] (OCaml
+   mutexes are not recursive, so the locked paths below share this
+   body rather than nesting [send]) *)
+let write_line conn (s : string) =
+  if conn.alive then
+    let buf = Bytes.of_string (s ^ "\n") in
+    let len = Bytes.length buf in
+    let rec write off =
+      if off < len then
+        match Unix.write conn.fd buf off (len - off) with
+        | n -> write (off + n)
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> write off
+        | exception Unix.Unix_error _ -> conn.alive <- false
+    in
+    write 0
 
-let send conn (v : Json.t) = send_raw conn (Json.to_string v)
+let send conn (v : Json.t) =
+  Mutex.protect conn.send_mu (fun () -> write_line conn (Json.to_string v))
 
 (* one writev-style syscall for a burst of rendered response lines (a
    batch request's accepted/fast-hit lines): one buffer, one write(2)
-   for the whole frame instead of one per response *)
-let send_raw_lines conn = function
+   for the whole frame instead of one per response; the caller holds
+   [conn.send_mu] *)
+let write_lines conn = function
   | [] -> ()
-  | lines -> send_raw conn (String.concat "\n" lines)
+  | lines -> write_line conn (String.concat "\n" lines)
 
 (* one queued unit of work; [waiters] accumulates the submitters of
    merged identical jobs — each gets the terminal response under its
@@ -501,15 +506,17 @@ let with_id id line =
 
 (* [out] receives the synchronous (reader-thread) responses — verdicts
    and fast-path results — as rendered lines.  Single jobs pass
-   [send_raw conn]; a batch collects them and flushes once.  Terminal
-   responses of queued jobs are sent by the completing worker, as
-   before.  [ack] controls whether a fast hit sends its "accepted"
+   [write_line conn]; a batch collects them and flushes once; either
+   way the caller holds [conn.send_mu] until they are written.
+   Terminal responses of queued jobs are sent by the completing
+   worker.  [ack] controls whether a fast hit sends its "accepted"
    line before the terminal response: single jobs keep the dfpd-v1
    accepted-then-done sequence byte for byte, while batch frames elide
    the accepted line when the done travels in the same flush — a third
    of the response bytes for pure overhead (batch verdicts for queued
    and merged jobs are still sent; they are the only synchronous
-   answer those jobs get). *)
+   answer those jobs get).  Returns the retired worker domains the
+   caller joins once it has released [send_mu]. *)
 let submit t conn id (spec : Proto.job_spec) ~ack ~(out : string -> unit) =
   let digest = Proto.job_digest spec in
   (* warm fast path: a known result is answered from the mem cache by
@@ -526,7 +533,8 @@ let submit t conn id (spec : Proto.job_spec) ~ack ~(out : string -> unit) =
       Atomic.incr t.stats.fast_hits;
       Atomic.incr t.stats.completed;
       if ack then out (with_id id accepted);
-      out (with_id id done_line)
+      out (with_id id done_line);
+      []
   | None -> (
       let now = Unix.gettimeofday () in
       let fresh () =
@@ -576,9 +584,7 @@ let submit t conn id (spec : Proto.job_spec) ~ack ~(out : string -> unit) =
               `Queued
             end)
       in
-      (* retired workers are joined outside the lock *)
-      List.iter Domain.join !reap;
-      match verdict with
+      (match verdict with
       | `Closing ->
           out
             (Json.to_string
@@ -595,7 +601,8 @@ let submit t conn id (spec : Proto.job_spec) ~ack ~(out : string -> unit) =
                (Proto.rejected ?id ~retry_after_ms:t.cfg.retry_after_ms ()))
       | `Queued ->
           Atomic.incr t.stats.accepted;
-          out (Json.to_string (Proto.accepted ?id ~digest ~merged:false ())))
+          out (Json.to_string (Proto.accepted ?id ~digest ~merged:false ())));
+      !reap)
 
 let handle_line t conn line =
   let t0 = Unix.gettimeofday () in
@@ -611,32 +618,46 @@ let handle_line t conn line =
   | Ok Proto.Shutdown ->
       Atomic.set t.shutdown_req true;
       send conn (Json.Obj [ ("type", Json.Str "shutting_down") ])
-  | Ok (Proto.Job spec) -> submit t conn id spec ~ack:true ~out:(send_raw conn)
+  | Ok (Proto.Job spec) ->
+      let reap =
+        Mutex.protect conn.send_mu (fun () ->
+            submit t conn id spec ~ack:true ~out:(write_line conn))
+      in
+      (* retired workers are joined outside both locks *)
+      List.iter Domain.join reap
   | Ok (Proto.Batch jobs) ->
       (* one frame in, one flush out: every synchronous response of the
          batch (verdicts, fast hits, per-element protocol errors) is
-         serialized into a single write *)
+         serialized into a single write, made before any worker line
+         for the frame's jobs *)
       Atomic.incr t.stats.batches;
-      let acc = ref [] in
-      let out line = acc := line :: !acc in
-      List.iter
-        (fun { Proto.id; req } ->
-          match req with
-          | Error msg ->
-              Atomic.incr t.stats.protocol_errors;
-              out
-                (Json.to_string
-                   (Proto.error ?id ~reason:Proto.Protocol ~message:msg ()))
-          | Ok (Proto.Job spec) -> submit t conn id spec ~ack:false ~out
-          | Ok _ ->
-              (* unreachable: the parser only puts jobs in a batch *)
-              Atomic.incr t.stats.protocol_errors;
-              out
-                (Json.to_string
-                   (Proto.error ?id ~reason:Proto.Protocol
-                      ~message:"batch elements must be jobs" ())))
-        jobs;
-      send_raw_lines conn (List.rev !acc)
+      let reap =
+        Mutex.protect conn.send_mu (fun () ->
+            let acc = ref [] and reap = ref [] in
+            let out line = acc := line :: !acc in
+            List.iter
+              (fun { Proto.id; req } ->
+                match req with
+                | Error msg ->
+                    Atomic.incr t.stats.protocol_errors;
+                    out
+                      (Json.to_string
+                         (Proto.error ?id ~reason:Proto.Protocol ~message:msg
+                            ()))
+                | Ok (Proto.Job spec) ->
+                    reap := submit t conn id spec ~ack:false ~out @ !reap
+                | Ok _ ->
+                    (* unreachable: the parser only puts jobs in a batch *)
+                    Atomic.incr t.stats.protocol_errors;
+                    out
+                      (Json.to_string
+                         (Proto.error ?id ~reason:Proto.Protocol
+                            ~message:"batch elements must be jobs" ())))
+              jobs;
+            write_lines conn (List.rev !acc);
+            !reap)
+      in
+      List.iter Domain.join reap
 
 let conn_loop t conn () =
   let ic = Unix.in_channel_of_descr conn.fd in

@@ -106,70 +106,3 @@ let exec opcode ~imm ~(left : Token.t) ~(right : Token.t) =
       else result2 l right (if Token.as_predicate right then 1L else 0L)
   | Opcode.Ld _ | Opcode.St _ | Opcode.Bro | Opcode.Halt ->
       invalid_arg "Alu.exec: memory/branch opcode"
-
-(* ---- compile-time specializers for the block JIT ----
-
-   [exec] re-dispatches on the opcode every execution. The block JIT
-   resolves the dispatch once per static instruction at block-compile
-   time; these return the residual closure. Semantics must stay
-   byte-identical to [exec] (the JIT-vs-interpreter differential tests
-   compare outcomes and stats across the fuzz corpus). *)
-
-let ibinop_fn op : int64 -> int64 -> int64 =
-  match op with
-  | Opcode.Add -> Int64.add
-  | Opcode.Sub -> Int64.sub
-  | Opcode.Mul -> Int64.mul
-  | Opcode.And -> Int64.logand
-  | Opcode.Or -> Int64.logor
-  | Opcode.Xor -> Int64.logxor
-  | Opcode.Sll -> fun a b -> Int64.shift_left a (mask63 b)
-  | Opcode.Srl -> fun a b -> Int64.shift_right_logical a (mask63 b)
-  | Opcode.Sra -> fun a b -> Int64.shift_right a (mask63 b)
-  | Opcode.Div | Opcode.Rem -> invalid_arg "Alu.ibinop_fn: trapping op"
-
-let icmp_fn cond : int64 -> int64 -> bool =
-  match cond with
-  | Opcode.Eq -> fun a b -> Int64.compare a b = 0
-  | Opcode.Ne -> fun a b -> Int64.compare a b <> 0
-  | Opcode.Lt -> fun a b -> Int64.compare a b < 0
-  | Opcode.Le -> fun a b -> Int64.compare a b <= 0
-  | Opcode.Gt -> fun a b -> Int64.compare a b > 0
-  | Opcode.Ge -> fun a b -> Int64.compare a b >= 0
-
-let jit1 opcode ~imm : Token.t -> Token.t =
-  match opcode with
-  | Opcode.Iopi ((Opcode.Div | Opcode.Rem) as op) ->
-      fun l ->
-        (match ibinop op l.Token.payload imm with
-        | Ok v -> result1 l v
-        | Error () -> Token.with_exc (result1 l 0L))
-  | Opcode.Iopi op ->
-      let f = ibinop_fn op in
-      fun l -> result1 l (f l.Token.payload imm)
-  | Opcode.Tsti cond ->
-      let f = icmp_fn cond in
-      fun l -> result1 l (bool_val (f l.Token.payload imm))
-  (* moves forward the operand token unchanged: [result1 l l.payload]
-     is structurally [l], so no fresh record is needed *)
-  | Opcode.Un Opcode.Mov | Opcode.Mov4 -> fun l -> l
-  | Opcode.Un op -> fun l -> result1 l (unop op l.Token.payload)
-  | _ -> invalid_arg "Alu.jit1: not a 1-operand ALU opcode"
-
-let jit2 opcode : Token.t -> Token.t -> Token.t =
-  match opcode with
-  | Opcode.Iop ((Opcode.Div | Opcode.Rem) as op) ->
-      fun l r ->
-        (match ibinop op l.Token.payload r.Token.payload with
-        | Ok v -> result2 l r v
-        | Error () -> Token.with_exc (result2 l r 0L))
-  | Opcode.Iop op ->
-      let f = ibinop_fn op in
-      fun l r -> result2 l r (f l.Token.payload r.Token.payload)
-  | Opcode.Tst cond ->
-      let f = icmp_fn cond in
-      fun l r -> result2 l r (bool_val (f l.Token.payload r.Token.payload))
-  | Opcode.Fop op -> fun l r -> result2 l r (fbinop op l.Token.payload r.Token.payload)
-  | Opcode.Ftst cond -> fun l r -> result2 l r (bool_val (fcmp cond l.Token.payload r.Token.payload))
-  | Opcode.Sand -> fun left right -> exec Opcode.Sand ~imm:0L ~left ~right
-  | _ -> invalid_arg "Alu.jit2: not a 2-operand ALU opcode"

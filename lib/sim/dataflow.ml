@@ -1,13 +1,12 @@
 (* One block instance's dataflow state and the token semantics of
    Sections 3-4, shared by every executor.
 
-   The functional interpreter drains this core through a FIFO, the
-   grid's frames drive it from an event wheel, and the block JIT's
-   compiled closures write the same arrays and hand completion and
-   commit back to it. Everything that decides *what* a block computes
-   lives here: predicate matching and predicate-OR (Section 4.1),
-   null-token output resolution (4.2), output-count completion (4.3),
-   exception bits (4.4), LSID-ordered store resolution and
+   The functional interpreter (and the in-order backend through it)
+   delivers tokens into this core depth-first, and the grid's frames
+   drive it from an event wheel. Everything that decides *what* a block
+   computes lives here: predicate matching and predicate-OR (Section
+   4.1), null-token output resolution (4.2), output-count completion
+   (4.3), exception bits (4.4), LSID-ordered store resolution and
    store-to-load forwarding. The callers decide only *when* things
    happen.
 

@@ -1,12 +1,11 @@
 (** The dataflow core: one block instance's state and the token
     semantics of Sections 3–4, shared by every executor.
 
-    {!Functional} drains it through a FIFO; {!Cycle_sim}'s frames embed
-    it and add only timing, placement, cross-frame LSQ ordering and
-    speculation; {!Block_jit}'s compiled closures write its arrays
-    directly and take completion, store resolution, forwarding and
-    commit from here. Malformed blocks (compiler bugs, not program
-    faults) raise {!Malformed}. *)
+    {!Functional} drives it by depth-first token delivery, and
+    {!Inorder_sim} through it; {!Cycle_sim}'s frames embed it and add
+    only timing, placement, cross-frame LSQ ordering and speculation.
+    Malformed blocks (compiler bugs, not program faults) raise
+    {!Malformed}. *)
 
 exception Malformed of string
 

@@ -1,16 +1,18 @@
 (** Functional (untimed) dataflow executor.
 
-    The reference interpreter: the {!Dataflow} core plus a FIFO of
-    pending token deliveries, with no timing model. It implements the
-    execution semantics of Sections 3–4 — predicate matching,
-    predicate-OR, null-token output resolution, LSID-ordered memory
-    within a block, exception-bit propagation — by running the core,
-    so it shares every rule and malformed-block diagnostic (double
-    operand delivery, two matching predicates, double branch, missing
-    outputs/deadlock) with the grid backend. It serves as the
-    architectural oracle for the cycle simulators, as the reference
-    that {!Block_jit} is checked against, and as the correctness check
-    for compiled code. *)
+    The {!Dataflow} core driven by depth-first token delivery, with no
+    timing model: each result goes straight into its consumers, firing
+    every one it completes before the producer's next target is
+    visited. It implements the execution semantics of Sections 3–4 —
+    predicate matching, predicate-OR, null-token output resolution,
+    LSID-ordered memory within a block, exception-bit propagation — by
+    running the core, so it shares every rule and malformed-block
+    diagnostic (double operand delivery, two matching predicates,
+    double branch, missing outputs/deadlock) with the grid backend.
+    Block firing is confluent, so the delivery order cannot change
+    what a block commits. It serves as the architectural oracle for
+    the cycle simulators, as the engine under {!Inorder_sim}, and as
+    the correctness check for compiled code. *)
 
 type outcome = {
   exit_taken : string option;  (** [None] when the program halted *)
@@ -27,7 +29,6 @@ val run_block :
     means the block is malformed (a compiler bug), not a program fault. *)
 
 val run :
-  ?jit:bool ->
   Edge_isa.Program.t ->
   regs:int64 array ->
   mem:Edge_isa.Mem.t ->
@@ -36,19 +37,7 @@ val run :
     {!Dataflow.block_limit} blocks. Program faults (exception bit
     reaching a committed output) are reported as [Error] with a
     ["fault:"] prefix naming the first exceptional output in commit
-    order; malformed blocks with a ["malformed:"] prefix.
-
-    By default execution goes through the {!Block_jit} threaded-code
-    path; [~jit:false] (or {!set_jit}[ false]) selects this
-    interpreter, the reference implementation. Both paths are
-    architecturally identical, including [Stats] accounting and
-    malformed-block diagnostics. *)
-
-val set_jit : bool -> unit
-(** Sets the process-wide default for [run]'s [?jit] parameter
-    (initially [true]). *)
-
-val jit_enabled : unit -> bool
+    order; malformed blocks with a ["malformed:"] prefix. *)
 
 (** The per-block interpreter behind [run_block]/[run], exposed so a
     timing backend can execute blocks with these exact architectural

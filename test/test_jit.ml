@@ -1,22 +1,23 @@
-(* JIT-vs-interpreter differential property.
+(* Functional-vs-backends differential property.
 
-   The threaded-code block JIT ([Edge_sim.Block_jit]) is a pure
-   execution strategy for the functional simulator: it must be
-   observationally identical to the reference token-pushing
-   interpreter. Every corpus kernel and 50 fixed-seed generated
-   kernels are compiled under every oracle configuration and run
-   twice — once through the JIT (the default) and once through the
-   interpreter ([~jit:false]) — and the two runs must agree exactly on
-   the return value, the final memory image, the committed-store
-   count, every [Stats] counter, and the error text when either
-   faults.
+   The functional simulator delivers tokens depth-first, straight into
+   their consumers; the grid drives the same dataflow core from an
+   event wheel in timing order; the in-order core reruns the functional
+   engine under its own schedule. Block firing is confluent, so all
+   three must commit the same architectural state. Every corpus kernel
+   and 50 fixed-seed generated kernels are compiled under every oracle
+   configuration and run on the functional simulator, the tiled grid
+   ([Machine.trips_grid]) and the in-order core ([Machine.inorder_edge]);
+   the runs must agree exactly on the return value, the final memory
+   image and the committed-store count, and on the error text when any
+   path faults.
 
-   Two extra cases cover the corners the sweep misses: a hand-built
-   block whose entry fanout overflows the interpreter's pending-token
-   FIFO ring (initial capacity 64, must grow), and a
-   [DFP_ARENA_DEBUG] cycle-simulator run with the JIT enabled, so the
-   arena cross-check and the JIT'd functional verification are
-   exercised together, down to identical fault text. *)
+   The group keeps its historical [jit] name. Two extra cases cover
+   corners the sweep misses: a hand-built block with the widest legal
+   entry fanout, and a [DFP_ARENA_DEBUG] cycle-simulator run checked
+   against the functional simulator, so the arena cross-check and the
+   functional verification are exercised together, down to identical
+   fault text. *)
 
 module Fz = Edge_fuzz
 module Conv = Edge_isa.Conventions
@@ -24,50 +25,67 @@ module I = Edge_isa.Instr
 module T = Edge_isa.Target
 module O = Edge_isa.Opcode
 module B = Edge_isa.Block
+module Machine = Edge_sim.Machine
 
 type outcome = {
   ret : int64;
   mem : Edge_isa.Mem.t;
   stores : int;
-  stats : Edge_sim.Stats.t option;
   error : string option;
 }
 
-let run_fsim ~jit (program : Edge_isa.Program.t) : outcome =
+type runner =
+  Edge_isa.Program.t ->
+  regs:int64 array ->
+  mem:Edge_isa.Mem.t ->
+  (Edge_sim.Stats.t, string) result
+
+let run_path (run : runner) (program : Edge_isa.Program.t) : outcome =
   let regs = Array.make Conv.num_regs 0L in
   List.iteri (fun i v -> regs.(Conv.param_reg i) <- v) Fz.Gen.default_args;
   let mem = Fz.Gen.default_mem () in
-  match Edge_sim.Functional.run ~jit program ~regs ~mem with
-  | Ok stats ->
+  match run program ~regs ~mem with
+  | Ok _ ->
       {
         ret = regs.(Conv.result_reg);
         mem;
         stores = Edge_isa.Mem.store_count mem;
-        stats = Some stats;
         error = None;
       }
-  | Error e -> { ret = 0L; mem; stores = 0; stats = None; error = Some e }
+  | Error e -> { ret = 0L; mem; stores = 0; error = Some e }
 
-let check_agree ~label (jit : outcome) (interp : outcome) =
-  match (jit.error, interp.error) with
-  | Some ej, Some ei ->
-      (* both fail: the diagnostic must not depend on the execution path *)
-      Alcotest.(check string) (label ^ ": error text") ei ej
-  | Some e, None | None, Some e ->
-      Alcotest.failf "%s: only one execution path errored: %s" label e
+let placement_of (c : Dfp.Driver.compiled) n =
+  match List.assoc_opt n c.Dfp.Driver.placements with
+  | Some p -> p
+  | None -> [||]
+
+(* the two timing backends, each on its preset machine *)
+let backends (c : Dfp.Driver.compiled) : (string * runner) list =
+  List.map
+    (fun (name, machine) ->
+      ( name,
+        fun p ~regs ~mem ->
+          Edge_sim.Backend.run ~machine ~placement:(placement_of c) p ~regs
+            ~mem ))
+    [ ("grid", Machine.trips_grid); ("in-order", Machine.inorder_edge) ]
+
+let check_agree ~label ~path (reference : outcome) (r : outcome) =
+  match (reference.error, r.error) with
+  | Some ef, Some e ->
+      (* both fail: the diagnostic must not depend on the executor *)
+      Alcotest.(check string) (label ^ ": " ^ path ^ " error text") ef e
+  | Some e, None ->
+      Alcotest.failf "%s: only the functional simulator errored: %s" label e
+  | None, Some e -> Alcotest.failf "%s: only the %s errored: %s" label path e
   | None, None ->
-      Alcotest.(check int64) (label ^ ": return value") interp.ret jit.ret;
-      if not (Edge_isa.Mem.equal jit.mem interp.mem) then
-        Alcotest.failf "%s: memory images differ" label;
+      Alcotest.(check int64)
+        (label ^ ": " ^ path ^ " return value")
+        reference.ret r.ret;
+      if not (Edge_isa.Mem.equal reference.mem r.mem) then
+        Alcotest.failf "%s: %s memory image differs" label path;
       Alcotest.(check int)
-        (label ^ ": committed stores")
-        interp.stores jit.stores;
-      if jit.stats <> interp.stats then
-        Alcotest.failf "%s: stats differ:@.jit: %a@.interp: %a" label
-          (Fmt.option Edge_sim.Stats.pp)
-          jit.stats
-          (Fmt.option Edge_sim.Stats.pp)
-          interp.stats
+        (label ^ ": " ^ path ^ " committed stores")
+        reference.stores r.stores
 
 let check_kernel ~label (ast : Edge_lang.Ast.kernel) =
   List.iter
@@ -76,10 +94,12 @@ let check_kernel ~label (ast : Edge_lang.Ast.kernel) =
       | Error e -> Alcotest.failf "%s/%s: %s" label cname e
       | Ok compiled ->
           let program = compiled.Dfp.Driver.program in
-          check_agree
-            ~label:(Printf.sprintf "%s/%s" label cname)
-            (run_fsim ~jit:true program)
-            (run_fsim ~jit:false program))
+          let label = Printf.sprintf "%s/%s" label cname in
+          let reference = run_path Edge_sim.Functional.run program in
+          List.iter
+            (fun (path, run) ->
+              check_agree ~label ~path reference (run_path run program))
+            (backends compiled))
     Fz.Oracle.configs
 
 let corpus_case (name, src) =
@@ -99,13 +119,11 @@ let generated () =
       (Fz.Gen.generate ~seed ~size)
   done
 
-(* Widest-possible entry fanout: the interpreter seeds all register
-   read targets before draining any, so 32 reads x 2 targets queue 64
-   pending tokens — exactly the FIFO ring's initial capacity — and the
-   first 0-operand seed instruction's result is the 65th push, which
-   forces the ring to grow mid-block. Regression for the ring's
-   dynamic-growth path (a fixed-capacity ring drops or corrupts the
-   overflowing delivery). *)
+(* Widest-possible entry fanout: 32 register reads with 2 targets each,
+   every pair completing an add, plus a 0-operand seed. Depth-first
+   delivery fires each add inside its read's fanout loop; the grid
+   spreads the same tokens over the operand network. All three paths
+   must commit the same values. *)
 let wide_fanout () =
   (* ids: 0 = Movi seed, 1..31 = adds (read i-1 + itself), 32 = store
      fed by read 31, 33 = halt *)
@@ -152,38 +170,42 @@ let wide_fanout () =
   (match Edge_isa.Program.validate program with
   | Ok () -> ()
   | Error es -> Alcotest.failf "invalid program: %s" (String.concat "; " es));
-  let run ~jit =
-    let regs = Array.make Conv.num_regs 0L in
-    for i = 0 to 31 do
-      regs.(2 + i) <- Int64.of_int (i + 100)
-    done;
-    (* read 31 feeds the store's address and value; 8-byte aligned *)
-    regs.(2 + 31) <- 128L;
-    let mem = Edge_isa.Mem.create ~size:4096 in
-    match Edge_sim.Functional.run ~jit program ~regs ~mem with
-    | Ok _ -> (regs, mem)
-    | Error e -> Alcotest.failf "wide fanout (jit=%b): %s" jit e
-  in
-  let jregs, jmem = run ~jit:true in
-  let iregs, imem = run ~jit:false in
-  Alcotest.(check bool) "register files agree" true (jregs = iregs);
-  if not (Edge_isa.Mem.equal jmem imem) then
-    Alcotest.failf "wide fanout: memory images differ";
-  (* add 5 computed read4 + read4 = 208 into write slot 4 *)
-  Alcotest.(check int64) "fanned-out add committed" 208L iregs.(64 + 4);
-  Alcotest.(check int64) "seed write committed" 5L iregs.(64 + 31);
-  Alcotest.(check int64) "store committed" 128L (Edge_isa.Mem.load_int imem 128)
+  List.iter
+    (fun (path, (run : runner)) ->
+      let regs = Array.make Conv.num_regs 0L in
+      for i = 0 to 31 do
+        regs.(2 + i) <- Int64.of_int (i + 100)
+      done;
+      (* read 31 feeds the store's address and value; 8-byte aligned *)
+      regs.(2 + 31) <- 128L;
+      let mem = Edge_isa.Mem.create ~size:4096 in
+      (match run program ~regs ~mem with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "wide fanout (%s): %s" path e);
+      (* add 5 computed read4 + read4 = 208 into write slot 4 *)
+      Alcotest.(check int64)
+        (path ^ ": fanned-out add committed")
+        208L
+        regs.(64 + 4);
+      Alcotest.(check int64) (path ^ ": seed write committed") 5L regs.(64 + 31);
+      Alcotest.(check int64)
+        (path ^ ": store committed")
+        128L
+        (Edge_isa.Mem.load_int mem 128))
+    [
+      ("interpreter", Edge_sim.Functional.run);
+      ("grid", fun p ~regs ~mem -> Edge_sim.Cycle_sim.run p ~regs ~mem);
+      ("in-order", fun p ~regs ~mem -> Edge_sim.Inorder_sim.run p ~regs ~mem);
+    ]
 
-(* Arena cross-check and JIT together: DFP_ARENA_DEBUG makes the cycle
-   simulator assert each recycled frame prefix is indistinguishable
-   from fresh arrays, and the JIT'd functional run provides the
-   architectural reference. Registered last in the suite: putenv has
-   no portable inverse, so the flag stays set for the rest of the
+(* Arena cross-check against the functional simulator: DFP_ARENA_DEBUG
+   makes the cycle simulator assert each recycled frame prefix is
+   indistinguishable from fresh arrays, and the functional run provides
+   the architectural reference. Registered last in the suite: putenv
+   has no portable inverse, so the flag stays set for the rest of the
    process (it only adds assertions). *)
 let arena_debug_cross_check () =
   Unix.putenv "DFP_ARENA_DEBUG" "1";
-  Alcotest.(check bool) "jit is the default" true
-    (Edge_sim.Functional.jit_enabled ());
   List.iter
     (fun (name, src) ->
       match Edge_lang.Parser.parse src with
@@ -193,36 +215,13 @@ let arena_debug_cross_check () =
           | Error e -> Alcotest.failf "%s: %s" name e
           | Ok compiled ->
               let program = compiled.Dfp.Driver.program in
-              let fsim = run_fsim ~jit:true program in
-              let regs = Array.make Conv.num_regs 0L in
-              List.iteri
-                (fun i v -> regs.(Conv.param_reg i) <- v)
-                Fz.Gen.default_args;
-              let mem = Fz.Gen.default_mem () in
-              let placement n =
-                match List.assoc_opt n compiled.Dfp.Driver.placements with
-                | Some p -> p
-                | None -> [||]
-              in
-              (match
-                 ( Edge_sim.Cycle_sim.run ~placement program ~regs ~mem,
-                   fsim.error )
-               with
-              | Error e, Some ej ->
-                  (* program fault: both simulators commit through the
-                     one dataflow core, so they name the same fault *)
-                  Alcotest.(check string) (name ^ ": cycle vs jit error") ej e
-              | Error e, None ->
-                  Alcotest.failf "%s: only the cycle sim faulted: %s" name e
-              | Ok _, Some e ->
-                  Alcotest.failf "%s: only the jit faulted: %s" name e
-              | Ok _, None ->
-                  Alcotest.(check int64)
-                    (name ^ ": cycle vs jit return")
-                    fsim.ret
-                    regs.(Conv.result_reg);
-                  if not (Edge_isa.Mem.equal fsim.mem mem) then
-                    Alcotest.failf "%s: cycle vs jit memory differs" name)))
+              let placement = placement_of compiled in
+              check_agree ~label:name ~path:"cycle sim"
+                (run_path Edge_sim.Functional.run program)
+                (run_path
+                   (fun p ~regs ~mem ->
+                     Edge_sim.Cycle_sim.run ~placement p ~regs ~mem)
+                   program)))
     (Fz.Corpus.load_dir "corpus")
 
 let tests =

@@ -762,6 +762,56 @@ let fast_path_stats () =
       Client.close c
   | Error e -> Alcotest.fail e
 
+(* The README's response order: a job's "accepted" precedes its
+   terminal line. On a -j1 server a cold job runs on a worker domain as
+   soon as it is queued, so that worker's "done" races the reader
+   thread's verdict. Part one sends 100 distinct cold source jobs one
+   at a time and reads raw lines: the first line back must be the job's
+   "accepted". Part two drives 20 more the way a lock-step client
+   does, stopping at the terminal line, then sends a malformed line:
+   the next line must be its protocol error, not a late "accepted". *)
+let order_kernel k =
+  Printf.sprintf
+    "kernel order%d(int x, int y, int* A, int* B) { return x + %d; }\n" k k
+
+let accepted_precedes_terminal () =
+  Edge_check.Check.without_check @@ fun () ->
+  with_server ~jobs:1 "srv_order" @@ fun _srv ->
+  let c = Client.connect "srv_order.sock" in
+  let next what =
+    match Client.recv c with
+    | Some (Ok v) -> v
+    | Some (Error e) -> Alcotest.failf "%s: unparseable line: %s" what e
+    | None -> Alcotest.failf "%s: connection closed" what
+  in
+  let job k = Client.source_job ~source:(order_kernel k) ~config:"BB" () in
+  for k = 0 to 99 do
+    let id = Printf.sprintf "o%d" k in
+    Client.send c (Json.Obj (("id", Json.Str id) :: job k));
+    let first = next id in
+    Alcotest.(check (pair string (option string)))
+      (id ^ ": first line is its accepted")
+      ("accepted", Some id)
+      (rtype first, Json.str_member "id" first);
+    let rec until_terminal () =
+      let v = next id in
+      if not (Client.is_terminal v) then until_terminal ()
+      else Alcotest.(check string) (id ^ ": terminal") "done" (rtype v)
+    in
+    until_terminal ()
+  done;
+  for k = 100 to 119 do
+    (match Client.run_job c (job k) with
+    | Ok v -> Alcotest.(check string) "cold job done" "done" (rtype v)
+    | Error e -> Alcotest.failf "cold job %d: %s" k e);
+    Client.send_line c "{\"op\":";
+    let v = next "malformed line" in
+    Alcotest.(check (pair string string))
+      "malformed line answered by its own error" ("error", "protocol")
+      (rtype v, reason v)
+  done;
+  Client.close c
+
 let tests =
   [
     Alcotest.test_case "json roundtrip" `Quick json_roundtrip;
@@ -780,4 +830,6 @@ let tests =
     Alcotest.test_case "batch requests" `Quick batch_requests;
     Alcotest.test_case "image jobs" `Quick image_jobs;
     Alcotest.test_case "fast-path stats" `Quick fast_path_stats;
+    Alcotest.test_case "accepted precedes terminal" `Quick
+      accepted_precedes_terminal;
   ]

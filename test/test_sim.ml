@@ -12,8 +12,8 @@ let run_one b =
   let stats = Edge_sim.Stats.create () in
   (regs, mem, stats, Edge_sim.Functional.run_block b ~regs ~mem ~stats)
 
-(* run a one-block program on every executor: the reference
-   interpreter, the JIT, the grid and the in-order core *)
+(* run a one-block program on every executor: the functional
+   interpreter, the grid and the in-order core *)
 let on_all_paths (b : B.t) =
   let program = Result.get_ok (Edge_isa.Program.make ~entry:b.B.name [ b ]) in
   let run path f =
@@ -22,8 +22,7 @@ let on_all_paths (b : B.t) =
     (path, f program ~regs ~mem)
   in
   [
-    run "interpreter" (Edge_sim.Functional.run ~jit:false);
-    run "jit" (Edge_sim.Functional.run ~jit:true);
+    run "interpreter" Edge_sim.Functional.run;
     run "grid" (fun p ~regs ~mem -> Edge_sim.Cycle_sim.run p ~regs ~mem);
     run "in-order" (fun p ~regs ~mem -> Edge_sim.Inorder_sim.run p ~regs ~mem);
   ]
