@@ -30,10 +30,12 @@ let () =
         "MB evict the cache down to this size (default: uncapped)" );
       ( "--mem-entries",
         Arg.Set_int mem_entries,
-        "N in-memory result cache entries (default 4096)" );
+        "N entries of the in-memory result cache behind the warm fast path \
+         (default 4096)" );
       ( "--no-mem-cache",
         Arg.Unit (fun () -> mem_entries := 0),
-        " disable the in-memory result cache (and the warm fast path)" );
+        " disable the in-memory result cache, and with it the warm fast \
+         path (repeats then go to a worker and the disk cache)" );
       ( "--max-cycles",
         Arg.Set_int max_cycles,
         "N watchdog ceiling for submitted-source jobs (default 10M)" );
@@ -51,7 +53,7 @@ let () =
            ?max_bytes:
              (if !cache_max_mb > 0 then Some (!cache_max_mb * 1024 * 1024)
               else None)
-           ~writeback:true ~dir:!cache_dir ())
+           ~dir:!cache_dir ())
   in
   let cfg =
     {

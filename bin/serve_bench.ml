@@ -663,27 +663,46 @@ let run_bench ~out =
 
 (* -- scale-smoke mode ---------------------------------------------- *)
 
+(* a cold pass is a handful of compile-bound jobs, so one pass per
+   server is dominated by host noise. Each server's cold pass is
+   therefore the eight-job bench mix, fresh -j1 and -j4 servers
+   alternate for [scale_rounds] rounds, and each bound applies to the
+   median of the per-round -j4/-j1 ratios: a round's two servers run
+   back to back and share the host's load, which the pairing cancels. *)
+let scale_rounds = 5
+
 let run_scale_smoke () =
-  let specs = specs [ "tblook01"; "cacheb01" ] in
-  let r1, _ = bench_one ~j:1 specs in
-  let r4, _ = bench_one ~j:4 specs in
+  let specs = specs bench_workloads in
+  let rounds =
+    List.init scale_rounds (fun i ->
+        let r1, _ = bench_one ~j:1 specs in
+        let r4, _ = bench_one ~j:4 specs in
+        Printf.printf
+          "  round %d: warm %.0f -> %.0f jobs/s, cold %.1f -> %.1f jobs/s\n%!"
+          (i + 1) r1.warm_jobs_s r4.warm_jobs_s r1.cold_jobs_s r4.cold_jobs_s;
+        (r1, r4))
+  in
+  let median_ratio f =
+    let a = Array.of_list (List.map (fun (r1, r4) -> f r4 /. f r1) rounds) in
+    Array.sort compare a;
+    percentile a 0.5
+  in
+  let warm = median_ratio (fun r -> r.warm_jobs_s)
+  and cold = median_ratio (fun r -> r.cold_jobs_s) in
   Printf.printf
-    "serve-scale-smoke: warm %.0f (lock-step) -> %.0f jobs/s (batch %d, \
-     %.2fx), cold %.1f -> %.1f jobs/s\n"
-    r1.warm_jobs_s r4.warm_jobs_s r4.batch
-    (r4.warm_jobs_s /. r1.warm_jobs_s)
-    r1.cold_jobs_s r4.cold_jobs_s;
-  if r4.warm_jobs_s < 2. *. r1.warm_jobs_s then
+    "serve-scale-smoke: median -j4/-j1 over %d rounds: warm %.2fx (batch %d \
+     vs lock-step), cold %.2fx\n"
+    scale_rounds warm (warm_batch 4) cold;
+  if warm < 2. then
     die "pipelined warm throughput only %.2fx the lock-step baseline (need \
          >= 2x)"
-      (r4.warm_jobs_s /. r1.warm_jobs_s);
+      warm;
   (* cold is concurrency-1 and therefore j-independent; the tolerance
      absorbs timer/GC noise on a handful of compile-bound jobs, not a
      real regression (the idle-worker GC tax this guards against was a
      reproducible 30-40% drop) *)
-  if r4.cold_jobs_s < 0.8 *. r1.cold_jobs_s then
-    die "cold throughput fell from %.1f to %.1f jobs/s going -j1 -> -j4"
-      r1.cold_jobs_s r4.cold_jobs_s;
+  if cold < 0.8 then
+    die "cold throughput fell to %.2fx going -j1 -> -j4 (need >= 0.8x)" cold;
   print_endline "serve-scale-smoke: OK"
 
 (* -- cross-cache mode ---------------------------------------------- *)
@@ -734,7 +753,8 @@ let run_cross_cache () =
       if counter st_a "cache_errors" <> 0 then
         die "process A saw %d cache decode errors"
           (counter st_a "cache_errors");
-      (* shutdown drains A's writeback queue: every entry is durable *)
+      (* every entry A answered is already on disk: a job's cache
+         store completes before its done line is sent *)
       shutdown_server ~socket:sock_a pid_a;
       (* phase 2: a fresh B must answer warm from A's entries *)
       let sock_b = Filename.concat cache_dir "b.sock" in

@@ -2,7 +2,10 @@
 
    Accepts a registered workload name, a path to a `.k` kernel source
    (fuzz-corpus argument conventions), or a `.s` assembly / `.img`
-   binary program.
+   binary program. A timed registry workload runs verified against the
+   reference interpreter; everything else becomes a program plus
+   registers and memory for one runner, so -f, -m and the ablation
+   flags mean the same for every input.
 
    Observability:
      --trace-out x.json   write a Chrome trace-event JSON of the run
@@ -24,6 +27,12 @@ let config_of_name = function
   | "hand" -> Ok ("Hand", Dfp.Config.hand_optimized)
   | s -> Error (Printf.sprintf "unknown config %s" s)
 
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
 (* -- observability plumbing --------------------------------------- *)
 
 type obs_opts = {
@@ -34,9 +43,11 @@ type obs_opts = {
 
 let obs_wanted o = o.trace_out <> None || o.trace_text <> None || o.metrics
 
-(* an Obs bundle + a finisher that writes/prints whatever was asked *)
-let make_obs o ~name =
-  if not (obs_wanted o) then (None, fun () -> Ok ())
+(* an Obs bundle + a finisher that writes/prints whatever was asked;
+   [header] gives the text trace's header fields for the run's cycle
+   count *)
+let make_obs o ~name ~header =
+  if not (obs_wanted o) then (None, fun ~cycles:_ -> Ok ())
   else begin
     let obs, events, m = Edge_obs.Obs.collector ~level:Edge_obs.Trace.Full () in
     let write path contents =
@@ -48,7 +59,7 @@ let make_obs o ~name =
           Ok ()
       | exception Sys_error e -> Error e
     in
-    let finish () =
+    let finish ~cycles =
       let ( let* ) = Result.bind in
       let evs = events () in
       let* () =
@@ -60,7 +71,7 @@ let make_obs o ~name =
       let* () =
         match o.trace_text with
         | Some path ->
-            write path (Edge_obs.Trace.render_text ~header:[ ("kernel", name) ] evs)
+            write path (Edge_obs.Trace.render_text ~header:(header cycles) evs)
         | None -> Ok ()
       in
       if o.metrics then Format.printf "%a@." Edge_obs.Metrics.pp_summary m;
@@ -69,84 +80,52 @@ let make_obs o ~name =
     (Some obs, finish)
   end
 
-(* run a hand-written assembly program: arguments land in the parameter
-   registers, g1 is printed on halt *)
-let run_asm path args oopts =
-  let parsed =
-    if Filename.check_suffix path ".img" then Edge_isa.Image.read_file path
-    else begin
-      let ic = open_in_bin path in
-      let src = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      Edge_isa.Asm.parse_program src
-    end
+(* run a program from prepared registers and memory: the functional
+   simulator under -f, otherwise the timing backend [machine] selects,
+   with whatever trace and metrics output was asked for *)
+let run_program ~name ~header ~functional_only ~machine ?placement program
+    ~regs ~mem oopts =
+  let ( let* ) = Result.bind in
+  let report stats =
+    Format.printf "%s: returned %Ld@.%a@." name
+      regs.(Edge_isa.Conventions.result_reg)
+      Edge_sim.Stats.pp stats
   in
-  match parsed with
-  | Error e -> Error ("program: " ^ e)
-  | Ok program -> (
-      match Edge_isa.Program.validate program with
-      | Error es -> Error ("invalid program: " ^ String.concat "; " es)
-      | Ok () -> (
-          let regs = Array.make 128 0L in
-          List.iteri
-            (fun i v -> regs.(Edge_isa.Conventions.param_reg i) <- v)
-            args;
-          let mem = Edge_isa.Mem.create ~size:(1 lsl 20) in
-          let obs, finish = make_obs oopts ~name:(Filename.basename path) in
-          match Edge_sim.Cycle_sim.run ?obs program ~regs ~mem with
-          | Error e -> Error e
-          | Ok stats ->
-              Format.printf "g1 = %Ld@.%a@."
-                regs.(Edge_isa.Conventions.result_reg)
-                Edge_sim.Stats.pp stats;
-              finish ()))
+  if functional_only then
+    if obs_wanted oopts then
+      Error
+        "--functional runs no timing backend: it has no --trace-out, \
+         --trace-text or --metrics output"
+    else
+      let* stats = Edge_sim.Functional.run program ~regs ~mem in
+      report stats;
+      Ok ()
+  else
+    let obs, finish = make_obs oopts ~name ~header in
+    let* stats =
+      Edge_sim.Backend.run ~machine ?placement ?obs program ~regs ~mem
+    in
+    report stats;
+    finish ~cycles:stats.Edge_sim.Stats.cycles
 
-(* run a `.k` kernel source file under the fuzz-corpus conventions;
-   [machine_tag] (the --machine argument, if any) lands in the text
-   trace header so traces from different machines are distinguishable *)
-let run_kernel path (config_name, config) machine ?machine_tag oopts =
-  let ic = open_in_bin path in
-  let source = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let name = Filename.remove_extension (Filename.basename path) in
-  match Edge_harness.Tracekit.compile_source source config with
-  | Error e -> Error e
-  | Ok compiled -> (
-      match Edge_harness.Tracekit.run_traced ~machine compiled with
-      | Error e -> Error e
-      | Ok t ->
-          let ( let* ) = Result.bind in
-          let write path contents =
-            match open_out path with
-            | oc ->
-                output_string oc contents;
-                close_out oc;
-                Format.printf "wrote %s@." path;
-                Ok ()
-            | exception Sys_error e -> Error e
-          in
-          Format.printf "%s/%s@.%a@." name config_name Edge_sim.Stats.pp
-            t.Edge_harness.Tracekit.stats;
-          let* () =
-            match oopts.trace_out with
-            | Some p ->
-                write p
-                  (Edge_obs.Trace.chrome_to_string ~name
-                     t.Edge_harness.Tracekit.events)
-            | None -> Ok ()
-          in
-          let* () =
-            match oopts.trace_text with
-            | Some p ->
-                write p
-                  (Edge_harness.Tracekit.render ?machine:machine_tag
-                     ~kernel:name ~config:config_name t)
-            | None -> Ok ()
-          in
-          if oopts.metrics then
-            Format.printf "%a@." Edge_obs.Metrics.pp_summary
-              t.Edge_harness.Tracekit.metrics;
-          Ok ())
+(* a hand-written assembly or binary program: arguments land in the
+   parameter registers of a 1 MB machine *)
+let load_asm path args =
+  let ( let* ) = Result.bind in
+  let* program =
+    Result.map_error
+      (fun e -> "program: " ^ e)
+      (if Filename.check_suffix path ".img" then Edge_isa.Image.read_file path
+       else Edge_isa.Asm.parse_program (read_file path))
+  in
+  let* () =
+    Result.map_error
+      (fun es -> "invalid program: " ^ String.concat "; " es)
+      (Edge_isa.Program.validate program)
+  in
+  let regs = Array.make Edge_isa.Conventions.num_regs 0L in
+  List.iteri (fun i v -> regs.(Edge_isa.Conventions.param_reg i) <- v) args;
+  Ok (program, regs, Edge_isa.Mem.create ~size:(1 lsl 20))
 
 (* --lint: compile-only ineffectuality report.  Findings print as
    ineff[block=... at=... pred=...] lines and nothing is simulated;
@@ -155,12 +134,8 @@ let run_lint workload config_name =
   let ( let* ) = Result.bind in
   let* _, config = config_of_name config_name in
   let* findings =
-    if Filename.check_suffix workload ".k" then begin
-      let ic = open_in_bin workload in
-      let source = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      Edge_harness.Experiment.lint_source source config
-    end
+    if Filename.check_suffix workload ".k" then
+      Edge_harness.Experiment.lint_source (read_file workload) config
     else
       match Edge_workloads.Registry.find workload with
       | Some w -> Edge_harness.Experiment.lint w config
@@ -199,17 +174,39 @@ let run workload config_name machine_name functional_only no_early in_order
     if lint then run_lint workload config_name
     else
     let* machine = machine_of () in
+    let run_program = run_program ~functional_only ~machine in
     if Filename.check_suffix workload ".s" || Filename.check_suffix workload ".img"
     then
-      run_asm workload
-        (List.filter_map Int64.of_string_opt
-           (String.split_on_char ',' asm_args))
-        oopts
+      let* program, regs, mem =
+        load_asm workload
+          (List.filter_map Int64.of_string_opt
+             (String.split_on_char ',' asm_args))
+      in
+      let name = Filename.remove_extension (Filename.basename workload) in
+      run_program ~name
+        ~header:(fun cycles ->
+          [ ("kernel", name); ("cycles", string_of_int cycles) ])
+        program ~regs ~mem oopts
     else if Filename.check_suffix workload ".k" then
-      let* name_config = config_of_name config_name in
-      run_kernel workload name_config machine
-        ?machine_tag:
-          (Option.map (fun _ -> Edge_sim.Machine.name machine) machine_name)
+      (* the fuzz-corpus kernel convention; the text trace is the
+         golden format, naming a --machine if one was given *)
+      let* config_name, config = config_of_name config_name in
+      let kernel = Filename.remove_extension (Filename.basename workload) in
+      let* compiled =
+        Edge_harness.Tracekit.compile_source (read_file workload) config
+      in
+      let machine_tag =
+        Option.map (fun _ -> Edge_sim.Machine.name machine) machine_name
+      in
+      run_program
+        ~name:(kernel ^ "/" ^ config_name)
+        ~header:(fun cycles ->
+          Edge_harness.Tracekit.header ?machine:machine_tag ~kernel
+            ~config:config_name ~cycles ())
+        ~placement:(Edge_harness.Tracekit.placement compiled)
+        compiled.Dfp.Driver.program
+        ~regs:(Edge_harness.Tracekit.default_regs ())
+        ~mem:(Edge_harness.Tracekit.default_mem ())
         oopts
     else
     let* w =
@@ -221,25 +218,17 @@ let run workload config_name machine_name functional_only no_early in_order
                (String.concat ", " (Edge_workloads.Registry.names ())))
     in
     let* name_config = config_of_name config_name in
+    let name = workload ^ "/" ^ fst name_config in
     if functional_only then begin
       let* compiled = Edge_harness.Experiment.compile w (snd name_config) in
-      let mem = Edge_isa.Mem.create ~size:w.Edge_workloads.Workload.mem_size in
-      let args = w.Edge_workloads.Workload.setup mem in
-      let regs = Array.make 128 0L in
-      List.iteri
-        (fun i v -> regs.(Edge_isa.Conventions.param_reg i) <- v)
-        args;
-      let* stats =
-        Edge_sim.Functional.run compiled.Dfp.Driver.program ~regs ~mem
-      in
-      Format.printf "returned %Ld@.%a@."
-        regs.(Edge_isa.Conventions.result_reg)
-        Edge_sim.Stats.pp stats;
-      Ok ()
+      let regs, mem = Edge_harness.Experiment.setup_run w in
+      run_program ~name
+        ~header:(fun _ -> [ ("kernel", name) ])
+        compiled.Dfp.Driver.program ~regs ~mem oopts
     end
     else begin
       let obs, finish =
-        make_obs oopts ~name:(workload ^ "/" ^ fst name_config)
+        make_obs oopts ~name ~header:(fun _ -> [ ("kernel", name) ])
       in
       let* r =
         Edge_harness.Experiment.run_one ~machine ?obs w name_config
@@ -253,7 +242,7 @@ let run workload config_name machine_name functional_only no_early in_order
           (fun (k, v) -> Format.printf "  %-36s %10d@." k v)
           r.Edge_harness.Experiment.pass_counters
       end;
-      finish ()
+      finish ~cycles:r.Edge_harness.Experiment.cycles
     end
   in
   let result = compute () in

@@ -2,7 +2,7 @@
    the domain pool.
 
    Each task is pure — it derives everything from its seed — and
-   [Edge_parallel.Pool.map] is order-preserving, so a campaign's report
+   [Edge_parallel.Pool.run] is order-preserving, so a campaign's report
    is a function of (seed, n, sizes, oracle switches) alone: the same
    report for any [-j], which is what makes "fuzz found seed S" a
    reproducible statement rather than a race observation. *)

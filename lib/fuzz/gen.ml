@@ -19,10 +19,8 @@
 
 module A = Edge_lang.Ast
 
-let array_len = 64
-let addr_a = 4096
-let addr_b = 8192
-let mem_size = 16384
+(* the kernel convention is Tracekit's *)
+let array_len = Edge_harness.Tracekit.array_len
 
 type loop_ctx = Top | In_for | In_while
 
@@ -243,12 +241,4 @@ let size_for ~min_size ~max_size i =
   let span = max 1 (max_size - min_size + 1) in
   min_size + (i mod span)
 
-let default_args = [ 7L; -3L; Int64.of_int addr_a; Int64.of_int addr_b ]
-
-let default_mem () =
-  let mem = Edge_isa.Mem.create ~size:mem_size in
-  for i = 0 to array_len - 1 do
-    Edge_isa.Mem.store_int mem (addr_a + (8 * i)) (Int64.of_int ((i * 37) - 90));
-    Edge_isa.Mem.store_int mem (addr_b + (8 * i)) (Int64.of_int (1000 - (i * 13)))
-  done;
-  mem
+let default_mem = Edge_harness.Tracekit.default_mem

@@ -60,7 +60,10 @@ let is_fault e = String.length e >= 5 && String.sub e 0 5 = "fault"
 
 let run_reference (ast : A.kernel) : (outcome, fail) result =
   let mem = Gen.default_mem () in
-  match Edge_lang.Interp.run ~fuel:interp_fuel ast ~args:Gen.default_args ~mem with
+  match
+    Edge_lang.Interp.run ~fuel:interp_fuel ast
+      ~args:Edge_harness.Tracekit.default_args ~mem
+  with
   | Error "fault: fuel exhausted" -> raise Skip
   | Ok o ->
       Ok
@@ -90,10 +93,7 @@ let compile ?check ast config =
       | Ok c -> Ok c
       | exception Dfp.Opt_ineff.Breach msg -> Error msg)
 
-let prep_regs () =
-  let regs = Array.make 128 0L in
-  List.iteri (fun i v -> regs.(Conv.param_reg i) <- v) Gen.default_args;
-  regs
+let prep_regs = Edge_harness.Tracekit.default_regs
 
 let run_functional (c : Dfp.Driver.compiled) : (outcome, string) result =
   let regs = prep_regs () in

@@ -56,7 +56,8 @@ let lint ?check (w : Workload.t) config =
    simulators, so every harness (Figure 7, stats, genalg, ablations —
    including machine-only variants) shares one compile per distinct
    (workload, config fingerprint) and one reference-interpreter run per
-   workload, across domains. *)
+   workload, across domains. Both tables are bounded, so dfpd's
+   source jobs do not grow them without limit. *)
 let compile_memo :
     (string * Dfp.Config.t, (Dfp.Driver.compiled, string) result) Edge_parallel.Memo.t =
   Edge_parallel.Memo.create ()
@@ -224,39 +225,18 @@ let run_one_uncached ?(machine = Edge_sim.Machine.default) ?obs ?interp_fuel
     (make_run w config_name compiled stats ~reference ~compile_s:(t2 -. t1)
        ~sim_s:((t1 -. t0) +. (t3 -. t2)))
 
-(* mem-before-disk layered caching around [compute]: a mem hit costs a
-   stripe probe, a disk hit is promoted into the mem layer, and a
-   computed result lands in both (the disk store optionally handed to
-   the cache's writeback thread so worker domains never block on the
-   filesystem) *)
-let run_layered ~key ?cache ?mem ~async_store compute =
-  match Option.bind mem (fun m -> Edge_parallel.Mem_cache.find m ~key) with
-  | Some (r : run) -> Ok { r with compile_s = 0.; sim_s = 0. }
-  | None -> (
-      match
-        Option.bind cache (fun c ->
-            (Edge_parallel.Disk_cache.find c ~key : run option))
-      with
-      | Some r ->
-          Option.iter
-            (fun m -> Edge_parallel.Mem_cache.store m ~key r)
-            mem;
-          Ok { r with compile_s = 0.; sim_s = 0. }
-      | None ->
-          let res = compute () in
-          (match res with
-          | Ok (r : run) ->
-              Option.iter
-                (fun m -> Edge_parallel.Mem_cache.store m ~key r)
-                mem;
-              Option.iter
-                (fun c ->
-                  if async_store then
-                    Edge_parallel.Disk_cache.store_async c ~key r
-                  else Edge_parallel.Disk_cache.store c ~key r)
-                cache
-          | Error _ -> ());
-          res)
+(* the disk cache around [compute]: a hit replays the stored run with
+   its times zeroed (it spent nothing compiling or simulating), and a
+   computed run is on disk before it is returned *)
+let cached ~key cache compute =
+  match (Edge_parallel.Disk_cache.find cache ~key : run option) with
+  | Some r -> Ok { r with compile_s = 0.; sim_s = 0. }
+  | None ->
+      let res = compute () in
+      Result.iter
+        (fun (r : run) -> Edge_parallel.Disk_cache.store cache ~key r)
+        res;
+      res
 
 (* an attached observer wants the events of a real run, so a cached
    result would be wrong; obs runs always execute. And with the checker
@@ -265,24 +245,22 @@ let run_layered ~key ?cache ?mem ~async_store compute =
    [interp_fuel] does not join the cache key: a fuel-bounded run that
    *succeeds* is identical to the unbounded run, and errors (fuel
    exhaustion included) are never cached. *)
-let cacheable ?obs ?cache ?mem () =
-  (Option.is_some cache || Option.is_some mem)
-  && Option.is_none obs
-  && not (Edge_check.Check.enabled ())
+let cacheable ?obs () =
+  Option.is_none obs && not (Edge_check.Check.enabled ())
 
-let run_one ?machine ?obs ?interp_fuel ?cache ?mem
-    ?(async_store = false) ?lint (w : Workload.t)
+let run_one ?machine ?obs ?interp_fuel ?cache ?lint (w : Workload.t)
     ((config_name, config) as cfg) =
+  let compute () = run_one_uncached ?machine ?obs ?interp_fuel ?lint w cfg in
   (* a lint run wants its findings streamed and simulates a different
-     artifact: it bypasses both cache layers, like an obs run *)
-  if Option.is_none lint && cacheable ?obs ?cache ?mem () then
-    let key =
-      cache_key w config_name config
-        (Option.value machine ~default:Edge_sim.Machine.default)
-    in
-    run_layered ~key ?cache ?mem ~async_store (fun () ->
-        run_one_uncached ?machine ?obs ?interp_fuel w cfg)
-  else run_one_uncached ?machine ?obs ?interp_fuel ?lint w cfg
+     artifact: it bypasses the cache, like an obs run *)
+  match cache with
+  | Some cache when cacheable ?obs () && Option.is_none lint ->
+      let key =
+        cache_key w config_name config
+          (Option.value machine ~default:Edge_sim.Machine.default)
+      in
+      cached ~key cache compute
+  | _ -> compute ()
 
 let run_precompiled_uncached ?(machine = Edge_sim.Machine.default) ?obs
     ?interp_fuel (w : Workload.t) config_name
@@ -297,21 +275,21 @@ let run_precompiled_uncached ?(machine = Edge_sim.Machine.default) ?obs
     (make_run w config_name compiled stats ~reference ~compile_s:0.
        ~sim_s:(t3 -. t0))
 
-let run_precompiled ?machine ?obs ?interp_fuel ?cache ?mem
-    ?(async_store = false) ~image_digest (w : Workload.t)
-    (config_name, config) (compiled : Dfp.Driver.compiled) =
-  if cacheable ?obs ?cache ?mem () then
-    (* the image digest salts the key: a shipped artifact may differ
-       from what this process would compile (other compiler revision —
-       or a hostile client), so it must never answer for, or be
-       answered by, a source-compiled entry *)
-    let key =
-      cache_key w config_name config
-        (Option.value machine ~default:Edge_sim.Machine.default)
-      ^ "|img:" ^ image_digest
-    in
-    run_layered ~key ?cache ?mem ~async_store (fun () ->
-        run_precompiled_uncached ?machine ?obs ?interp_fuel w config_name
-          compiled)
-  else
+let run_precompiled ?machine ?obs ?interp_fuel ?cache ~image_digest
+    (w : Workload.t) (config_name, config) (compiled : Dfp.Driver.compiled) =
+  let compute () =
     run_precompiled_uncached ?machine ?obs ?interp_fuel w config_name compiled
+  in
+  match cache with
+  | Some cache when cacheable ?obs () ->
+      (* the image digest salts the key: a shipped artifact may differ
+         from what this process would compile (other compiler revision —
+         or a hostile client), so it must never answer for, or be
+         answered by, a source-compiled entry *)
+      let key =
+        cache_key w config_name config
+          (Option.value machine ~default:Edge_sim.Machine.default)
+        ^ "|img:" ^ image_digest
+      in
+      cached ~key cache compute
+  | _ -> compute ()

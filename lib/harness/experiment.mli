@@ -12,7 +12,9 @@
     variants — compile each workload once per distinct config rather
     than once per experiment. The tables are domain-safe with
     single-flight semantics, so a parallel sweep never duplicates a
-    compile. *)
+    compile, and bounded ({!Edge_parallel.Memo}), so a long-lived job
+    server that sees a stream of distinct kernels recomputes an old
+    one rather than keeping every artifact. *)
 
 type run = {
   workload : string;
@@ -41,8 +43,6 @@ val run_one :
   ?obs:Edge_obs.Obs.t ->
   ?interp_fuel:int ->
   ?cache:Edge_parallel.Disk_cache.t ->
-  ?mem:run Edge_parallel.Mem_cache.t ->
-  ?async_store:bool ->
   ?lint:(Dfp.Opt_ineff.finding -> unit) ->
   Edge_workloads.Workload.t ->
   string * Dfp.Config.t ->
@@ -61,23 +61,17 @@ val run_one :
     [cache] consults/populates a persistent result cache keyed by
     kernel source digest, config, machine and simulator revision, so
     an unchanged (workload, config) pair costs one file read across
-    processes. Cache hits report [compile_s]/[sim_s] as [0.]. Runs
-    with an [obs] attached or with the static checker enabled
-    ({!Edge_check.Check.enabled}) bypass the cache (the caller wants a
-    real, verified run); errors are never cached.
-
-    [mem] layers a sharded in-memory result cache in front of [cache]
-    (same keys): a warm hit costs one stripe probe — no filesystem, no
-    unmarshalling — and a disk hit is promoted into the mem layer. The
-    bypass rules above apply to both layers. [async_store] (default
-    [false]) hands the disk store to the cache's writeback thread (see
-    {!Edge_parallel.Disk_cache.store_async}) so the computing domain
-    never blocks on the filesystem.
+    processes. A hit replays the stored run with [compile_s]/[sim_s]
+    reported as [0.]; a computed run is stored synchronously, so it is
+    on disk when [run_one] returns. Runs with an [obs] attached or with
+    the static checker enabled ({!Edge_check.Check.enabled}) bypass the
+    cache (the caller wants a real, verified run); errors are never
+    cached.
 
     [lint] compiles in ineffectuality-report mode (findings streamed to
     the callback, deletion suppressed — see {!Dfp.Driver.compile_cfg})
-    and simulates that artifact. Lint runs bypass both cache layers and
-    the compile memo: the artifact is not the one a normal compile
+    and simulates that artifact. Lint runs bypass the cache and the
+    compile memo: the artifact is not the one a normal compile
     produces. *)
 
 val run_precompiled :
@@ -85,8 +79,6 @@ val run_precompiled :
   ?obs:Edge_obs.Obs.t ->
   ?interp_fuel:int ->
   ?cache:Edge_parallel.Disk_cache.t ->
-  ?mem:run Edge_parallel.Mem_cache.t ->
-  ?async_store:bool ->
   image_digest:string ->
   Edge_workloads.Workload.t ->
   string * Dfp.Config.t ->

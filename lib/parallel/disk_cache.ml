@@ -19,16 +19,6 @@ type t = {
      (unlink is idempotent) but serializing avoids double-deleting fresh
      entries when two writers overflow the cap simultaneously *)
   evict_mu : Mutex.t;
-  (* writeback thread state; [writer = None] means every store_async
-     degrades to a synchronous store *)
-  wmu : Mutex.t;
-  wcond : Condition.t;  (* signalled on push: wakes the writer *)
-  wdone : Condition.t;  (* broadcast on completion: wakes [drain] *)
-  wq : (unit -> unit) Queue.t;
-  mutable writer : Thread.t option;
-  mutable wstop : bool;
-  mutable w_active : bool;
-  async_fallbacks : int Atomic.t;
 }
 
 let rec mkdir_p dir =
@@ -108,34 +98,7 @@ let sweep_tmp ~max_age_s dir =
     (Lazy.force shard_names);
   !swept
 
-(* the writeback thread: drains queued store closures until [wstop]
-   and the queue is empty; [w_active] covers the window between pop
-   and completion so [drain] cannot return with a write in flight *)
-let writer_loop t =
-  let rec loop () =
-    Mutex.lock t.wmu;
-    while Queue.is_empty t.wq && not t.wstop do
-      Condition.wait t.wcond t.wmu
-    done;
-    if Queue.is_empty t.wq then begin
-      Mutex.unlock t.wmu;
-      () (* wstop with an empty queue: exit *)
-    end
-    else begin
-      let job = Queue.pop t.wq in
-      t.w_active <- true;
-      Mutex.unlock t.wmu;
-      (try job () with _ -> ());
-      Mutex.lock t.wmu;
-      t.w_active <- false;
-      Condition.broadcast t.wdone;
-      Mutex.unlock t.wmu;
-      loop ()
-    end
-  in
-  loop ()
-
-let create ?max_bytes ?(tmp_max_age_s = 600.) ?(writeback = false) ~dir () =
+let create ?max_bytes ?(tmp_max_age_s = 600.) ~dir () =
   mkdir_p dir;
   if not (Sys.is_directory dir) then
     raise (Sys_error (dir ^ ": not a directory"));
@@ -143,30 +106,18 @@ let create ?max_bytes ?(tmp_max_age_s = 600.) ?(writeback = false) ~dir () =
   let total =
     List.fold_left (fun a (_, s, _) -> a + s) 0 (scan_entries dir)
   in
-  let t =
-    {
-      dir;
-      max_bytes;
-      hits = Atomic.make 0;
-      misses = Atomic.make 0;
-      errors = Atomic.make 0;
-      evictions = Atomic.make 0;
-      stores = Atomic.make 0;
-      tmp_swept;
-      total = Atomic.make total;
-      evict_mu = Mutex.create ();
-      wmu = Mutex.create ();
-      wcond = Condition.create ();
-      wdone = Condition.create ();
-      wq = Queue.create ();
-      writer = None;
-      wstop = false;
-      w_active = false;
-      async_fallbacks = Atomic.make 0;
-    }
-  in
-  if writeback then t.writer <- Some (Thread.create writer_loop t);
-  t
+  {
+    dir;
+    max_bytes;
+    hits = Atomic.make 0;
+    misses = Atomic.make 0;
+    errors = Atomic.make 0;
+    evictions = Atomic.make 0;
+    stores = Atomic.make 0;
+    tmp_swept;
+    total = Atomic.make total;
+    evict_mu = Mutex.create ();
+  }
 
 let dir t = t.dir
 
@@ -286,36 +237,6 @@ let store t ~key v =
       (if Sys.file_exists tmp then try Sys.remove tmp with Sys_error _ -> ());
       Atomic.incr t.errors
 
-let async_queue_cap = 256
-
-let store_async t ~key v =
-  match t.writer with
-  | None -> store t ~key v
-  | Some _ ->
-      Mutex.lock t.wmu;
-      if Queue.length t.wq >= async_queue_cap then begin
-        (* bounded queue: overflow degrades to the caller paying for the
-           write rather than buffering unboundedly *)
-        Mutex.unlock t.wmu;
-        Atomic.incr t.async_fallbacks;
-        store t ~key v
-      end
-      else begin
-        Queue.push (fun () -> store t ~key v) t.wq;
-        Condition.signal t.wcond;
-        Mutex.unlock t.wmu
-      end
-
-let drain t =
-  match t.writer with
-  | None -> ()
-  | Some _ ->
-      Mutex.lock t.wmu;
-      while not (Queue.is_empty t.wq) || t.w_active do
-        Condition.wait t.wdone t.wmu
-      done;
-      Mutex.unlock t.wmu
-
 let remove t ~key =
   let path = path_of_key t ~key in
   match Unix.stat path with
@@ -332,7 +253,6 @@ let misses t = Atomic.get t.misses
 let errors t = Atomic.get t.errors
 let evictions t = Atomic.get t.evictions
 let stores t = Atomic.get t.stores
-let async_fallbacks t = Atomic.get t.async_fallbacks
 let tmp_swept t = t.tmp_swept
 let max_bytes t = t.max_bytes
 
@@ -349,7 +269,6 @@ let publish t (m : Edge_obs.Metrics.t) =
   M.incr ~by:(evictions t) m "cache.evictions";
   M.incr ~by:(stores t) m "cache.stores";
   M.incr ~by:(tmp_swept t) m "cache.tmp_swept";
-  M.incr ~by:(async_fallbacks t) m "cache.async_fallbacks";
   M.incr ~by:(Atomic.get t.total) m "cache.bytes";
   (* shard occupancy, one histogram sample per non-empty shard: a
      healthy cache spreads entries evenly across the 256 directories *)

@@ -1,7 +1,7 @@
 (** Persistent on-disk result cache.
 
-    Complements {!Memo} (which dies with the process): entries survive
-    across runs, so repeated sweeps skip recompilation and
+    Complements {!Memo} and {!Mem_cache} (which die with the process):
+    entries survive across runs, so repeated sweeps skip recompilation and
     re-simulation of unchanged (workload, config) pairs. Callers build
     keys from content digests (kernel source, config, simulator
     revision); the cache itself is a dumb, crash-safe key/value store.
@@ -26,13 +26,7 @@
 
 type t
 
-val create :
-  ?max_bytes:int ->
-  ?tmp_max_age_s:float ->
-  ?writeback:bool ->
-  dir:string ->
-  unit ->
-  t
+val create : ?max_bytes:int -> ?tmp_max_age_s:float -> dir:string -> unit -> t
 (** Opens (creating if needed, like [mkdir -p]) a cache rooted at
     [dir]. Raises [Sys_error] only if the directory cannot be created
     at all.
@@ -41,12 +35,7 @@ val create :
     see the eviction contract above. Opening also sweeps temp files
     abandoned by writers that died between write and rename: any
     [*.tmp.*] file older than [tmp_max_age_s] seconds (default 600) is
-    removed, younger ones are left for their (possibly live) writer.
-
-    [writeback] (default [false]) spawns a writeback thread on the
-    calling thread's domain, enabling {!store_async}; create with
-    [writeback:true] from a long-lived context (e.g. a server's main
-    thread), because the thread lives until the process exits. *)
+    removed, younger ones are left for their (possibly live) writer. *)
 
 val dir : t -> string
 
@@ -60,22 +49,9 @@ val find : t -> key:string -> 'a option
 val store : t -> key:string -> 'a -> unit
 (** Atomically persist a value for [key], replacing any previous
     entry, then evict down to [max_bytes] if the store overflowed the
-    cap. I/O errors are swallowed (counted in [errors]): a read-only
-    cache dir degrades to a no-op cache. *)
-
-val store_async : t -> key:string -> 'a -> unit
-(** Like {!store}, but hands the marshal + write to the writeback
-    thread so the calling (worker) domain never blocks on the
-    filesystem. Degrades to a synchronous {!store} when the cache was
-    opened without [writeback:true], or when the writeback queue is
-    full (bounded at 256 entries; counted in [async_fallbacks]).
-    Visibility: the entry lands on disk at some point after this call
-    returns — call {!drain} before depending on it. *)
-
-val drain : t -> unit
-(** Block until every store queued via {!store_async} has been written
-    to disk. No-op without a writeback thread. Call before process
-    exit so accepted results are never lost. *)
+    cap. The entry is on disk, visible to every handle on [dir], when
+    [store] returns. I/O errors are swallowed (counted in [errors]): a
+    read-only cache dir degrades to a no-op cache. *)
 
 val remove : t -> key:string -> unit
 
@@ -95,10 +71,6 @@ val evictions : t -> int
 (** Entries deleted by the size-cap eviction path. *)
 
 val stores : t -> int
-
-val async_fallbacks : t -> int
-(** {!store_async} calls that fell back to a synchronous store because
-    the writeback queue was full. *)
 
 val tmp_swept : t -> int
 (** Stale temp files removed when this handle opened the directory. *)

@@ -84,12 +84,6 @@ let store t ~key v =
   Mutex.unlock s.mu;
   Atomic.incr t.stores
 
-let remove t ~key =
-  let s = stripe_of t key in
-  Mutex.lock s.mu;
-  Hashtbl.remove s.tbl key;
-  Mutex.unlock s.mu
-
 let hits t = Atomic.get t.hits
 let misses t = Atomic.get t.misses
 let stores t = Atomic.get t.stores
@@ -103,16 +97,6 @@ let entry_count t =
       Mutex.unlock s.mu;
       acc + n)
     0 t.stripes_arr
-
-let stripes t = Array.length t.stripes_arr
-
-let clear t =
-  Array.iter
-    (fun s ->
-      Mutex.lock s.mu;
-      Hashtbl.reset s.tbl;
-      Mutex.unlock s.mu)
-    t.stripes_arr
 
 let publish t (m : Edge_obs.Metrics.t) =
   let module M = Edge_obs.Metrics in

@@ -1,8 +1,9 @@
 (** Sharded in-memory result cache.
 
-    Sits in front of {!Disk_cache} on the serving hot path: a warm hit
-    costs one stripe lock and one hashtable probe — no filesystem
-    access, no global mutex, no marshalling. Keys are strings (the
+    dfpd's one in-memory result cache, read by the reader-thread fast
+    path in front of the workers and {!Disk_cache}: a warm hit costs
+    one stripe lock and one hashtable probe — no filesystem access, no
+    global mutex, no marshalling. Keys are strings (the
     caller's digest convention, same as {!Disk_cache}); values are kept
     as ordinary OCaml values, so hits return the exact value stored.
 
@@ -29,8 +30,6 @@ val store : 'v t -> key:string -> 'v -> unit
 (** Insert or replace, evicting the stripe's LRU entry if the stripe
     is at capacity. *)
 
-val remove : 'v t -> key:string -> unit
-
 val hits : 'v t -> int
 val misses : 'v t -> int
 val stores : 'v t -> int
@@ -38,10 +37,6 @@ val evictions : 'v t -> int
 
 val entry_count : 'v t -> int
 (** Entries currently held, summed across stripes. *)
-
-val stripes : 'v t -> int
-
-val clear : 'v t -> unit
 
 val publish : 'v t -> Edge_obs.Metrics.t -> unit
 (** Snapshot the counters into a metrics registry as

@@ -1,229 +1,35 @@
-(* A fixed-size domain pool over per-worker deques with work stealing.
-
-   Each worker domain owns a deque (mutex-guarded ring buffer): [map]
-   distributes jobs round-robin across the deques and signals only the
-   deque's owner — never a broadcast — so an idle pool costs nothing
-   and a submission wakes exactly one domain. A worker drains its own
-   deque from the back (LIFO, cache-warm), and when empty steals from
-   the front of a sibling's deque, so imbalanced job durations level
-   out without a central queue: the old single Mutex/Condition queue
-   made every push and pop serialize on one lock and every push
-   broadcast-wake every worker.
-
-   The pool owns [jobs - 1] worker domains; the caller of [map] helps
-   drain by stealing, so a pool created with [~jobs:n] keeps at most
-   [n] experiments in flight.  [~jobs:1] is a strict sequential
-   fallback that never touches a deque (and therefore behaves exactly
-   like [List.map]). *)
-
-type job = unit -> unit
-
-(* ring-buffer deque; all operations run under the owning slot's mutex *)
-type deque = {
-  mutable buf : job option array;
-  mutable head : int;
-  mutable len : int;
-}
-
-let dq_create () = { buf = Array.make 16 None; head = 0; len = 0 }
-
-let dq_grow d =
-  let cap = Array.length d.buf in
-  let buf' = Array.make (2 * cap) None in
-  for i = 0 to d.len - 1 do
-    buf'.(i) <- d.buf.((d.head + i) mod cap)
-  done;
-  d.buf <- buf';
-  d.head <- 0
-
-let dq_push_back d j =
-  if d.len = Array.length d.buf then dq_grow d;
-  d.buf.((d.head + d.len) mod Array.length d.buf) <- Some j;
-  d.len <- d.len + 1
-
-let dq_pop_back d =
-  if d.len = 0 then None
-  else begin
-    let i = (d.head + d.len - 1) mod Array.length d.buf in
-    let j = d.buf.(i) in
-    d.buf.(i) <- None;
-    d.len <- d.len - 1;
-    j
-  end
-
-let dq_pop_front d =
-  if d.len = 0 then None
-  else begin
-    let j = d.buf.(d.head) in
-    d.buf.(d.head) <- None;
-    d.head <- (d.head + 1) mod Array.length d.buf;
-    d.len <- d.len - 1;
-    j
-  end
-
-type slot = { smu : Mutex.t; scond : Condition.t; dq : deque }
-
-type t = {
-  jobs : int;
-  slots : slot array;  (* one per worker domain; empty when jobs = 1 *)
-  closing : bool Atomic.t;
-  cursor : int Atomic.t;  (* round-robin submission cursor *)
-  mutable workers : unit Domain.t list;
-}
+(* A one-shot parallel map. The caller and [lanes - 1] spawned domains
+   each claim the next unclaimed index from one atomic counter, so a
+   lane that drew cheap elements simply claims more of them; nothing
+   outlives the call. *)
 
 let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 
-let submit t job =
-  let n = Array.length t.slots in
-  let s = t.slots.(Atomic.fetch_and_add t.cursor 1 mod n) in
-  Mutex.lock s.smu;
-  dq_push_back s.dq job;
-  Condition.signal s.scond;
-  Mutex.unlock s.smu
-
-(* scan siblings front-first, starting after [idx] so thieves spread out *)
-let steal t idx =
-  let n = Array.length t.slots in
-  let rec go k =
-    if k >= n then None
-    else
-      let s = t.slots.((idx + k) mod n) in
-      Mutex.lock s.smu;
-      let j = dq_pop_front s.dq in
-      Mutex.unlock s.smu;
-      match j with Some _ -> j | None -> go (k + 1)
-  in
-  go 1
-
-(* the caller during [map] owns no deque: it steals from everyone *)
-let steal_any t =
-  let n = Array.length t.slots in
-  let rec go k =
-    if k >= n then None
-    else
-      let s = t.slots.(k) in
-      Mutex.lock s.smu;
-      let j = dq_pop_front s.dq in
-      Mutex.unlock s.smu;
-      match j with Some _ -> j | None -> go (k + 1)
-  in
-  go 0
-
-let rec worker_loop t idx =
-  let me = t.slots.(idx) in
-  Mutex.lock me.smu;
-  let j = dq_pop_back me.dq in
-  Mutex.unlock me.smu;
-  match j with
-  | Some job ->
-      (* jobs are wrapped by [map] and never raise *)
-      job ();
-      worker_loop t idx
-  | None -> (
-      match steal t idx with
-      | Some job ->
-          job ();
-          worker_loop t idx
-      | None ->
-          if not (Atomic.get t.closing) then begin
-            Mutex.lock me.smu;
-            while d_empty me && not (Atomic.get t.closing) do
-              Condition.wait me.scond me.smu
-            done;
-            let j = dq_pop_back me.dq in
-            Mutex.unlock me.smu;
-            (match j with Some job -> job () | None -> ());
-            worker_loop t idx
-          end)
-
-and d_empty me = me.dq.len = 0
-
-let create ?jobs () =
-  let jobs = max 1 (match jobs with Some j -> j | None -> default_jobs ()) in
-  let t =
-    {
-      jobs;
-      slots =
-        Array.init (jobs - 1) (fun _ ->
-            { smu = Mutex.create (); scond = Condition.create (); dq = dq_create () });
-      closing = Atomic.make false;
-      cursor = Atomic.make 0;
-      workers = [];
-    }
-  in
-  t.workers <-
-    List.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker_loop t i));
-  t
-
-let shutdown t =
-  Atomic.set t.closing true;
-  Array.iter
-    (fun s ->
-      Mutex.lock s.smu;
-      Condition.broadcast s.scond;
-      Mutex.unlock s.smu)
-    t.slots;
-  List.iter Domain.join t.workers;
-  t.workers <- []
-
-let with_pool ?jobs f =
-  let t = create ?jobs () in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-
-let jobs t = t.jobs
-
-let map t f xs =
-  if t.jobs <= 1 then List.map f xs
-  else
-    match xs with
-    | [] -> []
-    | xs ->
-        let arr = Array.of_list xs in
-        let n = Array.length arr in
-        let out = Array.make n None in
-        let dmu = Mutex.create () in
-        let all_done = Condition.create () in
-        let remaining = ref n in
-        let run i () =
-          let r =
-            try Ok (f arr.(i))
-            with e -> Error (e, Printexc.get_raw_backtrace ())
-          in
-          out.(i) <- Some r;
-          Mutex.lock dmu;
-          decr remaining;
-          if !remaining = 0 then Condition.broadcast all_done;
-          Mutex.unlock dmu
-        in
-        for i = 0 to n - 1 do
-          submit t (run i)
-        done;
-        (* help drain: the caller is one of the [jobs] lanes, stealing
-           until every job of this map has settled *)
-        let rec help () =
-          Mutex.lock dmu;
-          let finished = !remaining = 0 in
-          Mutex.unlock dmu;
-          if not finished then
-            match steal_any t with
-            | Some job ->
-                job ();
-                help ()
-            | None ->
-                Mutex.lock dmu;
-                if !remaining > 0 then Condition.wait all_done dmu;
-                Mutex.unlock dmu;
-                help ()
-        in
-        help ();
-        (* deterministic order: results come back indexed by input
-           position; the first failure (in input order) re-raises *)
-        Array.to_list out
-        |> List.map (function
-             | Some (Ok v) -> v
-             | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-             | None -> assert false)
-
-let filter_map t f xs = map t f xs |> List.filter_map Fun.id
-
-let run ?jobs f xs = with_pool ?jobs (fun t -> map t f xs)
+let run ?jobs f xs =
+  let jobs = max 1 (Option.value jobs ~default:(default_jobs ())) in
+  let arr = Array.of_list xs in
+  let n = Array.length arr in
+  if jobs = 1 || n <= 1 then List.map f xs
+  else begin
+    let out = Array.make n None in
+    let next = Atomic.make 0 in
+    let rec lane () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        out.(i) <-
+          Some
+            (try Ok (f arr.(i))
+             with e -> Error (e, Printexc.get_raw_backtrace ()));
+        lane ()
+      end
+    in
+    let domains = List.init (min jobs n - 1) (fun _ -> Domain.spawn lane) in
+    lane ();
+    (* joining publishes every lane's writes to [out] *)
+    List.iter Domain.join domains;
+    Array.to_list out
+    |> List.map (function
+         | Some (Ok v) -> v
+         | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+         | None -> assert false)
+  end

@@ -1,42 +1,16 @@
-(** A fixed-size OCaml 5 domain pool with a [Mutex]/[Condition] work
-    queue, for fanning independent (workload x config) experiments
-    across cores.
-
-    A pool created with [~jobs:n] spawns [n - 1] worker domains; the
-    calling domain helps drain the queue during [map], so at most [n]
-    jobs run concurrently.  [~jobs:1] is a strict sequential fallback:
-    [map] degenerates to [List.map] and no domain, lock or queue is
-    involved — guaranteeing behaviour identical to the pre-parallel
-    harness. *)
-
-type t
+(** A one-shot parallel map over OCaml 5 domains, for fanning
+    independent experiments (workload x config pairs, fuzz kernels)
+    across cores. *)
 
 val default_jobs : unit -> int
-(** [Domain.recommended_domain_count () - 1] worker domains (so the
-    pool plus the calling domain saturate the machine), never below
-    1. *)
-
-val create : ?jobs:int -> unit -> t
-(** Spawns [jobs - 1] workers (default [default_jobs ()], clamped to at
-    least 1). *)
-
-val shutdown : t -> unit
-(** Signals the workers to exit and joins them. Idempotent. *)
-
-val with_pool : ?jobs:int -> (t -> 'a) -> 'a
-(** [create], run, then [shutdown] (also on exception). *)
-
-val jobs : t -> int
-(** The parallelism degree the pool was created with. *)
-
-val map : t -> ('a -> 'b) -> 'a list -> 'b list
-(** Order-preserving parallel map: results are returned in input order
-    regardless of completion order. If any job raises, the first
-    exception in input order is re-raised (with its backtrace) after
-    all jobs have settled. *)
-
-val filter_map : t -> ('a -> 'b option) -> 'a list -> 'b list
-(** [map] then drop [None]s, preserving input order. *)
+(** [Domain.recommended_domain_count () - 1], never below 1: the
+    spawned domains plus the calling domain saturate the machine. *)
 
 val run : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** One-shot convenience: [with_pool ?jobs (fun t -> map t f xs)]. *)
+(** [run ~jobs f xs] computes [List.map f xs] on the calling domain and
+    [jobs - 1] spawned ones (default [default_jobs ()]; never more
+    lanes than elements), each claiming the next index from one atomic
+    counter. Results come back in input order whatever the completion
+    order. If an application raises, the first exception in input
+    order is re-raised, with its backtrace, after every element has
+    settled. [~jobs:1] is [List.map]. *)

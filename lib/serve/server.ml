@@ -34,8 +34,8 @@ type config = {
   queue_cap : int;  (** pending (not-yet-running) job bound *)
   cache : Disk_cache.t option;
   mem_entries : int;
-      (** in-memory result cache entry cap; [0] disables the cache
-          (and with it the reader-thread warm fast path) *)
+      (** entry cap of the in-memory result cache behind the
+          reader-thread warm fast path; [0] disables both *)
   max_cycles : int;  (** watchdog ceiling for source jobs *)
   interp_fuel : int;  (** reference-interpreter bound for source jobs *)
   retry_after_ms : int;  (** hint attached to queue-full rejections *)
@@ -124,15 +124,13 @@ type t = {
   queue : entry Queue.t;
   mu : Mutex.t;
   inflight : (string, entry) Hashtbl.t;  (* digest -> entry, mu-guarded *)
-  mem : Experiment.run Mem_cache.t option;
-      (* in-memory result cache layered in front of the disk cache by
-         the workers' run_one/run_precompiled calls (Experiment cache
-         keys) *)
   fast : (string * string) Mem_cache.t option;
-      (* the reader-thread fast path, keyed "job:<job digest>": the
-         fully rendered (accepted, done) response pair (sans ids), so
-         a hit costs one stripe probe and two id splices — no Marshal,
-         no MD5, no JSON building *)
+      (* the one in-memory result cache, read by the reader-thread fast
+         path and keyed "job:<job digest>": the fully rendered
+         (accepted, done) response pair (sans ids), so a hit costs one
+         stripe probe and two id splices — no Marshal, no MD5, no JSON
+         building. A miss goes to a worker, whose run_one consults the
+         disk cache. *)
   mutable closing : bool;
   shutdown_req : bool Atomic.t;
   stats : stats;
@@ -181,28 +179,17 @@ let observe_stage t name seconds =
 
 (* -- job execution ------------------------------------------------- *)
 
-(* a source job becomes a synthetic workload under the fuzz harness
-   conventions (same memory image and arguments as the differential
+(* a source job becomes a synthetic workload under the kernel
+   convention (same memory image and arguments as the differential
    oracle), so `fuzz --serve` can diff server verdicts against
    Oracle.run_reference directly *)
 let workload_of_source src =
-  let module Gen = Edge_fuzz.Gen in
   {
     Workload.name = "serve-" ^ Digest.to_hex (Digest.string src);
     description = "kernel submitted over the dfpd socket";
     source = src;
-    mem_size = Gen.mem_size;
-    setup =
-      (fun mem ->
-        for i = 0 to Gen.array_len - 1 do
-          Edge_isa.Mem.store_int mem
-            (Gen.addr_a + (8 * i))
-            (Int64.of_int ((i * 37) - 90));
-          Edge_isa.Mem.store_int mem
-            (Gen.addr_b + (8 * i))
-            (Int64.of_int (1000 - (i * 13)))
-        done;
-        Gen.default_args);
+    mem_size = Edge_harness.Tracekit.mem_size;
+    setup = Edge_harness.Tracekit.setup;
   }
 
 let find_config name = List.assoc_opt name Edge_fuzz.Oracle.configs
@@ -311,14 +298,13 @@ let execute t (e : entry) ~(emit : Json.t -> unit) :
           match image with
           | None ->
               Experiment.run_one ?machine ?obs ?interp_fuel
-                ?cache:t.cfg.cache ?mem:t.mem ~async_store:true ?lint w
-                (spec.config, config)
+                ?cache:t.cfg.cache ?lint w (spec.config, config)
           | Some _ when spec.lint ->
               Error "lint applies to compiled-from-source jobs, not images"
           | Some (compiled, image_digest) ->
               Experiment.run_precompiled ?machine ?obs ?interp_fuel
-                ?cache:t.cfg.cache ?mem:t.mem ~async_store:true
-                ~image_digest w (spec.config, config) compiled
+                ?cache:t.cfg.cache ~image_digest w (spec.config, config)
+                compiled
         with exn -> Error ("exception: " ^ Printexc.to_string exn)
       in
       finish_obs ();
@@ -464,7 +450,7 @@ let stats_response t =
         ]
   in
   let mem =
-    match t.mem with
+    match t.fast with
     | None -> []
     | Some m ->
         [
@@ -494,7 +480,7 @@ let publish t (m : Metrics.t) =
   Mutex.lock t.stage_mu;
   Metrics.merge ~into:m t.stage_metrics;
   Mutex.unlock t.stage_mu;
-  (match t.mem with None -> () | Some mc -> Mem_cache.publish mc m);
+  (match t.fast with None -> () | Some f -> Mem_cache.publish f m);
   match t.cfg.cache with None -> () | Some c -> Disk_cache.publish c m
 
 (* splice a request id in as the first field of a pre-rendered
@@ -715,10 +701,6 @@ let start (cfg : config) : t =
       queue = Queue.create ();
       mu = Mutex.create ();
       inflight = Hashtbl.create 64;
-      mem =
-        (if cfg.mem_entries > 0 then
-           Some (Mem_cache.create ~max_entries:cfg.mem_entries ())
-         else None);
       fast =
         (if cfg.mem_entries > 0 then
            Some (Mem_cache.create ~max_entries:cfg.mem_entries ())
@@ -819,9 +801,6 @@ let stop t =
     List.iter Thread.join threads;
     Mutex.protect t.mu (fun () -> t.conn_threads <- []);
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    (* every result accepted before shutdown must be on disk before
-       the process exits *)
-    (match t.cfg.cache with Some c -> Disk_cache.drain c | None -> ());
     if Sys.file_exists t.cfg.socket_path then
       try Sys.remove t.cfg.socket_path with Sys_error _ -> ()
   end

@@ -89,13 +89,13 @@ let exec opcode ~imm ~(left : Token.t) ~(right : Token.t) =
   | Opcode.Ftst cond ->
       let l = left and r = right in
       result2 l r (bool_val (fcmp cond l.Token.payload r.Token.payload))
+  | Opcode.Un Opcode.Mov | Opcode.Mov4 ->
+      (* tokens are immutable: a move forwards its operand itself *)
+      left
   | Opcode.Un op ->
       let l = left in
       result1 l (unop op l.Token.payload)
   | Opcode.Movi | Opcode.Geni -> Token.of_int64 imm
-  | Opcode.Mov4 ->
-      let l = left in
-      result1 l l.Token.payload
   | Opcode.Null -> Token.null_token
   | Opcode.Sand ->
       (* short-circuit: with a false left operand the right one may never

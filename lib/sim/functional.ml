@@ -106,12 +106,3 @@ let run program ~regs ~mem =
           | Ok { exit_taken = Some next; _ } -> go next (fuel - 1))
   in
   go program.Edge_isa.Program.entry Df.block_limit
-
-module Engine = struct
-  type state = Df.t
-
-  let make = Df.for_program
-  let prepare = Df.prepare
-  let exec_block = exec_block
-  let frame st = st
-end

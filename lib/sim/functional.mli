@@ -39,29 +39,14 @@ val run :
     ["fault:"] prefix naming the first exceptional output in commit
     order; malformed blocks with a ["malformed:"] prefix. *)
 
-(** The per-block interpreter behind [run_block]/[run], exposed so a
-    timing backend can execute blocks with these exact architectural
-    semantics and read back what happened. [Inorder_sim] is the
-    consumer: it charges cycles for the firings this engine performs,
-    which makes result divergence from the functional simulator
-    impossible by construction. *)
-module Engine : sig
-  type state
-
-  val make : Block_image.program -> state
-  (** A capacity-sized state reusable across every block of the
-      program. *)
-
-  val prepare : state -> Block_image.t -> stats:Stats.t -> unit
-  (** Point the state at a block image, clear the live prefix, and
-      count the block in [stats]. *)
-
-  val exec_block :
-    state -> regs:int64 array -> mem:Edge_isa.Mem.t -> (outcome, string) result
-  (** Execute the prepared block to completion and commit its outputs
-      (see {!Dataflow.commit}). *)
-
-  val frame : state -> Dataflow.t
-  (** The core frame of the last block: which instructions fired, the
-      operands they received, how each store resolved, the exit taken. *)
-end
+val exec_block :
+  Dataflow.t -> regs:int64 array -> mem:Edge_isa.Mem.t -> (outcome, string) result
+(** The per-block interpreter behind [run_block]/[run]: execute the
+    block the frame was {!Dataflow.prepare}d for to completion and
+    commit its outputs (see {!Dataflow.commit}). The frame then records
+    which instructions fired, the operands they received, how each
+    store resolved and the exit taken. Exposed so a timing backend can
+    execute blocks with these exact architectural semantics and read
+    back what happened: [Inorder_sim] charges cycles for the firings
+    performed here, which makes result divergence from the functional
+    simulator impossible by construction. *)

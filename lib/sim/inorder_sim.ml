@@ -3,11 +3,12 @@
    One centralized tile holds the whole block; instructions issue
    [issue_per_tile] per cycle from an in-order window of [window_size]
    in-flight instructions; one block is in flight at a time.
-   Architectural execution is delegated to [Functional.Engine] — the
-   functional simulator's own per-block interpreter — and the timing
-   pass below charges cycles for exactly the firings that engine
-   performed. Results therefore cannot diverge from the functional
-   simulator by construction; only the cycle counts are modeled here.
+   Architectural execution is delegated to [Functional.exec_block] —
+   the functional simulator's own per-block interpreter, run on a
+   [Dataflow] frame — and the timing pass below charges cycles for
+   exactly the firings it performed. Results therefore cannot diverge
+   from the functional simulator by construction; only the cycle
+   counts are modeled here.
 
    The timing pass is a list scheduler over the static dataflow graph:
    a fired instruction becomes ready once every fired producer that
@@ -43,7 +44,6 @@ module Df = Dataflow
 module Ms = Memsys
 module Obs = Edge_obs.Obs
 module Ev = Edge_obs.Event
-module Engine = Functional.Engine
 
 (* bump when the timing model or [Stats] accounting changes: the
    persistent result cache keys on it *)
@@ -92,7 +92,7 @@ end
 type sim = {
   imgp : Bi.program;
   machine : Machine.t;
-  eng : Engine.state;
+  df : Df.t;  (* the core frame every block executes in *)
   regs : int64 array;
   mem : Mem.t;
   stats : Stats.t;
@@ -141,11 +141,11 @@ let run_block sim idx =
   in
   (* architectural execution: the functional engine is authoritative *)
   let fstats = Stats.create () in
-  Engine.prepare sim.eng img ~stats:fstats;
-  match Engine.exec_block sim.eng ~regs:sim.regs ~mem:sim.mem with
+  let df = sim.df in
+  Df.prepare df img ~stats:fstats;
+  match Functional.exec_block df ~regs:sim.regs ~mem:sim.mem with
   | Error msg -> Malformed msg
   | Ok outcome ->
-      let df = Engine.frame sim.eng in
       fstats.Stats.instrs_committed <- fstats.Stats.instrs_executed;
       if ms.Ms.otrace then
         Ms.emit ms
@@ -341,7 +341,7 @@ let run ?(machine = Machine.inorder_edge) ?(obs = Obs.null) program ~regs ~mem =
     {
       imgp;
       machine;
-      eng = Engine.make imgp;
+      df = Df.for_program imgp;
       regs;
       mem;
       stats;

@@ -11,9 +11,9 @@
     between blocks; a mispredict or a cold predictor pays it).
 
     Architectural semantics are not modeled here at all: every block is
-    executed by {!Functional.Engine}, the functional simulator's own
-    per-block interpreter over the {!Dataflow} core, and the timing
-    layer charges cycles for the firings that engine performed. Results
+    executed by {!Functional.exec_block}, the functional simulator's
+    own per-block interpreter over a {!Dataflow} frame, and the timing
+    layer charges cycles for the firings it performed. Results
     therefore cannot diverge from the functional simulator; only cycle
     counts are this module's own. Caches, predictor and their accounting
     are the {!Memsys} the grid backend also holds.

@@ -5,9 +5,6 @@
    so every run of a generated kernel is comparable across the reference
    interpreter and both simulators. *)
 
-let array_len = Edge_fuzz.Gen.array_len
-let addr_a = Edge_fuzz.Gen.addr_a
-let addr_b = Edge_fuzz.Gen.addr_b
 let generate = Edge_fuzz.Gen.generate
-let default_args = Edge_fuzz.Gen.default_args
-let default_mem = Edge_fuzz.Gen.default_mem
+let default_args = Edge_harness.Tracekit.default_args
+let default_mem = Edge_harness.Tracekit.default_mem

@@ -23,8 +23,8 @@ type outcome = {
 
 let run_cycle ~arena (c : Dfp.Driver.compiled) : outcome =
   let regs = Array.make 128 0L in
-  List.iteri (fun i v -> regs.(Conv.param_reg i) <- v) Fz.Gen.default_args;
-  let mem = Fz.Gen.default_mem () in
+  List.iteri (fun i v -> regs.(Conv.param_reg i) <- v) Edge_harness.Tracekit.default_args;
+  let mem = Edge_harness.Tracekit.default_mem () in
   let placement n =
     match List.assoc_opt n c.Dfp.Driver.placements with
     | Some p -> p

@@ -42,8 +42,8 @@ type runner =
 
 let run_path (run : runner) (program : Edge_isa.Program.t) : outcome =
   let regs = Array.make Conv.num_regs 0L in
-  List.iteri (fun i v -> regs.(Conv.param_reg i) <- v) Fz.Gen.default_args;
-  let mem = Fz.Gen.default_mem () in
+  List.iteri (fun i v -> regs.(Conv.param_reg i) <- v) Edge_harness.Tracekit.default_args;
+  let mem = Edge_harness.Tracekit.default_mem () in
   match run program ~regs ~mem with
   | Ok _ ->
       {
