@@ -116,8 +116,9 @@ serve-bench: build
 cross-cache-smoke: build
 	./_build/default/bin/serve_bench.exe --cross-cache
 
-# re-bless the golden trace files after an intentional schedule change;
-# inspect the diff before committing
+# re-bless the golden trace files after an intentional schedule change,
+# and the pinned compiler output (test/golden/compiled.digests) after an
+# intentional code change; inspect the diff before committing
 regen-golden: build
 	dune exec test/regen_golden.exe
 

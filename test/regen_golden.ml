@@ -1,11 +1,13 @@
 (* Regenerate the golden trace files (test/golden/*.trace) from the
-   current simulator. Run from the repo root:
+   current simulator, and the pinned compiler output
+   (test/golden/compiled.digests) from the current compiler. Run from
+   the repo root:
 
      make regen-golden        (or: dune exec test/regen_golden.exe)
 
    Inspect the diff before committing: a golden change means the
-   simulator's observable schedule changed, and that must be
-   intentional. *)
+   simulator's observable schedule or the emitted code changed, and
+   that must be intentional. *)
 
 let () =
   let dir =
@@ -43,4 +45,10 @@ let () =
   List.iter
     (write ~machine:Test_support.Goldens.inorder_machine
        ~machine_tag:Test_support.Goldens.inorder_tag)
-    (Test_support.Goldens.inorder_all ())
+    (Test_support.Goldens.inorder_all ());
+  let lines = Test_support.Compiled_pins.lines () in
+  let path = Filename.concat dir Test_support.Compiled_pins.file_name in
+  let oc = open_out_bin path in
+  List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+  close_out oc;
+  Printf.printf "wrote %s (%d compiles)\n" path (List.length lines)

@@ -334,6 +334,31 @@ let passes_idempotent () =
         regions)
     [ 7; 77; 777 ]
 
+(* every emitted byte, placement, static count and pass counter of the
+   pinned input set matches test/golden/compiled.digests (re-bless with
+   [make regen-golden] after an intended code change) *)
+let compiled_code_pinned () =
+  let pinned =
+    Test_support.Goldens.read_file (Test_support.Compiled_pins.path ())
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  let now = Test_support.Compiled_pins.lines () in
+  let key l =
+    match String.split_on_char ' ' l with
+    | name :: config :: _ -> name ^ " " ^ config
+    | _ -> l
+  in
+  let differ =
+    List.filter (fun l -> not (List.mem l pinned)) now |> List.map key
+  in
+  if differ <> [] then
+    Alcotest.failf "%d of %d compiles differ from %s, first: %s"
+      (List.length differ) (List.length now)
+      Test_support.Compiled_pins.file_name
+      (String.concat ", " (List.filteri (fun i _ -> i < 5) differ));
+  Alcotest.(check int) "pinned compiles" (List.length pinned) (List.length now)
+
 let tests =
   [
     Alcotest.test_case "region formation" `Quick region_formation;
@@ -347,4 +372,5 @@ let tests =
     Alcotest.test_case "regalloc pins result" `Quick regalloc_pins;
     Alcotest.test_case "sand pass (7)" `Quick sand_pass;
     Alcotest.test_case "passes idempotent" `Quick passes_idempotent;
+    Alcotest.test_case "compiled code pinned" `Quick compiled_code_pinned;
   ]
