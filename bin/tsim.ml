@@ -12,7 +12,9 @@
                           (load into Perfetto / chrome://tracing)
      --trace-text x.trace write the compact deterministic text trace
                           (the golden-test format)
-     --metrics            print the metrics summary table *)
+     --metrics            print the metrics summary table
+     --profile            compile once more, outside the compile memo,
+                          and print host time per compiler stage *)
 
 open Cmdliner
 
@@ -79,6 +81,46 @@ let make_obs o ~name ~header =
     in
     (Some obs, finish)
   end
+
+(* --profile: lower the kernel and compile it once more, outside the
+   compile memo, with host time recorded per compiler stage; prints µs
+   and share of the compile's wall time per stage, slowest first, and
+   the time outside every stage as [other], so the rows sum to the
+   wall time *)
+let run_profile workload config_name =
+  let ( let* ) = Result.bind in
+  let* config_name, config = config_of_name config_name in
+  let* ast =
+    if Filename.check_suffix workload ".k" then
+      Edge_lang.Parser.parse (read_file workload)
+    else
+      match Edge_workloads.Registry.find workload with
+      | Some w -> Edge_workloads.Workload.parse w
+      | None -> Error "--profile compiles a workload name or a .k kernel"
+  in
+  let* cfg = Edge_lang.Lower.lower ast in
+  let m = Edge_obs.Metrics.create () in
+  let t0 = Unix.gettimeofday () in
+  let* _ = Dfp.Driver.compile_cfg ~profile:m cfg config in
+  let wall = Float.to_int (Float.round ((Unix.gettimeofday () -. t0) *. 1e6)) in
+  let prefix = "compile.stage." and suffix = "_us" in
+  let stages =
+    Edge_obs.Metrics.counters m
+    |> List.map (fun (k, us) ->
+           let n = String.length k - String.length prefix - String.length suffix in
+           (String.sub k (String.length prefix) n, us))
+    |> List.sort (fun (_, a) (_, b) -> Int.compare b a)
+  in
+  let other = wall - List.fold_left (fun a (_, us) -> a + us) 0 stages in
+  Format.printf "compile profile %s/%s: %d us@."
+    (Filename.remove_extension (Filename.basename workload))
+    config_name wall;
+  List.iter
+    (fun (stage, us) ->
+      Format.printf "  %-12s %10d us %6.1f%%@." stage us
+        (100. *. float_of_int us /. float_of_int (max 1 wall)))
+    (stages @ [ ("other", other) ]);
+  Ok ()
 
 (* run a program from prepared registers and memory: the functional
    simulator under -f, otherwise the timing backend [machine] selects,
@@ -149,7 +191,7 @@ let run_lint workload config_name =
   Ok ()
 
 let run workload config_name machine_name functional_only no_early in_order
-    check lint asm_args trace_out trace_text metrics =
+    check lint asm_args trace_out trace_text metrics profile =
   let ( let* ) = Result.bind in
   if check then Edge_check.Check.set_enabled true;
   let oopts = { trace_out; trace_text; metrics } in
@@ -264,6 +306,11 @@ let run workload config_name machine_name functional_only no_early in_order
         Error e
     | r -> r
   in
+  let result =
+    match result with
+    | Ok () when profile -> run_profile workload config_name
+    | r -> r
+  in
   match result with
   | Ok () -> 0
   | Error e ->
@@ -345,6 +392,16 @@ let metrics_arg =
   let doc = "Print the derived metrics summary (counters and histograms)." in
   Arg.(value & flag & info [ "metrics" ] ~doc)
 
+let profile_arg =
+  let doc =
+    "After the run, compile the workload or .k kernel once more, outside \
+     the compile memo, and print the host time of each compiler stage \
+     (each pass, ssa, unroll, regions, sizing, check) in µs and as a \
+     share of the compile's wall time; [other] is the time outside \
+     every stage."
+  in
+  Arg.(value & flag & info [ "profile" ] ~doc)
+
 let cmd =
   let doc = "cycle-level TRIPS-like simulator" in
   Cmd.v
@@ -353,6 +410,6 @@ let cmd =
       const run $ workload_arg $ config_arg $ machine_arg $ functional_arg
       $ no_early_arg $ in_order_arg $ check_arg
       $ lint_arg $ asm_args_arg $ trace_out_arg $ trace_text_arg
-      $ metrics_arg)
+      $ metrics_arg $ profile_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -19,27 +19,47 @@ type compiled = {
 
 let ( let* ) = Result.bind
 
+(* Host time per compile stage.  With a [profile] registry, [timed]
+   adds the stage's wall time, in µs, to its counter; without one it
+   reads no clock.  Stages never nest, so their sum is the part of the
+   compile they cover. *)
+let stage_counter stage = "compile.stage." ^ stage ^ "_us"
+
+let timed profile stage f =
+  match profile with
+  | None -> f ()
+  | Some m ->
+      let t0 = Unix.gettimeofday () in
+      let r = f () in
+      let us = Float.round ((Unix.gettimeofday () -. t0) *. 1e6) in
+      Edge_obs.Metrics.incr m (stage_counter stage) ~by:(Float.to_int us);
+      r
+
+let timed_pass profile pass f = timed profile (Pass_id.name pass) f
+
 (* Render a checker result as a pipeline error (the first diagnostic,
    with overflow counted).  [check = false] short-circuits: the checker
    costs compile time and only runs when requested. *)
-let checked ~check result_thunk =
+let checked ?profile ~check result_thunk =
   if not check then Ok ()
   else
-    match Edge_check.Check.to_error (result_thunk ()) with
-    | None -> Ok ()
-    | Some e -> Error e
+    timed profile "check" (fun () ->
+        match Edge_check.Check.to_error (result_thunk ()) with
+        | None -> Ok ()
+        | Some e -> Error e)
 
-let check_hblocks ~check ~pass hblocks =
-  checked ~check (fun () ->
+let check_hblocks ?profile ~check ~pass hblocks =
+  checked ?profile ~check (fun () ->
       Edge_check.Check.hblocks ~pass:(Pass_id.name pass) hblocks)
 
 (* The psi round-trip invariant: Psi-SSA construction followed by
    destruction must be the structural identity on every hyperblock (so
    it trivially preserves checker verdicts).  Runs with [check] on,
    after the optimization pipeline. *)
-let check_psi_roundtrip ~check ~gen hblocks =
+let check_psi_roundtrip ?profile ~check ~gen hblocks =
   if not check then Ok ()
   else
+    timed profile "check" @@ fun () ->
     List.fold_left
       (fun acc (h : Hb.t) ->
         let* () = acc in
@@ -65,68 +85,57 @@ let rec convert_regions ?m cfg liveness ~retq regions =
    the refined region list.  With [check] on, the static verifier runs
    after every optimization pass and any diagnostic aborts compilation,
    naming the pass that broke the invariant. *)
-let apply_opts ?m ?(check = false) ?lint (config : Config.t) cfg liveness
-    ~retq hblocks =
-  let hook pass = check_hblocks ~check ~pass hblocks in
+let apply_opts ?m ?profile ?(check = false) ?lint (config : Config.t) cfg
+    liveness ~retq hblocks =
+  (* run one pass, then its checker hook *)
+  let pass id run =
+    timed_pass profile id run;
+    check_hblocks ?profile ~check ~pass:id hblocks
+  in
+  let each run () = List.iter run hblocks in
   if config.Config.mode <> Config.Hyper then Ok hblocks
   else
     let* () =
-      if config.Config.opt_path_sensitive then begin
-        Opt_path.run ?m hblocks cfg liveness ~retq;
-        hook Pass_id.Opt_path
-      end
+      if config.Config.opt_path_sensitive then
+        pass Pass_id.Opt_path (fun () ->
+            Opt_path.run ?m hblocks cfg liveness ~retq)
       else Ok ()
     in
     let* () =
-      if config.Config.opt_fanout then begin
-        List.iter (Opt_fanout.run ?m) hblocks;
-        hook Pass_id.Opt_fanout
-      end
+      if config.Config.opt_fanout then
+        pass Pass_id.Opt_fanout (each (Opt_fanout.run ?m))
       else Ok ()
     in
     let* () =
-      if config.Config.opt_merge then begin
-        List.iter (Opt_merge.run ?m) hblocks;
-        hook Pass_id.Opt_merge
-      end
+      if config.Config.opt_merge then
+        pass Pass_id.Opt_merge (each (Opt_merge.run ?m))
       else Ok ()
     in
     let* () =
-      if config.Config.use_sand then begin
-        List.iter
-          (fun h -> ignore (Opt_sand.run ?m h ~gen:cfg.Cfg.gen))
-          hblocks;
-        hook Pass_id.Opt_sand
-      end
+      if config.Config.use_sand then
+        pass Pass_id.Opt_sand
+          (each (fun h -> ignore (Opt_sand.run ?m h ~gen:cfg.Cfg.gen)))
       else Ok ()
     in
-    let* () =
-      List.iter Opt_hclean.run hblocks;
-      hook Pass_id.Opt_hclean
-    in
+    let* () = pass Pass_id.Opt_hclean (each Opt_hclean.run) in
     (* lint mode reports what opt_ineff would do and leaves the code
        alone, so the diagnostics describe the blocks the caller sees *)
     match lint with
     | Some report ->
-        List.iter
-          (fun (h : Hb.t) -> List.iter report (Opt_ineff.findings h))
-          hblocks;
+        timed_pass profile Pass_id.Opt_ineff
+          (each (fun h -> List.iter report (Opt_ineff.findings h)));
         Ok hblocks
     | None ->
         let* () =
-          if config.Config.opt_ineff then begin
-            List.iter (Opt_ineff.run ?m) hblocks;
-            hook Pass_id.Opt_ineff
-          end
+          if config.Config.opt_ineff then
+            pass Pass_id.Opt_ineff (each (Opt_ineff.run ?m))
           else Ok ()
         in
         let* () =
           (* mop up the test/pred chains the deleted sites and dropped
              guards were the last consumers of *)
-          if config.Config.opt_ineff then begin
-            List.iter Opt_hclean.run hblocks;
-            hook Pass_id.Opt_hclean
-          end
+          if config.Config.opt_ineff then
+            pass Pass_id.Opt_hclean (each Opt_hclean.run)
           else Ok ()
         in
         Ok hblocks
@@ -134,20 +143,24 @@ let apply_opts ?m ?(check = false) ?lint (config : Config.t) cfg liveness
 (* Each attempt gets a fresh registry: a retry after an emit failure
    redoes the whole pipeline, and only the successful attempt's counts
    may survive. *)
-let rec generate ~check ?lint cfg (config : Config.t) liveness ~retq ~params
-    regions =
+let rec generate ?profile ~check ?lint cfg (config : Config.t) liveness ~retq
+    ~params regions =
   let m = Edge_obs.Metrics.create () in
-  let* hblocks = convert_regions ~m cfg liveness ~retq regions in
-  let* () = check_hblocks ~check ~pass:Pass_id.If_convert hblocks in
   let* hblocks =
-    apply_opts ~m ~check ?lint config cfg liveness ~retq hblocks
+    timed_pass profile Pass_id.If_convert (fun () ->
+        convert_regions ~m cfg liveness ~retq regions)
   in
-  let* () = check_psi_roundtrip ~check ~gen:cfg.Cfg.gen hblocks in
+  let* () = check_hblocks ?profile ~check ~pass:Pass_id.If_convert hblocks in
+  let* hblocks =
+    apply_opts ~m ?profile ~check ?lint config cfg liveness ~retq hblocks
+  in
+  let* () = check_psi_roundtrip ?profile ~check ~gen:cfg.Cfg.gen hblocks in
   let* alloc =
-    Regalloc.allocate hblocks ~entry:cfg.Cfg.entry ~params ~retq
+    timed_pass profile Pass_id.Regalloc (fun () ->
+        Regalloc.allocate hblocks ~entry:cfg.Cfg.entry ~params ~retq)
   in
   let* () =
-    checked ~check (fun () ->
+    checked ?profile ~check (fun () ->
         List.fold_left
           (fun acc (h : Hb.t) ->
             Edge_check.Check.merge acc
@@ -165,10 +178,10 @@ let rec generate ~check ?lint cfg (config : Config.t) liveness ~retq ~params
         | Ok e -> emit_all ((h, e) :: acc) tl
         | Error msg -> Error (h.Hb.hname, msg))
   in
-  match emit_all [] hblocks with
+  match timed_pass profile Pass_id.Codegen (fun () -> emit_all [] hblocks) with
   | Ok emitted ->
       let* () =
-        checked ~check (fun () ->
+        checked ?profile ~check (fun () ->
             List.fold_left
               (fun acc (_, e) ->
                 Edge_check.Check.merge acc
@@ -197,7 +210,8 @@ let rec generate ~check ?lint cfg (config : Config.t) liveness ~retq ~params
                 else [ r' ])
               regions
           in
-          generate ~check ?lint cfg config liveness ~retq ~params refined
+          generate ?profile ~check ?lint cfg config liveness ~retq ~params
+            refined
       | _ -> Error msg)
 
 (* Size regions against the *naive* (baseline) predication: if the fully
@@ -255,17 +269,18 @@ let rec fit_regions cfg (config : Config.t) liveness ~retq ~params regions =
            let the config's own pipeline report it *)
         Ok regions
 
-let compile_cfg ?check ?lint cfg (config : Config.t) =
+let compile_cfg ?check ?lint ?profile cfg (config : Config.t) =
   let check =
     match check with Some c -> c | None -> Edge_check.Check.enabled ()
   in
   let params = cfg.Cfg.params in
-  Edge_ir.Ssa.construct cfg;
-  Opt_classic.run cfg;
-  Edge_ir.Ssa.destruct cfg;
-  Cfg.prune_unreachable cfg;
+  timed profile "ssa" (fun () -> Edge_ir.Ssa.construct cfg);
+  timed_pass profile Pass_id.Opt_classic (fun () -> Opt_classic.run cfg);
+  timed profile "ssa" (fun () ->
+      Edge_ir.Ssa.destruct cfg;
+      Cfg.prune_unreachable cfg);
   let* () =
-    checked ~check (fun () ->
+    checked ?profile ~check (fun () ->
         Edge_check.Check.cfg ~pass:(Pass_id.name Pass_id.Opt_classic) cfg)
   in
   if config.Config.mode = Config.Hyper then begin
@@ -274,23 +289,27 @@ let compile_cfg ?check ?lint cfg (config : Config.t) =
         config.Config.max_block_instrs * 9 / 10
       else config.Config.max_block_instrs / 2
     in
-    Unroll.run cfg ~max_unroll:config.Config.max_unroll ~target_instrs:target
+    timed profile "unroll" (fun () ->
+        Unroll.run cfg ~max_unroll:config.Config.max_unroll
+          ~target_instrs:target)
   end;
   let retq = Temp.Gen.fresh cfg.Cfg.gen in
   let liveness = Liveness.compute cfg in
   let* regions =
     match config.Config.mode with
-    | Config.Bb -> Ok (Region.singletons cfg)
+    | Config.Bb -> Ok (timed profile "regions" (fun () -> Region.singletons cfg))
     | Config.Hyper ->
         let frac = if config.Config.aggressive_regions then 70 else 45 in
         let initial =
-          Region.select cfg
-            ~budget:(config.Config.max_block_instrs * frac / 100)
+          timed profile "regions" (fun () ->
+              Region.select cfg
+                ~budget:(config.Config.max_block_instrs * frac / 100))
         in
-        fit_regions cfg config liveness ~retq ~params initial
+        timed profile "sizing" (fun () ->
+            fit_regions cfg config liveness ~retq ~params initial)
   in
   let* emitted, pass_counters =
-    generate ~check ?lint cfg config liveness ~retq ~params regions
+    generate ?profile ~check ?lint cfg config liveness ~retq ~params regions
   in
   let blocks = List.map (fun (_, e) -> e.Codegen.block) emitted in
   let entry = cfg.Cfg.entry in
@@ -301,12 +320,14 @@ let compile_cfg ?check ?lint cfg (config : Config.t) =
     | Error es -> Error (String.concat "; " es)
   in
   let placements =
-    List.map
-      (fun (b : Edge_isa.Block.t) -> (b.Edge_isa.Block.name, Schedule.place b))
-      blocks
+    timed_pass profile Pass_id.Schedule (fun () ->
+        List.map
+          (fun (b : Edge_isa.Block.t) ->
+            (b.Edge_isa.Block.name, Schedule.place b))
+          blocks)
   in
   let* () =
-    checked ~check (fun () ->
+    checked ?profile ~check (fun () ->
         List.fold_left2
           (fun acc (b : Edge_isa.Block.t) (_, p) ->
             Edge_check.Check.merge acc

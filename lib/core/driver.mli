@@ -29,6 +29,7 @@ type compiled = {
 val compile_cfg :
   ?check:bool ->
   ?lint:(Opt_ineff.finding -> unit) ->
+  ?profile:Edge_obs.Metrics.t ->
   Edge_ir.Cfg.t ->
   Config.t ->
   (compiled, string) result
@@ -46,4 +47,13 @@ val compile_cfg :
     [lint] switches the ineffectuality pass into report mode: every
     finding is passed to the callback and the code is left untouched
     (deletion is suppressed even when the config enables it), so the
-    diagnostics describe the program that actually runs. *)
+    diagnostics describe the program that actually runs.
+
+    [profile] adds host time per stage, in µs, to the registry's
+    ["compile.stage.<stage>_us"] counters.  The stages are the
+    {!Pass_id.name} of each pass, [ssa] (construction and destruction),
+    [unroll], [regions] (initial region selection), [sizing] (the whole
+    region-fitting loop, its throwaway compiles included) and [check]
+    (every checker call).  Stages do not nest; the compile's remaining
+    time (liveness, program assembly) falls outside them.  Without a
+    registry no clock is read.  The result does not depend on it. *)

@@ -359,6 +359,36 @@ let compiled_code_pinned () =
       (String.concat ", " (List.filteri (fun i _ -> i < 5) differ));
   Alcotest.(check int) "pinned compiles" (List.length pinned) (List.length now)
 
+(* a profiled compile records host time per stage and returns the same
+   artifact as an unprofiled one *)
+let profiled_compile_equal () =
+  List.iter
+    (fun (name, config) ->
+      let w = Option.get (Edge_workloads.Registry.find name) in
+      let lower () =
+        Result.get_ok
+          (Result.bind (Edge_workloads.Workload.parse w) Edge_lang.Lower.lower)
+      in
+      let plain = Dfp.Driver.compile_cfg ~check:true (lower ()) config in
+      let m = Edge_obs.Metrics.create () in
+      let profiled =
+        Dfp.Driver.compile_cfg ~check:true ~profile:m (lower ()) config
+      in
+      check (name ^ " same compiled") true (plain = profiled);
+      let stages = List.map fst (Edge_obs.Metrics.counters m) in
+      List.iter
+        (fun stage ->
+          check
+            (name ^ " times " ^ stage)
+            true
+            (List.mem ("compile.stage." ^ stage ^ "_us") stages))
+        [ "ssa"; "opt_classic"; "regions"; "codegen"; "schedule"; "check" ])
+    [
+      ("ospf", Dfp.Config.both);
+      ("a2time01", Dfp.Config.hand_optimized);
+      ("bitmnp01", Dfp.Config.bb);
+    ]
+
 let tests =
   [
     Alcotest.test_case "region formation" `Quick region_formation;
@@ -373,4 +403,5 @@ let tests =
     Alcotest.test_case "sand pass (7)" `Quick sand_pass;
     Alcotest.test_case "passes idempotent" `Quick passes_idempotent;
     Alcotest.test_case "compiled code pinned" `Quick compiled_code_pinned;
+    Alcotest.test_case "profiled compile equal" `Quick profiled_compile_equal;
   ]
