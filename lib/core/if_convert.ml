@@ -38,30 +38,44 @@ let topo_order cfg region =
   dfs region.head;
   !order
 
-(* Post-dominators of the region subgraph, rooted at a virtual exit that
-   absorbs every exit edge. *)
-let region_postdom cfg region order =
-  let succs l =
-    if Label.equal l exit_node then []
-    else
-      let s = Cfg.succs cfg (Cfg.block cfg l).Cfg.label in
+(* The region subgraph, built once: [succs l] lists the internal
+   successors of block [l], behind [exit_node] when [l] has an exit edge
+   or returns; [preds x] lists, in topological order and each once, the
+   blocks with an edge to node [x], the virtual exit included. *)
+let region_edges cfg region order =
+  let succ_tbl = Hashtbl.create 16 in
+  List.iter
+    (fun l ->
+      let b = Cfg.block cfg l in
+      let s = Tac.term_succs b.Cfg.term in
       let internal = List.filter (fun x -> internal_edge region (l, x)) s in
       let has_exit =
         List.exists (fun x -> not (internal_edge region (l, x))) s
-        || (match (Cfg.block cfg l).Cfg.term with
+        || (match b.Cfg.term with
            | Tac.Ret _ -> true
            | Tac.Jmp _ | Tac.Cbr _ -> false)
       in
-      if has_exit then exit_node :: internal else internal
+      Hashtbl.replace succ_tbl l (if has_exit then exit_node :: internal else internal))
+    order;
+  let succs l =
+    if Label.equal l exit_node then [] else Hashtbl.find succ_tbl l
   in
-  let preds l =
-    if Label.equal l exit_node then
-      List.filter (fun b -> List.mem exit_node (succs b)) order
-    else
-      List.filter
-        (fun p -> Label.Set.mem p region.blocks && List.mem l (succs p))
-        order
-  in
+  let pred_tbl = Hashtbl.create 16 in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun x ->
+          match Hashtbl.find_opt pred_tbl x with
+          | Some (q :: _) when Label.equal q p -> ()
+          | ps -> Hashtbl.replace pred_tbl x (p :: Option.value ~default:[] ps))
+        (succs p))
+    (List.rev order);
+  let preds x = Option.value ~default:[] (Hashtbl.find_opt pred_tbl x) in
+  (succs, preds)
+
+(* Post-dominators of the region subgraph, rooted at a virtual exit that
+   absorbs every exit edge. *)
+let region_postdom (succs, preds) =
   (* reverse postorder of the reversed graph from the virtual exit *)
   let visited = Hashtbl.create 16 in
   let post = ref [] in
@@ -73,13 +87,7 @@ let region_postdom cfg region order =
     end
   in
   dfs exit_node;
-  Dom.compute
-    {
-      Dom.g_entry = exit_node;
-      g_nodes = !post;
-      g_preds = succs;
-      g_succs = preds;
-    }
+  Dom.compute { Dom.g_nodes = !post; g_preds = succs }
 
 type edge_guard = Hb.guard option
 (* [None]: the edge is traversed whenever its source executes *)
@@ -163,7 +171,8 @@ let convert ?m cfg liveness region ~retq =
       && List.for_all (fun l -> Label.Set.mem l region.blocks) order)
   then Error (Printf.sprintf "region %s: unreachable or cyclic blocks" region.head)
   else begin
-    let pdom = region_postdom cfg region order in
+    let ((_, region_preds) as edges) = region_edges cfg region order in
+    let pdom = region_postdom edges in
     let cv =
       {
         cfg;
@@ -231,15 +240,7 @@ let convert ?m cfg liveness region ~retq =
         in
         Hashtbl.replace cv.guards l g;
         (* 2. merge incoming version maps, emitting join moves *)
-        let in_edges =
-          List.filter
-            (fun p ->
-              Label.Set.mem p region.blocks
-              && List.exists
-                   (fun s -> Label.equal s l && internal_edge region (p, s))
-                   (Cfg.succs cfg p))
-            order
-        in
+        let in_edges = region_preds l in
         let in_map =
           if Label.equal l region.head then Temp.Map.empty
           else begin

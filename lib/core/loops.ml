@@ -11,6 +11,7 @@ type loop = {
 
 let find cfg =
   let dom = Dom.of_cfg cfg in
+  let preds = Cfg.pred_table cfg in
   let labels = Cfg.rpo cfg in
   (* back edge: l -> h where h dominates l *)
   let back_edges =
@@ -51,7 +52,7 @@ let find cfg =
                 body := Label.Set.add p !body;
                 Queue.add p work
               end)
-            (Cfg.preds cfg n)
+            (preds n)
         done;
         { header; latches; body = !body; innermost = true } :: acc)
       by_header []

@@ -140,23 +140,18 @@ let propagate cfg =
     (Cfg.rpo cfg);
   !changed
 
-(* Dominator-scoped CSE over pure instructions. *)
+(* Dominator-scoped CSE over pure instructions, keyed by the
+   instruction itself with its destination zeroed. *)
 let cse cfg =
   let changed = ref false in
   let dom = Dom.of_cfg cfg in
-  let table : (string, Temp.t) Hashtbl.t = Hashtbl.create 64 in
+  let table : (Tac.instr, Temp.t) Hashtbl.t = Hashtbl.create 64 in
   let key i =
     match i with
-    | Tac.Bin { op; a; b; _ } ->
-        Some (Format.asprintf "b%d|%a|%a" (Hashtbl.hash op) Tac.pp_operand a Tac.pp_operand b)
-    | Tac.Fbin { op; a; b; _ } ->
-        Some (Format.asprintf "f%d|%a|%a" (Hashtbl.hash op) Tac.pp_operand a Tac.pp_operand b)
-    | Tac.Cmp { cond; fp; a; b; _ } ->
-        Some
-          (Format.asprintf "c%d%b|%a|%a" (Hashtbl.hash cond) fp Tac.pp_operand a
-             Tac.pp_operand b)
-    | Tac.Un { op; a; _ } ->
-        Some (Format.asprintf "u%d|%a" (Hashtbl.hash op) Tac.pp_operand a)
+    | Tac.Bin r -> Some (Tac.Bin { r with dst = 0 })
+    | Tac.Fbin r -> Some (Tac.Fbin { r with dst = 0 })
+    | Tac.Cmp r -> Some (Tac.Cmp { r with dst = 0 })
+    | Tac.Un r -> Some (Tac.Un { r with dst = 0 })
     | Tac.Load _ | Tac.Store _ | Tac.Phi _ -> None
   in
   let rec walk l scope =
@@ -214,13 +209,16 @@ let dce cfg =
   !changed
 
 (* Merge straight-line jump chains: b ends in Jmp s, s has one pred and is
-   not the entry: inline s into b. *)
+   not the entry: inline s into b.  A merge hands s's out-edges to b,
+   which had no other successor, so every remaining block keeps its
+   number of predecessors: one table per scan answers the whole scan. *)
 let merge_chains cfg =
   let changed = ref false in
   let continue_scan = ref true in
   while !continue_scan do
     continue_scan := false;
     let labels = Cfg.rpo cfg in
+    let preds = Cfg.pred_table cfg in
     List.iter
       (fun l ->
         match Cfg.block_opt cfg l with
@@ -230,7 +228,7 @@ let merge_chains cfg =
             | Tac.Jmp s
               when (not (Label.equal s cfg.Cfg.entry))
                    && (not (Label.equal s l))
-                   && List.length (Cfg.preds cfg s) = 1 ->
+                   && List.length (preds s) = 1 ->
                 let sb = Cfg.block cfg s in
                 let has_phi =
                   List.exists
@@ -275,10 +273,11 @@ let merge_chains cfg =
 (* Branch folding and unreachable-block pruning change the edge set;
    phi arguments for edges that no longer exist must be dropped. *)
 let prune_phi_args cfg =
+  let pred_table = Cfg.pred_table cfg in
   List.iter
     (fun l ->
       let b = Cfg.block cfg l in
-      let preds = Cfg.preds cfg l in
+      let preds = pred_table l in
       b.Cfg.instrs <-
         List.map
           (function

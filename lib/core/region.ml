@@ -31,6 +31,7 @@ let split region _cfg =
    oversized region with a smaller budget). *)
 let select_restricted cfg ~allowed ~budget =
   let loops = Loops.find cfg in
+  let preds = Cfg.pred_table cfg in
   let loop_headers =
     List.fold_left
       (fun acc l -> Label.Set.add l.Loops.header acc)
@@ -84,7 +85,7 @@ let select_restricted cfg ~allowed ~budget =
                           && (not (Label.equal s cfg.Cfg.entry))
                           && List.for_all
                                (fun p -> Label.Set.mem p !blocks)
-                               (Cfg.preds cfg s)
+                               (preds s)
                         then s :: acc
                         else acc)
                       acc (Cfg.succs cfg b))

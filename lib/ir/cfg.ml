@@ -27,11 +27,20 @@ let remove_block t l = t.blocks <- Label.Map.remove l t.blocks
 let labels t = Label.Map.bindings t.blocks |> List.map fst
 let succs t l = Tac.term_succs (block t l).term
 
-let preds t l =
-  Label.Map.fold
-    (fun pl b acc -> if List.mem l (Tac.term_succs b.term) then pl :: acc else acc)
-    t.blocks []
-  |> List.rev
+let pred_table t =
+  let tbl = Hashtbl.create 16 in
+  (* descending label order, so consing leaves every list ascending; a
+     [Cbr] with both arms on one label meets its own label at the head *)
+  Seq.iter
+    (fun (pl, b) ->
+      List.iter
+        (fun s ->
+          match Hashtbl.find_opt tbl s with
+          | Some (p :: _) when Label.equal p pl -> ()
+          | ps -> Hashtbl.replace tbl s (pl :: Option.value ~default:[] ps))
+        (Tac.term_succs b.term))
+    (Label.Map.to_rev_seq t.blocks);
+  fun l -> Option.value ~default:[] (Hashtbl.find_opt tbl l)
 
 let rpo t =
   let visited = Hashtbl.create 16 in

@@ -17,7 +17,13 @@ val block_opt : t -> Label.t -> bblock option
 val remove_block : t -> Label.t -> unit
 val labels : t -> Label.t list
 val succs : t -> Label.t -> Label.t list
-val preds : t -> Label.t -> Label.t list
+
+val pred_table : t -> Label.t -> Label.t list
+(** [pred_table t] builds every block's predecessor list in one pass over
+    the blocks and returns the lookup.  A list is in ascending label
+    order and names each predecessor once, also a [Cbr] whose two arms
+    share a target.  The table describes the edges as they were when it
+    was built: rebuild it after changing them. *)
 
 val rpo : t -> Label.t list
 (** Reverse postorder from the entry; unreachable blocks are excluded. *)

@@ -1,9 +1,4 @@
-type graph = {
-  g_entry : Label.t;
-  g_nodes : Label.t list;
-  g_preds : Label.t -> Label.t list;
-  g_succs : Label.t -> Label.t list;
-}
+type graph = { g_nodes : Label.t list; g_preds : Label.t -> Label.t list }
 
 type t = {
   order : (Label.t, int) Hashtbl.t;  (* reverse postorder numbering *)
@@ -14,13 +9,17 @@ type t = {
   kids : Label.t list array;
 }
 
-let exit_label = "@exit"
-
 let compute g =
   let nodes = Array.of_list g.g_nodes in
   let n = Array.length nodes in
   let order = Hashtbl.create n in
   Array.iteri (fun i l -> Hashtbl.replace order l i) nodes;
+  (* each node's predecessors by rpo number, looked up once *)
+  let preds =
+    Array.map
+      (fun l -> List.filter_map (fun p -> Hashtbl.find_opt order p) (g.g_preds l))
+      nodes
+  in
   let idoms = Array.make n (-1) in
   if n > 0 then idoms.(0) <- 0;
   let rec intersect a b =
@@ -32,12 +31,7 @@ let compute g =
   while !changed do
     changed := false;
     for i = 1 to n - 1 do
-      let preds =
-        g.g_preds nodes.(i)
-        |> List.filter_map (fun p -> Hashtbl.find_opt order p)
-        |> List.filter (fun p -> idoms.(p) >= 0 || p = 0)
-      in
-      match List.filter (fun p -> idoms.(p) >= 0) preds with
+      match List.filter (fun p -> idoms.(p) >= 0) preds.(i) with
       | [] -> ()
       | first :: rest ->
           let new_idom = List.fold_left intersect first rest in
@@ -49,11 +43,7 @@ let compute g =
   done;
   let frontiers = Array.make n [] in
   for i = 0 to n - 1 do
-    let preds =
-      g.g_preds nodes.(i)
-      |> List.filter_map (fun p -> Hashtbl.find_opt order p)
-    in
-    if List.length preds >= 2 then
+    if List.length preds.(i) >= 2 then
       List.iter
         (fun p ->
           if idoms.(p) >= 0 || p = 0 then begin
@@ -65,7 +55,7 @@ let compute g =
               else runner := idoms.(!runner)
             done
           end)
-        preds
+        preds.(i)
   done;
   let kids = Array.make n [] in
   for i = n - 1 downto 1 do
@@ -74,45 +64,7 @@ let compute g =
   done;
   { order; nodes; idoms; frontiers; kids }
 
-let of_cfg cfg =
-  compute
-    {
-      g_entry = cfg.Cfg.entry;
-      g_nodes = Cfg.rpo cfg;
-      g_preds = Cfg.preds cfg;
-      g_succs = Cfg.succs cfg;
-    }
-
-let of_cfg_post cfg =
-  let rets =
-    List.filter
-      (fun l ->
-        match (Cfg.block cfg l).Cfg.term with
-        | Tac.Ret _ -> true
-        | Tac.Jmp _ | Tac.Cbr _ -> false)
-      (Cfg.rpo cfg)
-  in
-  let preds l = if Label.equal l exit_label then rets else Cfg.succs cfg l in
-  let succs l =
-    if Label.equal l exit_label then []
-    else
-      let s = Cfg.preds cfg l in
-      if List.mem l rets then exit_label :: s else s
-  in
-  ignore succs;
-  (* reverse postorder on the reversed graph *)
-  let visited = Hashtbl.create 16 in
-  let post = ref [] in
-  let rec dfs l =
-    if not (Hashtbl.mem visited l) then begin
-      Hashtbl.add visited l ();
-      List.iter dfs (preds l);
-      post := l :: !post
-    end
-  in
-  dfs exit_label;
-  compute
-    { g_entry = exit_label; g_nodes = !post; g_preds = preds; g_succs = succs }
+let of_cfg cfg = compute { g_nodes = Cfg.rpo cfg; g_preds = Cfg.pred_table cfg }
 
 let num t l = Hashtbl.find_opt t.order l
 
@@ -131,15 +83,7 @@ let dominates t a b =
       walk ib
   | _ -> false
 
-let strictly_dominates t a b = (not (Label.equal a b)) && dominates t a b
-
 let frontier t l =
   match num t l with None -> [] | Some i -> t.frontiers.(i)
 
 let children t l = match num t l with None -> [] | Some i -> t.kids.(i)
-
-let dom_tree_preorder t =
-  if Array.length t.nodes = 0 then []
-  else
-    let rec go l = l :: List.concat_map go (children t l) in
-    go t.nodes.(0)

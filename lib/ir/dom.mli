@@ -1,25 +1,20 @@
 (** Dominator analysis (Cooper–Harvey–Kennedy iterative algorithm) and
     dominance frontiers, over an abstract graph so the same code serves
-    the CFG, the reversed CFG (post-dominators) and the predicate flow
-    graph. *)
+    the CFG and the reversed region graphs of if-conversion
+    (post-dominators). *)
 
 type graph = {
-  g_entry : Label.t;
-  g_nodes : Label.t list;  (** reverse postorder from [g_entry] *)
+  g_nodes : Label.t list;  (** reverse postorder from the root *)
   g_preds : Label.t -> Label.t list;
-  g_succs : Label.t -> Label.t list;
 }
 
 type t
 
 val compute : graph -> t
+(** [g_preds] is asked once per node. *)
+
 val of_cfg : Cfg.t -> t
-
-val of_cfg_post : Cfg.t -> t
-(** Post-dominators. The reversed graph is rooted at a virtual exit node
-    [exit_label] connected to every [Ret] block. *)
-
-val exit_label : Label.t
+(** Dominators of the CFG from its entry, over one {!Cfg.pred_table}. *)
 
 val idom : t -> Label.t -> Label.t option
 (** Immediate dominator; [None] for the root. *)
@@ -27,9 +22,6 @@ val idom : t -> Label.t -> Label.t option
 val dominates : t -> Label.t -> Label.t -> bool
 (** [dominates t a b]: does [a] dominate [b]? Reflexive. *)
 
-val strictly_dominates : t -> Label.t -> Label.t -> bool
 val frontier : t -> Label.t -> Label.t list
 val children : t -> Label.t -> Label.t list
 (** Dominator-tree children. *)
-
-val dom_tree_preorder : t -> Label.t list

@@ -156,8 +156,12 @@ let construct cfg =
       b.Cfg.instrs <- new_phis @ b.Cfg.instrs)
     phis
 
+(* Splitting the edge l -> s puts the new block in l's place among s's
+   predecessors, so every count the loop reads stays as the table built
+   up front has it. *)
 let split_critical_edges cfg =
   let labels = Cfg.rpo cfg in
+  let preds = Cfg.pred_table cfg in
   let counter = ref 0 in
   List.iter
     (fun l ->
@@ -172,7 +176,7 @@ let split_critical_edges cfg =
                 (function Tac.Phi _ -> true | _ -> false)
                 sb.Cfg.instrs
             in
-            if has_phi && List.length (Cfg.preds cfg s) > 1 then begin
+            if has_phi && List.length (preds s) > 1 then begin
               incr counter;
               let nl = Printf.sprintf "%s.split%d" l !counter in
               Cfg.add_block cfg

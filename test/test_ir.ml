@@ -80,8 +80,7 @@ let naive_dominates cfg a b =
     not (Hashtbl.mem visited b)
   end
 
-let dominators_match_naive () =
-  let cfg = build_loop_cfg () in
+let dominators_agree what cfg =
   let dom = Dom.of_cfg cfg in
   let labels = Cfg.rpo cfg in
   List.iter
@@ -91,9 +90,87 @@ let dominators_match_naive () =
           let fast = Dom.dominates dom a b in
           let slow = naive_dominates cfg a b in
           if fast <> slow then
-            Alcotest.failf "dominates %s %s: fast=%b naive=%b" a b fast slow)
+            Alcotest.failf "%s: dominates %s %s: fast=%b naive=%b" what a b
+              fast slow)
         labels)
     labels
+
+(* the lowered CFG of every registry workload and example kernel *)
+let kernel_cfgs () =
+  let lower what ast =
+    match Edge_lang.Lower.lower ast with
+    | Ok cfg -> (what, cfg)
+    | Error e -> Alcotest.failf "%s: lower: %s" what e
+  in
+  List.map
+    (fun (w : Edge_workloads.Workload.t) ->
+      lower w.Edge_workloads.Workload.name
+        (Result.get_ok (Edge_workloads.Workload.parse w)))
+    Edge_workloads.Registry.all
+  @ List.map
+      (fun k ->
+        lower k
+          (Result.get_ok
+             (Edge_lang.Parser.parse (Test_support.Goldens.kernel_source k))))
+      Test_support.Goldens.kernels
+
+let dominators_match_naive () =
+  dominators_agree "loop cfg" (build_loop_cfg ());
+  List.iter
+    (fun (what, cfg) ->
+      dominators_agree (what ^ " lowered") cfg;
+      Edge_ir.Ssa.construct cfg;
+      dominators_agree (what ^ " in ssa") cfg)
+    (kernel_cfgs ())
+
+(* the naive predecessor list: every block whose terminator names [l],
+   in ascending label order, each once *)
+let naive_preds cfg l =
+  List.filter (fun p -> List.mem l (Cfg.succs cfg p)) (Cfg.labels cfg)
+
+let preds_agree what cfg =
+  let table = Cfg.pred_table cfg in
+  let labels = Cfg.labels cfg in
+  List.iter
+    (fun l ->
+      let fast = table l and slow = naive_preds cfg l in
+      if fast <> slow then
+        Alcotest.failf "%s: preds %s: table [%s], naive [%s]" what l
+          (String.concat " " fast) (String.concat " " slow))
+    (List.sort_uniq Label.compare
+       (labels @ List.concat_map (Cfg.succs cfg) labels))
+
+let pred_table_matches_naive () =
+  (* a Cbr with both arms on one label names its block once *)
+  let cfg =
+    Cfg.create ~fname:"f" ~params:[ 0 ] ~entry:"entry" ~gen:(Temp.Gen.create ())
+  in
+  Cfg.add_block cfg
+    {
+      Cfg.label = "entry";
+      instrs = [];
+      term = Tac.Cbr { c = 0; if_true = "join"; if_false = "join" };
+    };
+  Cfg.add_block cfg { Cfg.label = "a"; instrs = []; term = Tac.Jmp "join" };
+  Cfg.add_block cfg { Cfg.label = "join"; instrs = []; term = Tac.Ret None };
+  let table = Cfg.pred_table cfg in
+  check "shared Cbr target named once" true (table "join" = [ "a"; "entry" ]);
+  check "no predecessors" true (table "entry" = []);
+  preds_agree "shared Cbr target" cfg;
+  preds_agree "loop cfg" (build_loop_cfg ());
+  (* through the pipeline: lowered, in SSA, after the classic
+     optimizations (which end in merge_chains), after SSA destruction
+     (critical edges split) *)
+  List.iter
+    (fun (what, cfg) ->
+      preds_agree (what ^ " lowered") cfg;
+      Edge_ir.Ssa.construct cfg;
+      preds_agree (what ^ " in ssa") cfg;
+      Dfp.Opt_classic.run cfg;
+      preds_agree (what ^ " after merge_chains") cfg;
+      Edge_ir.Ssa.destruct cfg;
+      preds_agree (what ^ " destructed") cfg)
+    (kernel_cfgs ())
 
 let dominator_tree_shape () =
   let cfg = build_loop_cfg () in
@@ -220,6 +297,7 @@ let tests =
   [
     Alcotest.test_case "rpo order" `Quick rpo_order;
     Alcotest.test_case "dominators vs naive" `Quick dominators_match_naive;
+    Alcotest.test_case "predecessor table vs naive" `Quick pred_table_matches_naive;
     Alcotest.test_case "dominator tree shape" `Quick dominator_tree_shape;
     Alcotest.test_case "liveness over loop" `Quick liveness_loop;
     Alcotest.test_case "ssa construct/destruct" `Quick ssa_roundtrip;
