@@ -23,8 +23,6 @@ let ( let* ) = Result.bind
    adds the stage's wall time, in µs, to its counter; without one it
    reads no clock.  Stages never nest, so their sum is the part of the
    compile they cover. *)
-let stage_counter stage = "compile.stage." ^ stage ^ "_us"
-
 let timed profile stage f =
   match profile with
   | None -> f ()
@@ -32,10 +30,10 @@ let timed profile stage f =
       let t0 = Unix.gettimeofday () in
       let r = f () in
       let us = Float.round ((Unix.gettimeofday () -. t0) *. 1e6) in
-      Edge_obs.Metrics.incr m (stage_counter stage) ~by:(Float.to_int us);
+      Edge_obs.Metrics.incr m
+        ("compile.stage." ^ stage ^ "_us")
+        ~by:(Float.to_int us);
       r
-
-let timed_pass profile pass f = timed profile (Pass_id.name pass) f
 
 (* Render a checker result as a pipeline error (the first diagnostic,
    with overflow counted).  [check = false] short-circuits: the checker
@@ -89,7 +87,7 @@ let apply_opts ?m ?profile ?(check = false) ?lint (config : Config.t) cfg
     liveness ~retq hblocks =
   (* run one pass, then its checker hook *)
   let pass id run =
-    timed_pass profile id run;
+    timed profile (Pass_id.name id) run;
     check_hblocks ?profile ~check ~pass:id hblocks
   in
   let each run () = List.iter run hblocks in
@@ -122,7 +120,7 @@ let apply_opts ?m ?profile ?(check = false) ?lint (config : Config.t) cfg
        alone, so the diagnostics describe the blocks the caller sees *)
     match lint with
     | Some report ->
-        timed_pass profile Pass_id.Opt_ineff
+        timed profile (Pass_id.name Pass_id.Opt_ineff)
           (each (fun h -> List.iter report (Opt_ineff.findings h)));
         Ok hblocks
     | None ->
@@ -147,7 +145,7 @@ let rec generate ?profile ~check ?lint cfg (config : Config.t) liveness ~retq
     ~params regions =
   let m = Edge_obs.Metrics.create () in
   let* hblocks =
-    timed_pass profile Pass_id.If_convert (fun () ->
+    timed profile (Pass_id.name Pass_id.If_convert) (fun () ->
         convert_regions ~m cfg liveness ~retq regions)
   in
   let* () = check_hblocks ?profile ~check ~pass:Pass_id.If_convert hblocks in
@@ -156,7 +154,7 @@ let rec generate ?profile ~check ?lint cfg (config : Config.t) liveness ~retq
   in
   let* () = check_psi_roundtrip ?profile ~check ~gen:cfg.Cfg.gen hblocks in
   let* alloc =
-    timed_pass profile Pass_id.Regalloc (fun () ->
+    timed profile (Pass_id.name Pass_id.Regalloc) (fun () ->
         Regalloc.allocate hblocks ~entry:cfg.Cfg.entry ~params ~retq)
   in
   let* () =
@@ -178,7 +176,10 @@ let rec generate ?profile ~check ?lint cfg (config : Config.t) liveness ~retq
         | Ok e -> emit_all ((h, e) :: acc) tl
         | Error msg -> Error (h.Hb.hname, msg))
   in
-  match timed_pass profile Pass_id.Codegen (fun () -> emit_all [] hblocks) with
+  match
+    timed profile (Pass_id.name Pass_id.Codegen) (fun () ->
+        emit_all [] hblocks)
+  with
   | Ok emitted ->
       let* () =
         checked ?profile ~check (fun () ->
@@ -275,7 +276,8 @@ let compile_cfg ?check ?lint ?profile cfg (config : Config.t) =
   in
   let params = cfg.Cfg.params in
   timed profile "ssa" (fun () -> Edge_ir.Ssa.construct cfg);
-  timed_pass profile Pass_id.Opt_classic (fun () -> Opt_classic.run cfg);
+  timed profile (Pass_id.name Pass_id.Opt_classic) (fun () ->
+      Opt_classic.run cfg);
   timed profile "ssa" (fun () ->
       Edge_ir.Ssa.destruct cfg;
       Cfg.prune_unreachable cfg);
@@ -297,7 +299,8 @@ let compile_cfg ?check ?lint ?profile cfg (config : Config.t) =
   let liveness = Liveness.compute cfg in
   let* regions =
     match config.Config.mode with
-    | Config.Bb -> Ok (timed profile "regions" (fun () -> Region.singletons cfg))
+    | Config.Bb ->
+        Ok (timed profile "regions" (fun () -> Region.singletons cfg))
     | Config.Hyper ->
         let frac = if config.Config.aggressive_regions then 70 else 45 in
         let initial =
@@ -320,7 +323,7 @@ let compile_cfg ?check ?lint ?profile cfg (config : Config.t) =
     | Error es -> Error (String.concat "; " es)
   in
   let placements =
-    timed_pass profile Pass_id.Schedule (fun () ->
+    timed profile (Pass_id.name Pass_id.Schedule) (fun () ->
         List.map
           (fun (b : Edge_isa.Block.t) ->
             (b.Edge_isa.Block.name, Schedule.place b))

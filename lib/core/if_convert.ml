@@ -55,7 +55,8 @@ let region_edges cfg region order =
            | Tac.Ret _ -> true
            | Tac.Jmp _ | Tac.Cbr _ -> false)
       in
-      Hashtbl.replace succ_tbl l (if has_exit then exit_node :: internal else internal))
+      Hashtbl.replace succ_tbl l
+        (if has_exit then exit_node :: internal else internal))
     order;
   let succs l =
     if Label.equal l exit_node then [] else Hashtbl.find succ_tbl l
