@@ -171,11 +171,16 @@ let bucket_us v =
     (if m >= 5 then 5 else if m >= 2 then 2 else 1) * !d
   end
 
+(* each stage keeps its bucketed histogram and, under the same name,
+   a counter of its exact total µs *)
 let observe_stage t name seconds =
   let us = int_of_float (seconds *. 1e6) in
   Mutex.lock t.stage_mu;
   Metrics.observe t.stage_metrics name (bucket_us us);
+  Metrics.incr ~by:us t.stage_metrics name;
   Mutex.unlock t.stage_mu
+
+let stages = [ "parse"; "queue"; "compile"; "sim"; "encode" ]
 
 (* -- job execution ------------------------------------------------- *)
 
@@ -460,7 +465,20 @@ let stats_response t =
           ("mem_evictions", Mem_cache.evictions m);
         ]
   in
-  Proto.stats (base @ cache @ mem)
+  (* per stage: samples and total µs *)
+  let stage =
+    Mutex.protect t.stage_mu (fun () ->
+        List.concat_map
+          (fun s ->
+            let name = "serve.stage." ^ s ^ "_us" in
+            [
+              ( "stage_" ^ s ^ "_count",
+                Metrics.hist_total (Metrics.histogram t.stage_metrics name) );
+              ("stage_" ^ s ^ "_us", Metrics.counter t.stage_metrics name);
+            ])
+          stages)
+  in
+  Proto.stats (base @ cache @ mem @ stage)
 
 (* snapshot the server (and cache) counters into a metrics registry
    under the serve.* / cache.* namespaces *)

@@ -24,6 +24,32 @@ let with_server ?cache ?(jobs = 2) ?queue_cap name f =
   let srv = Server.start cfg in
   Fun.protect ~finally:(fun () -> Server.stop srv) (fun () -> f srv)
 
+(* poll [stats] on a connection of its own until [ready stat] holds: a
+   test that needs a job running waits on the server, not on a clock *)
+let await_stats sock ready =
+  let c = Client.connect sock in
+  let rec poll tries =
+    match Client.rpc c (Json.Obj [ ("op", Json.Str "stats") ]) with
+    | Ok v ->
+        let stat k =
+          match Json.num_member k v with
+          | Some n -> int_of_float n
+          | None -> Alcotest.failf "stats missing %s" k
+        in
+        if not (ready stat) then
+          if tries = 0 then Alcotest.failf "stats never got there: %s" (Json.to_string v)
+          else begin
+            Thread.delay 0.001;
+            poll (tries - 1)
+          end
+    | Error e -> Alcotest.fail e
+  in
+  poll 10_000;
+  Client.close c
+
+(* the one worker has popped every accepted job: the queue is empty *)
+let popped n stat = stat "jobs_accepted" = n && stat "queue_depth" = 0
+
 let run_ok c job =
   match Client.run_job c job with
   | Ok v when rtype v = "done" -> v
@@ -300,7 +326,7 @@ let single_flight_stampede () =
        :: Client.source_job ~source:(slow_kernel "_blk") ~config:"Merge" ()));
   (* wait for the worker to pick the blocker up, so the stampede below
      is all in the queue at once *)
-  Thread.delay 0.15;
+  await_stats "srv_flight.sock" (popped 1);
   let n = 5 in
   let compiles0 = Experiment.compiles_performed () in
   let results = Array.make n "" in
@@ -362,7 +388,7 @@ let backpressure () =
   (match Client.recv c with
   | Some (Ok v) -> Alcotest.(check string) "blocker accepted" "accepted" (rtype v)
   | _ -> Alcotest.fail "no accept for blocker");
-  Thread.delay 0.15 (* worker now busy, queue empty *);
+  await_stats "srv_bp.sock" (popped 1) (* worker now busy, queue empty *);
   let c2 = Client.connect "srv_bp.sock" in
   Client.send c2
     (Json.Obj
@@ -403,7 +429,7 @@ let timeouts () =
    (match Client.recv c with
    | Some (Ok v) -> Alcotest.(check string) "accepted" "accepted" (rtype v)
    | _ -> Alcotest.fail "no accept");
-   Thread.delay 0.1;
+   await_stats "srv_to.sock" (popped 1);
    (match
       Client.run_job c
         (Client.source_job ~timeout_ms:1 ~source:(slow_kernel "_to2")
@@ -524,21 +550,24 @@ let shutdown_drains () =
     (Json.Obj
        (("id", Json.Str "queued")
        :: Client.source_job ~source:(slow_kernel "_dr2") ~config:"Merge" ()));
-  Thread.delay 0.15;
+  (* both accepts, then (in either order) the blocker's result and the
+     queued job's shutdown error; the server stops as soon as both jobs
+     are admitted, while the blocker holds the one worker *)
+  let seen = ref [] in
+  let rec drain until =
+    if not (until ()) then
+      match Client.recv c with
+      | Some (Ok v) ->
+          seen := (Option.value (Json.str_member "id" v) ~default:"?", v) :: !seen;
+          drain until
+      | Some (Error e) -> Alcotest.failf "bad response during drain: %s" e
+      | None -> ()
+  in
+  drain (fun () ->
+      List.length (List.filter (fun (_, v) -> rtype v = "accepted") !seen) = 2);
   Server.stop srv;
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists "srv_drain.sock");
-  (* both accepts, then (in either order) the blocker's result and the
-     queued job's shutdown error *)
-  let seen = ref [] in
-  let rec drain () =
-    match Client.recv c with
-    | Some (Ok v) ->
-        seen := (Option.value (Json.str_member "id" v) ~default:"?", v) :: !seen;
-        drain ()
-    | Some (Error e) -> Alcotest.failf "bad response during drain: %s" e
-    | None -> ()
-  in
-  drain ();
+  drain (fun () -> false);
   Client.close c;
   let is_term v = rtype v = "done" || rtype v = "error" in
   let terminal id = List.find_opt (fun (i, v) -> i = id && is_term v) !seen in
@@ -762,6 +791,20 @@ let fast_path_stats () =
       Client.close c
   | Error e -> Alcotest.fail e
 
+(* stats reports each serve stage's sample count and total µs: one
+   cold job passes through parse, compile, sim and encode (encode is
+   recorded after the answer goes out, hence the wait) *)
+let stage_stats () =
+  Edge_check.Check.without_check @@ fun () ->
+  with_server ~jobs:1 "srv_stage" @@ fun _srv ->
+  let c = Client.connect "srv_stage.sock" in
+  ignore (run_ok c (Client.workload_job ~workload:"tblook01" ~config:"BB" ()) : Json.t);
+  Client.close c;
+  await_stats "srv_stage.sock" (fun stat ->
+      List.for_all
+        (fun s -> stat ("stage_" ^ s ^ "_count") > 0)
+        [ "parse"; "compile"; "sim"; "encode" ])
+
 (* The README's response order: a job's "accepted" precedes its
    terminal line. On a -j1 server a cold job runs on a worker domain as
    soon as it is queued, so that worker's "done" races the reader
@@ -830,6 +873,7 @@ let tests =
     Alcotest.test_case "batch requests" `Quick batch_requests;
     Alcotest.test_case "image jobs" `Quick image_jobs;
     Alcotest.test_case "fast-path stats" `Quick fast_path_stats;
+    Alcotest.test_case "stage stats" `Quick stage_stats;
     Alcotest.test_case "accepted precedes terminal" `Quick
       accepted_precedes_terminal;
   ]
