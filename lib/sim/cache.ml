@@ -3,12 +3,10 @@ type t = {
   ways : int;
   line_bits : int;
   hit_latency : int;
-  tags : int array array;  (* tags.(set).(way); -1 = invalid.  Line
-                              numbers fit a native int (addresses are
-                              well under 2^62), so tag compares are
-                              unboxed *)
-  lru : int array array;  (* larger = more recently used *)
-  mutable clock : int;
+  tags : int array array;
+      (* per set, most recently used way first, -1 = invalid; [||] until
+         the set is first touched. Line numbers fit a native int
+         (addresses are well under 2^62), so tag compares are unboxed *)
 }
 
 let create ~size_bytes ~ways ~line_bytes ~hit_latency =
@@ -18,43 +16,35 @@ let create ~size_bytes ~ways ~line_bytes ~hit_latency =
     let rec bits n acc = if n <= 1 then acc else bits (n / 2) (acc + 1) in
     bits line_bytes 0
   in
-  {
-    sets;
-    ways;
-    line_bits;
-    hit_latency;
-    tags = Array.init sets (fun _ -> Array.make ways (-1));
-    lru = Array.init sets (fun _ -> Array.make ways 0);
-    clock = 0;
-  }
+  { sets; ways; line_bits; hit_latency; tags = Array.make sets [||] }
 
 let hit_latency t = t.hit_latency
 
 let access t ~addr ~write =
   ignore write;
-  t.clock <- t.clock + 1;
   (* identical line numbering to the int64 formulation: a logical
      64-bit shift by line_bits >= 6 always fits a native int *)
   let line = Int64.to_int (Int64.shift_right_logical addr t.line_bits) in
   let set = line mod t.sets in
-  let tags = t.tags.(set) and lru = t.lru.(set) in
-  let hit = ref false in
-  for w = 0 to t.ways - 1 do
-    if tags.(w) = line then begin
-      hit := true;
-      lru.(w) <- t.clock
-    end
+  let tags =
+    match t.tags.(set) with
+    | [||] ->
+        let a = Array.make t.ways (-1) in
+        t.tags.(set) <- a;
+        a
+    | a -> a
+  in
+  let w = ref 0 in
+  while !w < t.ways && tags.(!w) <> line do
+    incr w
   done;
-  if not !hit then begin
-    (* evict LRU way *)
-    let victim = ref 0 in
-    for w = 1 to t.ways - 1 do
-      if lru.(w) < lru.(!victim) then victim := w
-    done;
-    tags.(!victim) <- line;
-    lru.(!victim) <- t.clock
-  end;
-  !hit
+  let hit = !w < t.ways in
+  (* move the line to the front; a miss evicts the least recently used
+     way, the last (invalid ways sit behind every valid one) *)
+  for j = (if hit then !w else t.ways - 1) downto 1 do
+    tags.(j) <- tags.(j - 1)
+  done;
+  tags.(0) <- line;
+  hit
 
-let flush t =
-  Array.iter (fun ways -> Array.fill ways 0 (Array.length ways) (-1)) t.tags
+let flush t = Array.fill t.tags 0 t.sets [||]

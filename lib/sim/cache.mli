@@ -3,7 +3,9 @@
     Purely a latency model: data always comes from {!Edge_isa.Mem};
     the cache tracks which lines would hit. Geometry defaults follow the
     paper's Section 6: 32 KB 2-way L1D (2-cycle), 64 KB 2-way L1I
-    (1-cycle), backed by an L2 and main memory. *)
+    (1-cycle), backed by an L2 and main memory. Each set is built the
+    first time an access touches it and keeps its ways in recency
+    order, so a short run pays only for the sets it uses. *)
 
 type t
 

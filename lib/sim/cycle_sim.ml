@@ -53,6 +53,8 @@ type frame = {
   bi : binfo;
   df : Df.t;
   queued : bool array;  (* sitting in a ready queue *)
+  res : Token.t array;  (* per instr: the result it sends, set as it fires *)
+  rtok : Token.t array;  (* per read slot: the value it resolved to *)
   write_subs : (int * int * int) list array;
       (* per write slot: (fid, gen, read-slot-resume-key) of younger
          readers waiting; the key is the reader frame's read slot *)
@@ -67,6 +69,8 @@ type frame = {
 (* the grid-only arrays of one frame slot, always recycled *)
 type slot = {
   s_queued : bool array;
+  s_res : Token.t array;
+  s_rtok : Token.t array;
   s_write_subs : (int * int * int) list array;
   s_pred_arrivals : int array;
 }
@@ -107,26 +111,20 @@ let rq_pop q =
   q.rlen <- q.rlen - 1;
   v
 
-(* A typed event: the wheel's unit of work. Replaces the per-event
-   closure (code pointer + captured environment) with a flat immutable
-   record built once at the schedule site — initialization is
-   write-barrier-free, and execution dispatches on a small integer
-   instead of an indirect call. Kinds: 0 = deliver one token to a
-   target, 1 = a fired instruction's result reaches its sender (fans
-   out into kind-0 events per target), 2 = a store reaches the LSQ,
-   3 = a branch resolves. Stores and branches read their operands back
-   from the frame, where they stay fixed once the instruction fires. *)
-type ev = {
-  ek : int;
-  efid : int;
-  egen : int;
-  eid : int;  (* instr id (kinds 1-3) *)
-  etok : Token.t;  (* kinds 0-1: payload *)
-  etgt : Target.t;  (* kind 0 *)
-}
+(* An event packs into one int — kind in 3 bits, an instruction id or
+   read slot in 8, a target index in 16 and the frame id above — and
+   rides the wheel beside its frame's generation. A token never travels
+   in the event: it sits in the frame's [res]/[rtok] slot, written once
+   when the instruction fires or the read resolves. Stores and branches
+   read their operands back from the frame, where they stay fixed once
+   the instruction fires. *)
+let ev_result = 0  (* deliver instruction [idx]'s result to its target [k] *)
+let ev_read = 1  (* deliver read slot [idx]'s value to its target [k] *)
+let ev_send = 2  (* fired instruction [idx]'s result reaches its sender *)
+let ev_store = 3  (* store [idx] reaches the LSQ *)
+let ev_branch = 4  (* branch or halt [idx] resolves *)
 
-let ev_tok0 = Token.of_int64 0L
-let ev_tgt0 = Target.To_write 0
+let tok0 = Token.of_int64 0L
 
 type sim = {
   img : Bi.program;
@@ -147,15 +145,18 @@ type sim = {
   arena : Df.t array;  (* core frames recycled per slot; [||] when off *)
   arena_debug : bool;  (* cross-check cleared prefixes vs fresh arrays *)
   slots : slot array;
-  frames : frame option array;
-  mutable live_cache : frame list;  (* live frames sorted by seq *)
-  mutable live_dirty : bool;  (* [frames] changed since [live_cache] was built *)
+  frames : frame option array;  (* by fid *)
+  order : int array;
+      (* ring of the live frames' fids in seq order: dispatch appends,
+         commit pops the oldest, a flush truncates a youngest suffix *)
+  mutable ohead : int;  (* ring index of the oldest live frame *)
+  mutable olen : int;  (* live frames *)
   mutable next_seq : int;
   mutable next_gen : int;
   mutable fetch : fetch_state;
   mutable fetch_memo_name : string;  (* last start_fetch target ... *)
   mutable fetch_memo_idx : int;  (* ... and its block index *)
-  events : ev Event_queue.t;
+  events : Event_queue.t;
   mutable cycle : int;
   mutable unres_total : int;  (* unresolved stores across live frames *)
   mutable stored_total : int;  (* [Stored] resolutions across live frames *)
@@ -175,53 +176,20 @@ let frame_orphans f =
   done;
   f.pending_events + !queued
 
-let schedule sim dt ev =
-  Event_queue.add sim.events ~cycle:(sim.cycle + max 1 dt) ev
+(* schedule event [kind] on [idx]/[k] of frame [f] after [dt] cycles *)
+let schedule sim f ~kind ~idx ~k dt =
+  f.pending_events <- f.pending_events + 1;
+  Event_queue.add sim.events
+    ~cycle:(sim.cycle + Int.max 1 dt)
+    (kind lor (idx lsl 3) lor (k lsl 11) lor (f.fid lsl 27))
+    f.gen
 
-let frame_alive sim fid gen =
-  match sim.frames.(fid) with
-  | Some f when f.gen = gen -> Some f
-  | Some _ | None -> None
-
-(* the live-frame list is rebuilt lazily: dispatch, flush and commit
-   (the only writers of [sim.frames]) mark it dirty, and the many
-   per-cycle readers share one cached sorted list *)
-let invalidate_live sim = sim.live_dirty <- true
-
-let live_frames sim =
-  if sim.live_dirty then begin
-    (* selection-build the seq-sorted list back to front: only the
-       final conses are allocated, no intermediate lists or sort *)
-    let acc = ref [] in
-    let bound = ref max_int in
-    let again = ref true in
-    while !again do
-      let best = ref (-1) and best_seq = ref min_int in
-      Array.iteri
-        (fun i fo ->
-          match fo with
-          | Some o when o.seq < !bound && o.seq > !best_seq ->
-              best := i;
-              best_seq := o.seq
-          | Some _ | None -> ())
-        sim.frames;
-      if !best < 0 then again := false
-      else begin
-        (match sim.frames.(!best) with
-        | Some o -> acc := o :: !acc
-        | None -> assert false);
-        bound := !best_seq
-      end
-    done;
-    sim.live_cache <- !acc;
-    sim.live_dirty <- false
-  end;
-  sim.live_cache
-
-let no_live_frames sim = Array.for_all Option.is_none sim.frames
-
-let oldest_frame sim =
-  match live_frames sim with [] -> None | f :: _ -> Some f
+(* the [i]th live frame in seq order, 0 the oldest *)
+let live sim i =
+  let j = sim.ohead + i and cap = Array.length sim.order in
+  match sim.frames.(sim.order.(if j >= cap then j - cap else j)) with
+  | Some f -> f
+  | None -> assert false
 
 (* ---------- per-block run tables ---------- *)
 
@@ -284,18 +252,18 @@ let stores_before sim ~seq ~lsid =
   if sim.stored_total = 0 then []
   else begin
     let acc = ref [] in
-    List.iter
-      (fun f ->
-        if f.seq <= seq then
-          let img = f.bi.img in
-          for k = 0 to img.Bi.n_stores - 1 do
-            let l = img.Bi.store_lsids.(k) in
-            if f.seq < seq || l < lsid then
-              match f.df.Df.stores.(k) with
-              | Df.Stored s -> acc := (f.seq, l, s) :: !acc
-              | Df.Nulled | Df.Unresolved -> ()
-          done)
-      (live_frames sim);
+    for i = 0 to sim.olen - 1 do
+      let f = live sim i in
+      if f.seq <= seq then
+        let img = f.bi.img in
+        for k = 0 to img.Bi.n_stores - 1 do
+          let l = img.Bi.store_lsids.(k) in
+          if f.seq < seq || l < lsid then
+            match f.df.Df.stores.(k) with
+            | Df.Stored s -> acc := (f.seq, l, s) :: !acc
+            | Df.Nulled | Df.Unresolved -> ()
+        done
+    done;
     List.map
       (fun (_, _, s) -> s)
       (List.sort
@@ -306,22 +274,24 @@ let stores_before sim ~seq ~lsid =
 
 let is_unresolved = function Df.Unresolved -> true | Df.Stored _ | Df.Nulled -> false
 
+(* is any store before (seq, lsid) in LSQ order still unresolved? *)
 let unresolved_before sim ~seq ~lsid =
-  sim.unres_total > 0
-  (* existence is order-independent: scan the frame table directly *)
-  && Array.exists
-    (function
-      | None -> false
-      | Some f ->
-          let img = f.bi.img in
-          let rec scan k =
-            k < img.Bi.n_stores
-            && (((f.seq < seq || (f.seq = seq && img.Bi.store_lsids.(k) < lsid))
-                 && is_unresolved f.df.Df.stores.(k))
-               || scan (k + 1))
-          in
-          scan 0)
-    sim.frames
+  let rec frame i =
+    i < sim.olen
+    &&
+    let f = live sim i in
+    f.seq <= seq
+    &&
+    let img = f.bi.img in
+    let rec scan k =
+      k < img.Bi.n_stores
+      && (((f.seq < seq || img.Bi.store_lsids.(k) < lsid)
+           && is_unresolved f.df.Df.stores.(k))
+         || scan (k + 1))
+    in
+    scan 0 || frame (i + 1)
+  in
+  sim.unres_total > 0 && frame 0
 
 (* ---------- token delivery ---------- *)
 
@@ -373,9 +343,9 @@ let rec deliver sim f target tok =
       f.write_subs.(w) <- [];
       List.iter
         (fun (rfid, rgen, rslot) ->
-          match frame_alive sim rfid rgen with
-          | Some rf -> resolve_read sim rf rslot
-          | None -> ())
+          match sim.frames.(rfid) with
+          | Some rf when rf.gen = rgen -> resolve_read sim rf rslot
+          | Some _ | None -> ())
         subs
   | Target.To_instr { id; slot } ->
       if ms.Ms.oactive then observe_token sim f id slot tok;
@@ -420,17 +390,20 @@ and store_resolved sim f lsid r =
           let b1 = laddr and b2 = Int64.add laddr (Int64.of_int lbytes) in
           not (a2 <= b1 || b2 <= a1)
         in
-        let violator =
-          List.find_opt
-            (fun fr ->
+        let rec violator i =
+          if i = sim.olen then None
+          else
+            let fr = live sim i in
+            if
               List.exists
                 (fun (llsid, laddr, lbytes) ->
                   (fr.seq > f.seq || (fr.seq = f.seq && llsid > lsid))
                   && overlap (laddr, lbytes))
-                fr.loads_done)
-            (live_frames sim)
+                fr.loads_done
+            then Some fr
+            else violator (i + 1)
         in
-        match violator with
+        match violator 0 with
         | Some fv ->
             sim.stats.Stats.lsq_violations <- sim.stats.Stats.lsq_violations + 1;
             (* train the dependence predictor on exactly the violating
@@ -445,7 +418,7 @@ and store_resolved sim f lsid r =
                 then
                   if fv.seq = f.seq then
                     sim.dep_same.(row + llsid) <-
-                      max lsid sim.dep_same.(row + llsid)
+                      Int.max lsid sim.dep_same.(row + llsid)
                   else sim.dep_cross.(row + llsid) <- true)
               fv.loads_done;
             flush_from sim fv.seq ~reason:"violation"
@@ -456,10 +429,9 @@ and store_resolved sim f lsid r =
   retry_deferred sim
 
 and retry_deferred sim =
-  if sim.deferred_total = 0 then ()
-  else
-  List.iter
-    (fun f ->
+  if sim.deferred_total > 0 then
+    for i = 0 to sim.olen - 1 do
+      let f = live sim i in
       let ls = f.df.Df.deferred in
       f.df.Df.deferred <- [];
       sim.deferred_total <- sim.deferred_total - List.length ls;
@@ -469,11 +441,12 @@ and retry_deferred sim =
             f.queued.(id) <- false;
             wake sim f id
           end)
-        ls)
-    (live_frames sim)
+        ls
+    done
 
 (* retire frame [f] from the frame table, folding its statistics and
-   its share of the LSQ counters out of the machine *)
+   its share of the LSQ counters out of the machine; the caller drops it
+   from the ring *)
 and release sim f =
   let df = f.df in
   Stats.add sim.stats df.Df.stats;
@@ -481,8 +454,7 @@ and release sim f =
   sim.stored_total <- sim.stored_total - df.Df.nstored;
   sim.deferred_total <- sim.deferred_total - List.length df.Df.deferred;
   sim.loads_total <- sim.loads_total - List.length f.loads_done;
-  sim.frames.(f.fid) <- None;
-  invalidate_live sim
+  sim.frames.(f.fid) <- None
 
 and observe_pred_arrivals sim f =
   match f.probe with
@@ -495,32 +467,36 @@ and observe_pred_arrivals sim f =
 
 and flush_from sim seq ~reason ~refetch =
   let ms = sim.ms in
-  List.iter
-    (fun f ->
-      if f.seq >= seq then begin
-        if ms.Ms.oactive then begin
-          let orphans = frame_orphans f in
-          Ms.mincr ms "sim.blocks_squashed";
-          Ms.mincr ms ~by:f.df.Df.stats.Stats.instrs_executed "sim.instrs_squashed";
-          Ms.mobserve ms "block.squash_orphans" orphans;
-          observe_pred_arrivals sim f;
-          if ms.Ms.otrace then
-            Ms.emit ms
-              (Ev.Squash
-                 {
-                   cycle = sim.cycle;
-                   block = f.bi.img.Bi.name;
-                   seq = f.seq;
-                   reason;
-                   orphans;
-                 })
-        end;
-        sim.stats.Stats.blocks_flushed <- sim.stats.Stats.blocks_flushed + 1;
-        release sim f
-      end)
-    (live_frames sim);
+  (* the frames at or after [seq] are the ring's youngest suffix *)
+  let keep = ref sim.olen in
+  while !keep > 0 && (live sim (!keep - 1)).seq >= seq do
+    decr keep
+  done;
+  for i = !keep to sim.olen - 1 do
+    let f = live sim i in
+    if ms.Ms.oactive then begin
+      let orphans = frame_orphans f in
+      Ms.mincr ms "sim.blocks_squashed";
+      Ms.mincr ms ~by:f.df.Df.stats.Stats.instrs_executed "sim.instrs_squashed";
+      Ms.mobserve ms "block.squash_orphans" orphans;
+      observe_pred_arrivals sim f;
+      if ms.Ms.otrace then
+        Ms.emit ms
+          (Ev.Squash
+             {
+               cycle = sim.cycle;
+               block = f.bi.img.Bi.name;
+               seq = f.seq;
+               reason;
+               orphans;
+             })
+    end;
+    sim.stats.Stats.blocks_flushed <- sim.stats.Stats.blocks_flushed + 1;
+    release sim f
+  done;
+  sim.olen <- !keep;
   (* older frames may hold subscriptions from flushed readers: they are
-     filtered lazily via frame_alive; any in-flight fetch was ordered
+     dropped lazily by their generation; any in-flight fetch was ordered
      after the flushed frames *)
   match refetch with
   | Some name ->
@@ -557,36 +533,26 @@ and start_fetch sim name ~extra =
 and resolve_read sim f rslot =
   let r = f.bi.img.Bi.reads.(rslot) in
   let reg = r.Block.reg in
-  let frames = sim.frames in
-  let nf = Array.length frames in
-  (* walk older in-flight frames youngest-first by scanning the frame
-     table for the largest seq below the moving bound — ≤ max_inflight²
-     compares, no list allocation *)
-  let rec search bound =
-    let best = ref (-1) and best_seq = ref min_int in
-    for i = 0 to nf - 1 do
-      match frames.(i) with
-      | Some o when o.seq < bound && o.seq > !best_seq ->
-          best := i;
-          best_seq := o.seq
-      | Some _ | None -> ()
-    done;
-    if !best < 0 then
+  (* walk the ring backward from the youngest frame older than [f] *)
+  let rec search i =
+    if i < 0 then
       (* architectural register file *)
       send_read_value sim f rslot (Token.of_int64 sim.regs.(reg))
     else
-      let o = match frames.(!best) with Some o -> o | None -> assert false in
+      let o = live sim i in
       let wslot =
-        if reg >= 0 && reg < 128 then o.bi.img.Bi.wslot_of_reg.(reg) else -1
+        if o.seq >= f.seq then -1
+        else if reg >= 0 && reg < 128 then o.bi.img.Bi.wslot_of_reg.(reg)
+        else -1
       in
-      if wslot < 0 then search o.seq
+      if wslot < 0 then search (i - 1)
       else if not o.df.Df.wset.(wslot) then
         o.write_subs.(wslot) <- (f.fid, f.gen, rslot) :: o.write_subs.(wslot)
       else
         let tok = o.df.Df.writes.(wslot) in
-        if tok.Token.null then search o.seq else send_read_value sim f rslot tok
+        if tok.Token.null then search (i - 1) else send_read_value sim f rslot tok
   in
-  search f.seq
+  search (sim.olen - 1)
 
 and send_read_value sim f rslot tok =
   let r = f.bi.img.Bi.reads.(rslot) in
@@ -600,26 +566,21 @@ and send_read_value sim f rslot tok =
            rslot;
            reg = r.Block.reg;
          });
-  let tgts = f.bi.img.Bi.rtargets.(rslot) in
+  f.rtok.(rslot) <- tok;
   let hops = f.bi.rd_hops.(rslot) in
-  for k = 0 to Array.length tgts - 1 do
-    f.pending_events <- f.pending_events + 1;
-    schedule sim hops.(k)
-      { ek = 0; efid = f.fid; egen = f.gen; eid = 0; etok = tok; etgt = tgts.(k) }
+  for k = 0 to Array.length hops - 1 do
+    schedule sim f ~kind:ev_read ~idx:rslot ~k hops.(k)
   done
 
 (* send the result of instruction [id] to its targets with network
    delays *)
-let send_result sim f id tok =
-  let tgts = f.bi.img.Bi.instrs.(id).Bi.targets in
+let send_result sim f id =
   let hops = f.bi.res_hops.(id) in
-  for k = 0 to Array.length tgts - 1 do
+  for k = 0 to Array.length hops - 1 do
     let h = hops.(k) in
     sim.stats.Stats.operand_hops <- sim.stats.Stats.operand_hops + h;
     if sim.ms.Ms.oactive then Ms.mincr sim.ms ~by:h "sim.operand_hops";
-    f.pending_events <- f.pending_events + 1;
-    schedule sim h
-      { ek = 0; efid = f.fid; egen = f.gen; eid = 0; etok = tok; etgt = tgts.(k) }
+    schedule sim f ~kind:ev_result ~idx:id ~k h
   done
 
 (* branch resolution: prediction check, flushes, fetch redirect *)
@@ -672,22 +633,24 @@ let resolve_branch sim f id =
   end;
   sim.stats.Stats.branch_predictions <- sim.stats.Stats.branch_predictions + 1
 
-(* execute one pooled event; events for squashed frames (generation
-   mismatch) are dropped *)
-let exec_ev sim ev =
-  match frame_alive sim ev.efid ev.egen with
-  | None -> ()
-  | Some f -> (
+(* execute one event; events for squashed frames (generation mismatch)
+   are dropped *)
+let exec_ev sim ev gen =
+  match sim.frames.(ev lsr 27) with
+  | Some f when f.gen = gen -> (
       f.pending_events <- f.pending_events - 1;
-      match ev.ek with
-      | 0 -> deliver sim f ev.etgt ev.etok
-      | 1 -> send_result sim f ev.eid ev.etok
-      | 2 ->
-          let lsid = f.bi.img.Bi.instrs.(ev.eid).Bi.lsid in
-          let r = Df.store_result f.df ev.eid in
+      let idx = (ev lsr 3) land 0xff and k = (ev lsr 11) land 0xffff in
+      match ev land 7 with
+      | 0 -> deliver sim f f.bi.img.Bi.instrs.(idx).Bi.targets.(k) f.res.(idx)
+      | 1 -> deliver sim f f.bi.img.Bi.rtargets.(idx).(k) f.rtok.(idx)
+      | 2 -> send_result sim f idx
+      | 3 ->
+          let lsid = f.bi.img.Bi.instrs.(idx).Bi.lsid in
+          let r = Df.store_result f.df idx in
           Df.resolve_store f.df lsid r;
           store_resolved sim f lsid r
-      | _ -> resolve_branch sim f ev.eid)
+      | _ -> resolve_branch sim f idx)
+  | Some _ | None -> ()
 
 (* a real firing (not a deferred-load retry): the issue trace hook,
    then the core marks and counts it *)
@@ -704,12 +667,6 @@ let issue sim f id (i : Bi.inst) =
            tile = f.bi.placement.(id);
          });
   Df.fire f.df id
-
-(* schedule event [ek] for instruction [id] of [f] after [lat] cycles *)
-let schedule_own sim f ~ek ~lat id tok =
-  f.pending_events <- f.pending_events + 1;
-  schedule sim lat
-    { ek; efid = f.fid; egen = f.gen; eid = id; etok = tok; etgt = ev_tgt0 }
 
 (* fire one instruction instance *)
 let fire sim f id =
@@ -771,20 +728,22 @@ let fire sim f id =
           i.Bi.latency + (2 * f.bi.mem_hops.(id))
           + Ms.dcache_latency sim.ms ~cycle:sim.cycle ~addr ~write:false
         in
-        schedule_own sim f ~ek:1 ~lat id tok
+        f.res.(id) <- tok;
+        schedule sim f ~kind:ev_send ~idx:id ~k:0 lat
       end
   | Opcode.St _ ->
       issue sim f id i;
-      schedule_own sim f ~ek:2 ~lat:(i.Bi.latency + f.bi.mem_hops.(id)) id ev_tok0
+      schedule sim f ~kind:ev_store ~idx:id ~k:0 (i.Bi.latency + f.bi.mem_hops.(id))
   | Opcode.Bro ->
       issue sim f id i;
-      schedule_own sim f ~ek:3 ~lat:i.Bi.latency id ev_tok0
+      schedule sim f ~kind:ev_branch ~idx:id ~k:0 i.Bi.latency
   | Opcode.Halt ->
       issue sim f id i;
-      schedule_own sim f ~ek:3 ~lat:1 id ev_tok0
+      schedule sim f ~kind:ev_branch ~idx:id ~k:0 1
   | _ ->
       issue sim f id i;
-      schedule_own sim f ~ek:1 ~lat:i.Bi.latency id (Df.result df id)
+      f.res.(id) <- Df.result df id;
+      schedule sim f ~kind:ev_send ~idx:id ~k:0 i.Bi.latency
 
 (* the arena-debug invariant: a recycled prefix must be
    indistinguishable from freshly allocated arrays — catches a clear
@@ -808,14 +767,11 @@ let check_cleared f =
 
 (* dispatch a fetched block into a free frame slot *)
 let dispatch sim idx =
-  let fid =
-    let found = ref (-1) in
-    Array.iteri
-      (fun i f -> if Option.is_none f && !found < 0 then found := i)
-      sim.frames;
-    !found
-  in
-  assert (fid >= 0);
+  let fid = ref 0 in
+  while Option.is_some sim.frames.(!fid) do
+    incr fid
+  done;
+  let fid = !fid in
   let bi = binfo sim idx in
   let img = bi.img in
   let n = img.Bi.n in
@@ -834,6 +790,8 @@ let dispatch sim idx =
       bi;
       df;
       queued = s.s_queued;
+      res = s.s_res;
+      rtok = s.s_rtok;
       write_subs = s.s_write_subs;
       predicted_next = None;
       prediction_checked = false;
@@ -851,7 +809,9 @@ let dispatch sim idx =
   sim.next_gen <- sim.next_gen + 1;
   sim.unres_total <- sim.unres_total + img.Bi.n_stores;
   sim.frames.(fid) <- Some f;
-  invalidate_live sim;
+  (let j = sim.ohead + sim.olen and cap = Array.length sim.order in
+   sim.order.(if j >= cap then j - cap else j) <- fid);
+  sim.olen <- sim.olen + 1;
   if ms.Ms.otrace then
     Ms.emit ms
       (Ev.Dispatch
@@ -881,9 +841,10 @@ let dispatch sim idx =
 
 (* commit the oldest frame if it is finished *)
 let try_commit sim =
-  match oldest_frame sim with
-  | None -> ()
-  | Some f ->
+  match sim.olen with
+  | 0 -> ()
+  | _ ->
+      let f = live sim 0 in
       let df = f.df in
       let drained =
         sim.machine.Machine.early_termination || f.pending_events = 0
@@ -939,6 +900,8 @@ let try_commit sim =
                  })
         end;
         release sim f;
+        sim.ohead <- (sim.ohead + 1) mod Array.length sim.order;
+        sim.olen <- sim.olen - 1;
         if Option.is_none df.Df.branch_tgt then begin
           sim.halted <- true;
           sim.stats.Stats.cycles <- sim.cycle
@@ -955,8 +918,8 @@ let step_issue sim =
           let e = rq_pop q in
           let fid = ready_fid e and gen = ready_gen e and id = ready_id e in
           sim.ready_count <- sim.ready_count - 1;
-          match frame_alive sim fid gen with
-          | Some f when f.queued.(id) && not f.df.Df.fired.(id) ->
+          match sim.frames.(fid) with
+          | Some f when f.gen = gen && f.queued.(id) && not f.df.Df.fired.(id) ->
               decr budget;
               fire sim f id
           | Some _ | None -> ()
@@ -967,13 +930,7 @@ let step_issue sim =
 let step_fetch sim =
   match sim.fetch with
   | Fbusy b when sim.cycle >= b.done_at ->
-      let free_slot = ref false and inflight = ref 0 in
-      for k = 0 to Array.length sim.frames - 1 do
-        match sim.frames.(k) with
-        | Some _ -> incr inflight
-        | None -> free_slot := true
-      done;
-      if !free_slot && !inflight < sim.machine.Machine.max_inflight then begin
+      if sim.olen < sim.machine.Machine.max_inflight then begin
         sim.fetch <- Fidle;
         dispatch sim b.idx
       end
@@ -985,12 +942,10 @@ let next_interesting_cycle sim =
      skip the event-queue scan entirely *)
   if sim.ready_count > 0 then sim.cycle + 1
   else begin
-    let best =
-      match Event_queue.next_due sim.events with Some c -> c | None -> max_int
-    in
+    let best = Event_queue.next_due sim.events in
     let best =
       match sim.fetch with
-      | Fbusy b -> min best (max (sim.cycle + 1) b.done_at)
+      | Fbusy b -> Int.min best (Int.max (sim.cycle + 1) b.done_at)
       | Fwait _ | Fidle -> best
     in
     if best = max_int then -1 else best
@@ -998,8 +953,13 @@ let next_interesting_cycle sim =
 
 let make_slot (p : Bi.program) =
   let n = max 1 p.Bi.max_n and nw = max 1 p.Bi.max_writes in
+  let nr =
+    Array.fold_left (fun m (b : Bi.t) -> max m (Array.length b.Bi.reads)) 1 p.Bi.blocks
+  in
   {
     s_queued = Array.make n false;
+    s_res = Array.make n tok0;
+    s_rtok = Array.make nr tok0;
     s_write_subs = Array.make nw [];
     s_pred_arrivals = Array.make n 0;
   }
@@ -1022,7 +982,7 @@ let run ?(machine = Machine.default) ?placement ?(obs = Obs.null)
     let m = ref 0 in
     Array.iter
       (fun (b : Bi.t) ->
-        Array.iter (fun (i : Bi.inst) -> m := max !m (i.Bi.lsid + 1)) b.Bi.instrs)
+        Array.iter (fun (i : Bi.inst) -> m := Int.max !m (i.Bi.lsid + 1)) b.Bi.instrs)
       img.Bi.blocks;
     max 1 !m
   in
@@ -1046,8 +1006,9 @@ let run ?(machine = Machine.default) ?placement ?(obs = Obs.null)
       arena_debug = Sys.getenv_opt "DFP_ARENA_DEBUG" <> None;
       slots = Array.init inflight (fun _ -> make_slot img);
       frames = Array.make inflight None;
-      live_cache = [];
-      live_dirty = false;
+      order = Array.make inflight 0;
+      ohead = 0;
+      olen = 0;
       next_seq = 0;
       next_gen = 0;
       fetch = Fidle;
@@ -1066,27 +1027,28 @@ let run ?(machine = Machine.default) ?placement ?(obs = Obs.null)
   in
   match
     start_fetch sim program.Program.entry ~extra:0;
+    let exec = exec_ev sim in
     while (not sim.halted) && sim.cycle < machine.Machine.max_cycles do
       (* events due now, in scheduling order *)
-      Event_queue.drain sim.events ~cycle:sim.cycle (fun ev -> exec_ev sim ev);
+      Event_queue.drain sim.events ~cycle:sim.cycle exec;
       step_issue sim;
       step_fetch sim;
       try_commit sim;
       if not sim.halted then begin
         match next_interesting_cycle sim with
-        | c when c >= 0 -> sim.cycle <- max (sim.cycle + 1) c
+        | c when c >= 0 -> sim.cycle <- Int.max (sim.cycle + 1) c
         | _ -> (
             if
-              no_live_frames sim
+              sim.olen = 0
               && (match sim.fetch with Fidle -> true | Fwait _ | Fbusy _ -> false)
             then Df.fail "machine idle before halt"
             else
-              let stuck =
-                if Event_queue.is_empty sim.events then
-                  List.find_opt (fun f -> not (Df.complete f.df)) (live_frames sim)
-                else None
+              let rec stuck i =
+                if i = sim.olen || not (Event_queue.is_empty sim.events) then None
+                else if Df.complete (live sim i).df then stuck (i + 1)
+                else Some (live sim i)
               in
-              match stuck with
+              match stuck 0 with
               | Some f -> Df.deadlock f.df
               | None -> sim.cycle <- sim.cycle + 1)
       end

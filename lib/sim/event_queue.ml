@@ -1,131 +1,95 @@
-(* A bucketed calendar queue for the cycle simulator's event wheel. *)
+(* The cycle simulator's event wheel: a ring of per-cycle int vectors. *)
 
-type 'a t = {
-  buckets : (int * 'a) list array;  (* (seq, payload), newest first *)
-  bucket_cycle : int array;  (* the cycle a non-empty bucket belongs to *)
-  mask : int;
-  mutable overflow : (int * int * 'a) list;  (* cycle, seq, payload *)
-  mutable bucketed : int;
-  mutable next_seq : int;
-  mutable min_hint : int;  (* lower bound on every pending cycle *)
+type t = {
+  mutable data : int array array;  (* per bucket: (event, generation) pairs *)
+  mutable len : int array;  (* per bucket: ints in use *)
+  mutable mask : int;  (* ring length - 1, a power of two minus one *)
+  mutable lo : int;
+      (* lowest cycle not yet drained; bucket b holds the events of cycle
+         lo + ((b - lo) land mask) *)
+  mutable spare : int array;  (* an empty vector [drain] swaps in *)
+  mutable pending : int;
 }
 
-let horizon = 1024  (* power of two; > any default-machine event latency *)
+let horizon = 1024  (* initial ring length; > any default-machine latency *)
 
 let create () =
   {
-    buckets = Array.make horizon [];
-    bucket_cycle = Array.make horizon (-1);
+    data = Array.make horizon [||];
+    len = Array.make horizon 0;
     mask = horizon - 1;
-    overflow = [];
-    bucketed = 0;
-    next_seq = 0;
-    min_hint = 0;
+    lo = 0;
+    spare = [||];
+    pending = 0;
   }
 
-let is_empty t = t.bucketed = 0 && t.overflow == []
+let is_empty t = t.pending = 0
 
-let add t ~cycle payload =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  if cycle < t.min_hint then t.min_hint <- cycle;
+(* double the ring until [cycle] fits; every bucket's vector moves whole
+   to the slot of the cycle it holds *)
+let grow t cycle =
+  let size = ref (2 * (t.mask + 1)) in
+  while cycle - t.lo >= !size do
+    size := 2 * !size
+  done;
+  let mask = !size - 1 in
+  let data = Array.make !size [||] and len = Array.make !size 0 in
+  for b = 0 to t.mask do
+    let c = (t.lo + ((b - t.lo) land t.mask)) land mask in
+    data.(c) <- t.data.(b);
+    len.(c) <- t.len.(b)
+  done;
+  t.data <- data;
+  t.len <- len;
+  t.mask <- mask
+
+let add t ~cycle ev gen =
+  assert (cycle >= t.lo);
+  if cycle - t.lo > t.mask then grow t cycle;
   let b = cycle land t.mask in
-  if t.buckets.(b) == [] then begin
-    t.buckets.(b) <- [ (seq, payload) ];
-    t.bucket_cycle.(b) <- cycle;
-    t.bucketed <- t.bucketed + 1
-  end
-  else if t.bucket_cycle.(b) = cycle then begin
-    t.buckets.(b) <- (seq, payload) :: t.buckets.(b);
-    t.bucketed <- t.bucketed + 1
-  end
-  else
-    t.overflow <- (cycle, seq, payload) :: t.overflow
-
-let rec merge_by_seq a b =
-  match (a, b) with
-  | [], l | l, [] -> l
-  | ((sa, _) as ha) :: resta, ((sb, _) as hb) :: restb ->
-      if sa < sb then ha :: merge_by_seq resta b
-      else hb :: merge_by_seq a restb
-
-let pop_due t ~cycle =
-  let b = cycle land t.mask in
-  let bucketed =
-    if t.buckets.(b) != [] && t.bucket_cycle.(b) = cycle then begin
-      let l = t.buckets.(b) in
-      t.buckets.(b) <- [];
-      t.bucket_cycle.(b) <- -1;
-      t.bucketed <- t.bucketed - List.length l;
-      List.rev l
-    end
-    else []
-  in
-  let overflowed =
-    if t.overflow == [] then []
+  let n = t.len.(b) in
+  let v = t.data.(b) in
+  let v =
+    if n < Array.length v then v
     else begin
-      let due, later = List.partition (fun (c, _, _) -> c = cycle) t.overflow in
-      t.overflow <- later;
-      List.rev_map (fun (_, s, p) -> (s, p)) due
+      let nv = Array.make (Int.max 8 (2 * n)) 0 in
+      Array.blit v 0 nv 0 n;
+      t.data.(b) <- nv;
+      nv
     end
   in
-  if t.min_hint = cycle then t.min_hint <- cycle + 1;
-  match (bucketed, overflowed) with
-  | l, [] | [], l -> List.map snd l
-  | a, b -> List.map snd (merge_by_seq a b)
-
-let rec iter_snd_rev f = function
-  | [] -> ()
-  | (_, p) :: tl ->
-      iter_snd_rev f tl;
-      f p
+  v.(n) <- ev;
+  v.(n + 1) <- gen;
+  t.len.(b) <- n + 2;
+  t.pending <- t.pending + 1
 
 let drain t ~cycle f =
-  let b = cycle land t.mask in
-  let bucketed =
-    if t.buckets.(b) != [] && t.bucket_cycle.(b) = cycle then begin
-      let l = t.buckets.(b) in
-      t.buckets.(b) <- [];
-      t.bucket_cycle.(b) <- -1;
-      t.bucketed <- t.bucketed - List.length l;
-      l
+  if cycle >= t.lo then begin
+    let b = cycle land t.mask in
+    let n = t.len.(b) in
+    t.lo <- cycle + 1;
+    if n > 0 then begin
+      (* detach the bucket: [f] may schedule into its slot, now the
+         ring's last cycle, or grow the ring *)
+      let v = t.data.(b) in
+      t.data.(b) <- t.spare;
+      t.len.(b) <- 0;
+      t.pending <- t.pending - (n / 2);
+      let i = ref 0 in
+      while !i < n do
+        f v.(!i) v.(!i + 1);
+        i := !i + 2
+      done;
+      t.spare <- v
     end
-    else []
-  in
-  let overflowed =
-    if t.overflow == [] then []
-    else begin
-      let due, later = List.partition (fun (c, _, _) -> c = cycle) t.overflow in
-      t.overflow <- later;
-      List.rev_map (fun (_, s, p) -> (s, p)) due
-    end
-  in
-  if t.min_hint = cycle then t.min_hint <- cycle + 1;
-  match (bucketed, overflowed) with
-  | l, [] -> iter_snd_rev f l
-  | [], l -> List.iter (fun (_, p) -> f p) l
-  | a, b -> List.iter (fun (_, p) -> f p) (merge_by_seq (List.rev a) b)
-
-exception Found of int
+  end
 
 let next_due t =
-  if is_empty t then None
+  if t.pending = 0 then max_int
   else begin
-    let best = ref max_int in
-    (if t.bucketed > 0 then
-       try
-         for d = 0 to t.mask do
-           let c = t.min_hint + d in
-           let b = c land t.mask in
-           if t.buckets.(b) != [] then begin
-             let bc = t.bucket_cycle.(b) in
-             if bc = c then raise (Found c)
-             else if bc < !best then best := bc
-           end
-         done
-       with Found c -> best := c);
-    List.iter (fun (c, _, _) -> if c < !best then best := c) t.overflow;
-    assert (!best < max_int);
-    t.min_hint <- max t.min_hint !best;
-    Some !best
+    let c = ref t.lo in
+    while t.len.(!c land t.mask) = 0 do
+      incr c
+    done;
+    !c
   end

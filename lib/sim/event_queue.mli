@@ -1,32 +1,33 @@
-(** Bucketed calendar queue for the cycle simulator's event wheel.
+(** The cycle simulator's event wheel: a ring of per-cycle buckets of
+    int-packed events.
 
-    Replaces the allocating [IntMap]-of-closures queue with a fixed
-    ring of per-cycle buckets plus an overflow list for events beyond
-    the ring horizon. Preserves the map's semantics exactly: events
-    scheduled for the same cycle pop in insertion order (FIFO), even
-    when bucketed and far-future overflowed events interleave. *)
+    An event is two ints, a packed payload and its generation, so
+    scheduling and draining allocate nothing once the buckets have
+    grown to their working size. Each bucket is an int vector in
+    insertion order and holds the events of exactly one cycle: every
+    pending event lies within one ring length of the lowest cycle not
+    yet drained, and the ring doubles when an event lands past that
+    horizon. Events scheduled for the same cycle drain in insertion
+    order (FIFO). *)
 
-type 'a t
+type t
 
-val create : unit -> 'a t
+val create : unit -> t
 
-val add : 'a t -> cycle:int -> 'a -> unit
-(** Schedule [payload] for [cycle]. O(1). *)
+val add : t -> cycle:int -> int -> int -> unit
+(** [add t ~cycle ev gen] schedules the event [ev] with generation
+    [gen] for [cycle], which must lie after the last drained cycle.
+    Amortized O(1). *)
 
-val pop_due : 'a t -> cycle:int -> 'a list
-(** All events scheduled for exactly [cycle], in insertion order, and
-    removes them. The simulator visits cycles in increasing order, so
-    draining at each visited cycle never strands older events. *)
+val drain : t -> cycle:int -> (int -> int -> unit) -> unit
+(** [drain t ~cycle f] applies [f ev gen] to every event scheduled for
+    exactly [cycle], in insertion order, removing them first: events
+    [f] schedules land in later cycles and are not visited. No event
+    may be pending before [cycle]; the simulator visits cycles in
+    increasing order and never past {!next_due}. *)
 
-val drain : 'a t -> cycle:int -> ('a -> unit) -> unit
-(** [drain t ~cycle f] applies [f] to every event scheduled for exactly
-    [cycle], in insertion order, removing them first — same snapshot
-    semantics as {!pop_due} (events [f] schedules for a later cycle are
-    not visited) without materialising the due list on the common
-    bucket-only path. *)
+val next_due : t -> int
+(** Earliest cycle holding a pending event, or [max_int] when empty.
+    O(distance to the next event). *)
 
-val next_due : 'a t -> int option
-(** Earliest cycle holding a pending event, or [None] when empty.
-    Amortized O(distance to the next event). *)
-
-val is_empty : 'a t -> bool
+val is_empty : t -> bool

@@ -239,9 +239,9 @@ let run_block sim idx =
         (* jump to the next cycle anything can issue: everything left
            in [by_cycle] is ready after [!cur] *)
         if by_index.Heap.size > 0 then
-          cur := max (!cur + 1) (gate window !issued)
+          cur := Int.max (!cur + 1) (gate window !issued)
         else if by_cycle.Heap.size > 0 then
-          cur := max (Heap.min_key by_cycle) (gate window !issued)
+          cur := Int.max (Heap.min_key by_cycle) (gate window !issued)
       done;
       (* store commit: the engine already wrote memory; charge the
          D-cache and the commit bandwidth for every fired store holding
@@ -321,9 +321,10 @@ let run_block sim idx =
          predictor latency; clocks always advance so pathological
          zero-latency machine descriptions still terminate *)
       let bubble =
-        if mispredicted || predicted = None then m.Machine.predict_cycles else 0
+        if mispredicted || Option.is_none predicted then m.Machine.predict_cycles
+        else 0
       in
-      sim.clock <- max (commit_done + bubble) (block_start + 1);
+      sim.clock <- Int.max (commit_done + bubble) (block_start + 1);
       match outcome.Functional.faulted with
       | Some f -> Faulted f
       | None -> ( match outcome.Functional.exit_taken with

@@ -82,7 +82,7 @@ let icache_penalty ms ~cycle (img : Bi.t) =
   let stats = ms.stats and m = ms.machine in
   let lb = m.Machine.line_bytes in
   let base_addr = Int64.of_int (img.Bi.index * 1024) in
-  let n_lines = max 1 ((img.Bi.size_words * 4) + lb - 1) / lb in
+  let n_lines = Int.max 1 ((img.Bi.size_words * 4) + lb - 1) / lb in
   let pen = ref 0 in
   for i = 0 to n_lines - 1 do
     stats.Stats.icache_accesses <- stats.Stats.icache_accesses + 1;

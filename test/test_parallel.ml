@@ -130,40 +130,74 @@ module Model = struct
   let is_empty (t : t) = Hashtbl.length t = 0
 end
 
+(* every event travels with a generation derived from its payload, so
+   a drain that pairs the wrong ints shows up *)
+let gen_of ev = (ev * 31) + 7
+
+let add q ~cycle ev = Event_queue.add q ~cycle ev (gen_of ev)
+
+(* the events drained at [cycle] in drain order; [f] may schedule more *)
+let drained ?(f = fun _ -> ()) q ~cycle =
+  let acc = ref [] in
+  Event_queue.drain q ~cycle (fun ev gen ->
+      Alcotest.(check int) "generation beside its event" (gen_of ev) gen;
+      acc := ev :: !acc;
+      f ev);
+  List.rev !acc
+
+let next_due q =
+  match Event_queue.next_due q with c when c = max_int -> None | c -> Some c
+
 let queue_fifo_and_ordering () =
   let q = Event_queue.create () in
-  Event_queue.add q ~cycle:5 "a";
-  Event_queue.add q ~cycle:3 "b";
-  Event_queue.add q ~cycle:5 "c";
-  Event_queue.add q ~cycle:5 "d";
-  Alcotest.(check (option int)) "next_due" (Some 3) (Event_queue.next_due q);
-  Alcotest.(check (list string)) "nothing at 4" [] (Event_queue.pop_due q ~cycle:4);
-  Alcotest.(check (list string)) "cycle 3" [ "b" ] (Event_queue.pop_due q ~cycle:3);
-  Alcotest.(check (list string))
-    "same-cycle FIFO" [ "a"; "c"; "d" ]
-    (Event_queue.pop_due q ~cycle:5);
-  Alcotest.(check bool) "drained" true (Event_queue.is_empty q)
+  add q ~cycle:5 1;
+  add q ~cycle:3 2;
+  add q ~cycle:5 3;
+  add q ~cycle:5 4;
+  Alcotest.(check (option int)) "next_due" (Some 3) (next_due q);
+  Alcotest.(check (list int)) "cycle 3" [ 2 ] (drained q ~cycle:3);
+  Alcotest.(check (list int)) "nothing at 4" [] (drained q ~cycle:4);
+  Alcotest.(check (list int)) "same-cycle FIFO" [ 1; 3; 4 ] (drained q ~cycle:5);
+  Alcotest.(check bool) "drained" true (Event_queue.is_empty q);
+  Alcotest.(check (option int)) "empty" None (next_due q)
 
 let queue_far_future () =
-  (* events beyond the bucket horizon (1024) and bucket collisions
-     (cycles congruent mod the horizon) must both survive *)
+  (* events beyond the ring's 1024-cycle horizon grow it, and cycles
+     congruent mod the horizon keep their own buckets *)
   let q = Event_queue.create () in
-  Event_queue.add q ~cycle:10 "near";
-  Event_queue.add q ~cycle:5000 "far";
-  Event_queue.add q ~cycle:(10 + 1024) "collide";
-  Alcotest.(check (option int)) "min" (Some 10) (Event_queue.next_due q);
-  Alcotest.(check (list string)) "near" [ "near" ] (Event_queue.pop_due q ~cycle:10);
-  Alcotest.(check (option int)) "collision next" (Some 1034) (Event_queue.next_due q);
-  Alcotest.(check (list string))
-    "collision" [ "collide" ]
-    (Event_queue.pop_due q ~cycle:1034);
-  Alcotest.(check (list string)) "far" [ "far" ] (Event_queue.pop_due q ~cycle:5000);
-  Alcotest.(check bool) "empty" true (Event_queue.is_empty q)
+  add q ~cycle:10 1;
+  add q ~cycle:5000 2;
+  add q ~cycle:(10 + 1024) 3;
+  Alcotest.(check (option int)) "min" (Some 10) (next_due q);
+  Alcotest.(check (list int)) "near" [ 1 ] (drained q ~cycle:10);
+  Alcotest.(check (option int)) "collision next" (Some 1034) (next_due q);
+  Alcotest.(check (list int)) "collision" [ 3 ] (drained q ~cycle:1034);
+  Alcotest.(check (list int)) "far" [ 2 ] (drained q ~cycle:5000);
+  Alcotest.(check bool) "empty" true (Event_queue.is_empty q);
+  (* scheduling from inside a drain: one horizon ahead lands in the slot
+     being drained, past it grows the ring mid-drain *)
+  let q = Event_queue.create () in
+  add q ~cycle:1 1;
+  add q ~cycle:1 2;
+  let f ev =
+    if ev = 1 then begin
+      add q ~cycle:(1 + 1024) 3;
+      add q ~cycle:(1 + 5000) 4;
+      add q ~cycle:2 5
+    end
+  in
+  Alcotest.(check (list int)) "drain schedules" [ 1; 2 ] (drained ~f q ~cycle:1);
+  Alcotest.(check (list int)) "next cycle" [ 5 ] (drained q ~cycle:2);
+  Alcotest.(check (option int)) "one horizon on" (Some 1025) (next_due q);
+  Alcotest.(check (list int)) "slot reused" [ 3 ] (drained q ~cycle:1025);
+  Alcotest.(check (list int)) "grown mid-drain" [ 4 ] (drained q ~cycle:5001);
+  Alcotest.(check bool) "empty again" true (Event_queue.is_empty q)
 
 let queue_matches_model () =
   (* a deterministic pseudo-random schedule replayed against the model:
-     monotone cycle sweep, adds at +1..+2000 (past the horizon), pops
-     and next_due compared every step *)
+     monotone cycle sweep, adds at +1..+2000 (past the horizon) before
+     and from inside each drain, drains and next_due compared every
+     step *)
   let q = Event_queue.create () and m = Model.create () in
   let seed = ref 0x2545F491 in
   let rand bound =
@@ -171,33 +205,37 @@ let queue_matches_model () =
     (!seed lsr 7) mod bound
   in
   let payload = ref 0 in
+  let schedule cycle =
+    let dt = 1 + rand 2000 in
+    incr payload;
+    add q ~cycle:(cycle + dt) !payload;
+    Model.add m ~cycle:(cycle + dt) !payload
+  in
   for cycle = 0 to 4000 do
     let n_adds = if rand 10 < 4 then 1 + rand 3 else 0 in
     for _ = 1 to n_adds do
-      let dt = 1 + rand 2000 in
-      incr payload;
-      Event_queue.add q ~cycle:(cycle + dt) !payload;
-      Model.add m ~cycle:(cycle + dt) !payload
+      schedule cycle
     done;
+    let expect = Model.pop_due m ~cycle in
     Alcotest.(check (list int))
-      (Printf.sprintf "pop @%d" cycle)
-      (Model.pop_due m ~cycle)
-      (Event_queue.pop_due q ~cycle);
+      (Printf.sprintf "drain @%d" cycle)
+      expect
+      (drained q ~cycle ~f:(fun _ -> if rand 10 < 2 then schedule cycle));
     if rand 10 < 3 then
       Alcotest.(check (option int))
         (Printf.sprintf "next_due @%d" cycle)
-        (Model.next_due m) (Event_queue.next_due q)
+        (Model.next_due m) (next_due q)
   done;
   (* drain whatever the sweep left behind *)
   let rec drain () =
-    match Event_queue.next_due q with
+    match next_due q with
     | None -> ()
     | Some c ->
         Alcotest.(check (option int)) "drain next_due" (Model.next_due m) (Some c);
         Alcotest.(check (list int))
           (Printf.sprintf "drain @%d" c)
           (Model.pop_due m ~cycle:c)
-          (Event_queue.pop_due q ~cycle:c);
+          (drained q ~cycle:c);
         drain ()
   in
   drain ();
