@@ -11,9 +11,10 @@
        regressing fails — new optimizations have to pay their way.
    Optimized-config per-bench drift is reported as informational
    "delta" lines, and per-config geomean deltas are printed for the
-   top-level table and every per-backend section.  Wall-clock and
-   allocation deltas are reported but never fail the comparison: they
-   are host-dependent.
+   top-level table and every per-backend section.  The wall-clock
+   (wall_s.total, wall_s.sim) and allocation (alloc.minor_words,
+   alloc.major_words) deltas are reported but never fail the
+   comparison: they are host-dependent.
 
    Files whose "experiment" field is "serve" (written by
    serve_bench.exe) hold machine-dependent throughput/latency numbers
@@ -73,7 +74,15 @@ let backends_of (v : t) : (string * (string * (string * int) list) list) list
       List.map (fun (name, section) -> (name, cycles_of section)) sections
   | _ -> []
 
-let wall_of v = Option.bind (member "wall_s" v) (num_member "total")
+(* the host-dependent figures of a fig7 file, reported but never gated:
+   (section, field, format) *)
+let host_figures =
+  [
+    ("wall_s", "total", Printf.sprintf "%.3fs");
+    ("wall_s", "sim", Printf.sprintf "%.3fs");
+    ("alloc", "minor_words", Printf.sprintf "%.0f");
+    ("alloc", "major_words", Printf.sprintf "%.0f");
+  ]
 
 (* per -j row of a BENCH_serve.json: (j, warm_jobs_s, ratio, p99_ms) *)
 let serve_rows v =
@@ -286,11 +295,16 @@ let () =
           "NEW backend %s: %d benches (informational, absent from %s)\n"
           backend (List.length table) base_path)
     new_backends;
-  (match (wall_of base, wall_of next) with
-  | Some wb, Some wn ->
-      Printf.printf "wall: %.3fs -> %.3fs (%+.1f%%)\n" wb wn
-        (if wb > 0. then (wn -. wb) /. wb *. 100. else 0.)
-  | _ -> ());
+  List.iter
+    (fun (section, field, fmt) ->
+      let get v = Option.bind (member section v) (num_member field) in
+      match (get base, get next) with
+      | Some b, Some n ->
+          Printf.printf "%s.%s: %s -> %s (%+.1f%%)\n" section field (fmt b)
+            (fmt n)
+            (if b > 0. then (n -. b) /. b *. 100. else 0.)
+      | _ -> ())
+    host_figures;
   if !drifts > 0 then begin
     Printf.printf "FAIL: %d cycle drift(s) over %d comparisons\n" !drifts
       !compared;
