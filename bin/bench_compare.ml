@@ -12,9 +12,9 @@
    Optimized-config per-bench drift is reported as informational
    "delta" lines, and per-config geomean deltas are printed for the
    top-level table and every per-backend section.  The wall-clock
-   (wall_s.total, wall_s.sim) and allocation (alloc.minor_words,
-   alloc.major_words) deltas are reported but never fail the
-   comparison: they are host-dependent.
+   (wall_s.total, wall_s.compile, wall_s.sim) and allocation
+   (alloc.minor_words, alloc.major_words) deltas are reported but never
+   fail the comparison: they are host-dependent.
 
    Files whose "experiment" field is "serve" (written by
    serve_bench.exe) hold machine-dependent throughput/latency numbers
@@ -79,6 +79,7 @@ let backends_of (v : t) : (string * (string * (string * int) list) list) list
 let host_figures =
   [
     ("wall_s", "total", Printf.sprintf "%.3fs");
+    ("wall_s", "compile", Printf.sprintf "%.3fs");
     ("wall_s", "sim", Printf.sprintf "%.3fs");
     ("alloc", "minor_words", Printf.sprintf "%.0f");
     ("alloc", "major_words", Printf.sprintf "%.0f");

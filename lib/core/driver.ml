@@ -270,11 +270,20 @@ let rec fit_regions cfg (config : Config.t) liveness ~retq ~params regions =
            let the config's own pipeline report it *)
         Ok regions
 
-let compile_cfg ?check ?lint ?profile cfg (config : Config.t) =
-  let check =
-    match check with Some c -> c | None -> Edge_check.Check.enabled ()
-  in
-  let params = cfg.Cfg.params in
+(* The config-independent prefix of a compile: SSA, the classic
+   optimizations, unrolling, region selection and sizing, which leave
+   the CFG, the return-value temp, the liveness and the regions that
+   [generate] starts from.  Sizing draws temps from [cfg.gen], so the
+   rest of the compile must continue from the generator as it leaves
+   it. *)
+type prefix = {
+  cfg : Cfg.t;
+  retq : Temp.t;
+  liveness : Liveness.t;
+  regions : If_convert.region list;
+}
+
+let run_prefix ?profile ~check cfg (config : Config.t) =
   timed profile "ssa" (fun () -> Edge_ir.Ssa.construct cfg);
   timed profile (Pass_id.name Pass_id.Opt_classic) (fun () ->
       Opt_classic.run cfg);
@@ -309,10 +318,67 @@ let compile_cfg ?check ?lint ?profile cfg (config : Config.t) =
                 ~budget:(config.Config.max_block_instrs * frac / 100))
         in
         timed profile "sizing" (fun () ->
-            fit_regions cfg config liveness ~retq ~params initial)
+            fit_regions cfg config liveness ~retq ~params:cfg.Cfg.params
+              initial)
+  in
+  Ok { cfg; retq; liveness; regions }
+
+(* The prefixes of the last program each domain compiled, by key (see
+   driver.mli).  The generator's counter joins the digest because
+   emitted code depends on temp numbers; [check] joins the key because
+   the prefix runs the checker after the classic optimizations.  Stored
+   prefixes are never mutated: a hit finishes on a copy of the CFG, and
+   a miss stores a copy of its own. *)
+type last_program = {
+  digest : Digest.t;
+  prefixes : ((bool * Config.mode * int * int) * (prefix, string) result) list;
+}
+
+let last_program =
+  Domain.DLS.new_key (fun () -> { digest = ""; prefixes = [] })
+
+let copy_prefix = Result.map (fun p -> { p with cfg = Cfg.copy p.cfg })
+
+let shared_prefix ~check cfg (config : Config.t) =
+  let digest =
+    Digest.string
+      (Marshal.to_string
+         (cfg.Cfg.blocks, cfg.Cfg.params, cfg.Cfg.entry, cfg.Cfg.gen)
+         [ Marshal.No_sharing ])
+  in
+  let key =
+    match config.Config.mode with
+    | Config.Bb -> (check, Config.Bb, 0, 0)
+    | Config.Hyper ->
+        ( check,
+          Config.Hyper,
+          config.Config.max_unroll,
+          config.Config.max_block_instrs )
+  in
+  let last = Domain.DLS.get last_program in
+  let known = if String.equal last.digest digest then last.prefixes else [] in
+  match List.assoc_opt key known with
+  | Some prefix -> copy_prefix prefix
+  | None ->
+      let prefix = run_prefix ~check cfg config in
+      Domain.DLS.set last_program
+        { digest; prefixes = (key, copy_prefix prefix) :: known };
+      prefix
+
+let compile_cfg ?check ?lint ?profile cfg (config : Config.t) =
+  let check =
+    match check with Some c -> c | None -> Edge_check.Check.enabled ()
+  in
+  (* a profiled compile times every stage; aggressive sizing runs the
+     config's own passes, whose test hooks no key covers *)
+  let* { cfg; retq; liveness; regions } =
+    if profile <> None || config.Config.aggressive_regions then
+      run_prefix ?profile ~check cfg config
+    else shared_prefix ~check cfg config
   in
   let* emitted, pass_counters =
-    generate ?profile ~check ?lint cfg config liveness ~retq ~params regions
+    generate ?profile ~check ?lint cfg config liveness ~retq
+      ~params:cfg.Cfg.params regions
   in
   let blocks = List.map (fun (_, e) -> e.Codegen.block) emitted in
   let entry = cfg.Cfg.entry in

@@ -33,8 +33,25 @@ val compile_cfg :
   Edge_ir.Cfg.t ->
   Config.t ->
   (compiled, string) result
-(** The CFG is consumed (mutated); pass a fresh lowering or a
+(** The CFG may be mutated; pass a fresh lowering or a
     {!Edge_ir.Cfg.copy}.
+
+    A program compiled under several configs pays once for each
+    config-independent prefix: SSA construction and destruction, the
+    classic optimizations, unrolling, region selection and region
+    sizing.  Each domain keeps the prefixes of the last program it
+    compiled, keyed on the digest of the CFG as handed in (blocks,
+    parameters, entry and the temp generator's counter), on [check], and
+    on what the prefix reads of the config: the mode, plus [max_unroll]
+    and [max_block_instrs] in Hyper mode.  All Hyper configs that share
+    those two limits share a prefix, since regions are sized against
+    naive predication whatever the config's predicate optimizations.  A
+    miss runs the prefix on the caller's CFG and stores a copy; a hit
+    finishes on a copy of the stored prefix and leaves the caller's CFG
+    untouched.  Compiles with [profile] (it times every stage) and with
+    [aggressive_regions] (its sizing runs the config's own passes)
+    always run their prefix and store nothing.  The result is the same
+    as a compile in a domain with no stored prefix.
 
     [check] runs the static verifier ({!Edge_check.Check}) after every
     pass — if-conversion, each predicate optimization, register

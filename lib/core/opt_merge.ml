@@ -3,14 +3,6 @@ module Tac = Edge_ir.Tac
 module Temp = Edge_ir.Temp
 module Opcode = Edge_isa.Opcode
 
-let negate_cond = function
-  | Opcode.Eq -> Opcode.Ne
-  | Opcode.Ne -> Opcode.Eq
-  | Opcode.Lt -> Opcode.Ge
-  | Opcode.Ge -> Opcode.Lt
-  | Opcode.Le -> Opcode.Gt
-  | Opcode.Gt -> Opcode.Le
-
 (* The guard chain of predicate [p]: the (pred, polarity) pairs that must
    have matched for p's defining test to fire, following singleton guards
    upward. Used to prove two predicate outcomes mutually exclusive. *)
@@ -89,7 +81,7 @@ let flip_pred (h : Hb.t) def_sites p =
         | Some [ di ] when di = i -> (
             match hi.Hb.hop with
             | Hb.Op (Tac.Cmp c) ->
-                { hi with Hb.hop = Hb.Op (Tac.Cmp { c with cond = negate_cond c.cond }) }
+                { hi with Hb.hop = Hb.Op (Tac.Cmp { c with cond = Opcode.negate_cond c.cond }) }
             | Hb.Op _ | Hb.Sand _ | Hb.Null_write _ | Hb.Null_store _ -> hi)
         | Some _ | None -> hi)
       h.Hb.body;

@@ -3,14 +3,6 @@ module Tac = Edge_ir.Tac
 module Temp = Edge_ir.Temp
 module Opcode = Edge_isa.Opcode
 
-let negate_cond = function
-  | Opcode.Eq -> Opcode.Ne
-  | Opcode.Ne -> Opcode.Eq
-  | Opcode.Lt -> Opcode.Ge
-  | Opcode.Ge -> Opcode.Lt
-  | Opcode.Le -> Opcode.Gt
-  | Opcode.Gt -> Opcode.Le
-
 type chain = { links : Temp.t list (* p_1 .. p_n, n >= 2 *) }
 
 let rec find_chain body def_site guards_ok p acc =
@@ -197,7 +189,7 @@ let convert_chains (h : Hb.t) ~gen =
                           {
                             Hb.hop =
                               Hb.Op
-                                (Tac.Cmp { c with dst = tinv; cond = negate_cond c.cond });
+                                (Tac.Cmp { c with dst = tinv; cond = Opcode.negate_cond c.cond });
                             guard = None;
                           }
                           :: {

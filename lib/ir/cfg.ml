@@ -104,6 +104,7 @@ let copy t =
       Label.Map.map
         (fun b -> { label = b.label; instrs = b.instrs; term = b.term })
         t.blocks;
+    gen = Temp.Gen.copy t.gen;
   }
 
 let pp ppf t =

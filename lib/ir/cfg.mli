@@ -35,6 +35,7 @@ val defs : t -> Label.Set.t Temp.Map.t
 
 val max_temp : t -> Temp.t
 val copy : t -> t
-(** Deep copy (blocks are mutable). *)
+(** Deep copy: the blocks and the temp generator are the copy's own, so
+    block edits and temps drawn on one do not show in the other. *)
 
 val pp : Format.formatter -> t -> unit

@@ -19,4 +19,5 @@ module Gen = struct
     v
 
   let next_above r t = if t >= !r then r := t + 1
+  let copy r = ref !r
 end

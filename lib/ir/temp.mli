@@ -25,4 +25,8 @@ module Gen : sig
   val next_above : t -> temp -> unit
   (** Ensure subsequently generated temps are strictly greater than the
       given one; used when resuming generation over an existing IR. *)
+
+  val copy : t -> t
+  (** An independent supply that continues from the same point: temps
+      drawn from either no longer advance the other. *)
 end

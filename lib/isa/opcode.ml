@@ -24,6 +24,14 @@ type t =
 
 let equal (a : t) (b : t) = a = b
 
+let negate_cond = function
+  | Eq -> Ne
+  | Ne -> Eq
+  | Lt -> Ge
+  | Ge -> Lt
+  | Le -> Gt
+  | Gt -> Le
+
 let num_operands = function
   | Iop _ | Tst _ | Fop _ | Ftst _ | St _ | Sand -> 2
   | Iopi _ | Tsti _ | Un _ | Ld _ | Mov4 -> 1

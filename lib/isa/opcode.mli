@@ -27,6 +27,10 @@ type ibinop =
     values: all-zeros for false, low-bit-one for true. *)
 type cond = Eq | Ne | Lt | Le | Gt | Ge
 
+val negate_cond : cond -> cond
+(** The condition true exactly where the given one is false, on integer
+    operands ([Lt] becomes [Ge]). *)
+
 (** Floating-point (double) binary operations. *)
 type fbinop = Fadd | Fsub | Fmul | Fdiv
 

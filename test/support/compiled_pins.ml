@@ -73,38 +73,41 @@ let render_placements ps =
 let render_counters cs =
   String.concat ";" (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) cs)
 
+(* a compile's pinned fields: the image, placement and pass-counter
+   digests and the static counts, or the digest of the error *)
+let fields (result : (Dfp.Driver.compiled, string) result) =
+  match result with
+  | Error e -> [ "error"; md5 e ]
+  | Ok c ->
+      let image =
+        match Edge_isa.Image.encode_program c.Dfp.Driver.program with
+        | Ok b -> md5 (Bytes.to_string b)
+        | Error e -> "unencodable:" ^ md5 e
+      in
+      [
+        image;
+        md5 (render_placements c.Dfp.Driver.placements);
+        string_of_int c.Dfp.Driver.static_instrs;
+        string_of_int c.Dfp.Driver.static_blocks;
+        string_of_int c.Dfp.Driver.static_fanout_moves;
+        string_of_int c.Dfp.Driver.explicit_predicates;
+        md5 (render_counters c.Dfp.Driver.pass_counters);
+      ]
+
 let line (name, config_name, config, lower) =
   let result =
     Result.bind (lower ()) (fun cfg ->
         Dfp.Driver.compile_cfg ~check:false cfg config)
   in
-  let fields =
-    match result with
-    | Error e -> [ "error"; md5 e ]
-    | Ok (c : Dfp.Driver.compiled) ->
-        let image =
-          match Edge_isa.Image.encode_program c.Dfp.Driver.program with
-          | Ok b -> md5 (Bytes.to_string b)
-          | Error e -> "unencodable:" ^ md5 e
-        in
-        [
-          image;
-          md5 (render_placements c.Dfp.Driver.placements);
-          string_of_int c.Dfp.Driver.static_instrs;
-          string_of_int c.Dfp.Driver.static_blocks;
-          string_of_int c.Dfp.Driver.static_fanout_moves;
-          string_of_int c.Dfp.Driver.explicit_predicates;
-          md5 (render_counters c.Dfp.Driver.pass_counters);
-        ]
-  in
-  String.concat " " (name :: config_name :: fields)
+  String.concat " " (name :: config_name :: fields result)
 
-(* the pinned lines of the current compiler *)
-let lines () =
+(* [f ()] with the fuzz enumerator hook cleared *)
+let without_enum_hook f =
   let hook = !Dfp.Opt_ineff.cross_validate in
   Dfp.Opt_ineff.cross_validate := None;
-  Fun.protect
-    ~finally:(fun () -> Dfp.Opt_ineff.cross_validate := hook)
-    (fun () -> List.map line (inputs ()))
+  Fun.protect ~finally:(fun () -> Dfp.Opt_ineff.cross_validate := hook) f
+
+(* the pinned lines of the current compiler *)
+let lines () = without_enum_hook (fun () -> List.map line (inputs ()))
 
 let path () = Filename.concat (Goldens.golden_dir ()) file_name

@@ -389,6 +389,64 @@ let profiled_compile_equal () =
       ("bitmnp01", Dfp.Config.bb);
     ]
 
+(* Compiles of one program in one domain share its config-independent
+   prefix.  Back to back in a fresh domain, each input is compiled on
+   fresh lowerings under configs that miss, hit, change the unroll
+   limit or the block size, bypass the cache, and turn the checker on;
+   every result must equal the same compile run alone in a domain of
+   its own, whose cache is empty. *)
+let prefix_reuse_transparent () =
+  let module Pins = Test_support.Compiled_pins in
+  let module Goldens = Test_support.Goldens in
+  let both = Dfp.Config.both in
+  let configs =
+    [
+      ("Merge", false, Dfp.Config.merge);
+      ("BB", false, Dfp.Config.bb);
+      ("Hyper", false, Dfp.Config.hyper_baseline);
+      ("Both", false, both);
+      ("Both unroll 2", false, { both with Dfp.Config.max_unroll = 2 });
+      ("Both block 96", false, { both with Dfp.Config.max_block_instrs = 96 });
+      ("Hand", false, Dfp.Config.hand_optimized);
+      ("Both checked", true, both);
+    ]
+  in
+  let inputs =
+    List.map
+      (fun k ->
+        ( k,
+          fun () ->
+            Result.bind
+              (Edge_lang.Parser.parse (Goldens.kernel_source k))
+              Edge_lang.Lower.lower ))
+      Goldens.kernels
+    @ List.init 10 (fun i ->
+          let seed = 41 + i in
+          let size = Edge_fuzz.Gen.size_for ~min_size:6 ~max_size:45 i in
+          ( Printf.sprintf "gen:seed=%d,size=%d" seed size,
+            fun () -> Edge_lang.Lower.lower (Edge_fuzz.Gen.generate ~seed ~size) ))
+  in
+  let compile lower (_, check, config) =
+    Pins.fields
+      (Result.bind (lower ()) (fun cfg ->
+           Dfp.Driver.compile_cfg ~check cfg config))
+  in
+  let in_fresh_domain f = Domain.join (Domain.spawn f) in
+  Pins.without_enum_hook @@ fun () ->
+  List.iter
+    (fun (name, lower) ->
+      let shared =
+        in_fresh_domain (fun () -> List.map (compile lower) configs)
+      in
+      List.iter2
+        (fun ((cn, _, _) as c) got ->
+          Alcotest.(check (list string))
+            (name ^ " " ^ cn)
+            (in_fresh_domain (fun () -> compile lower c))
+            got)
+        configs shared)
+    inputs
+
 let tests =
   [
     Alcotest.test_case "region formation" `Quick region_formation;
@@ -404,4 +462,5 @@ let tests =
     Alcotest.test_case "passes idempotent" `Quick passes_idempotent;
     Alcotest.test_case "compiled code pinned" `Quick compiled_code_pinned;
     Alcotest.test_case "profiled compile equal" `Quick profiled_compile_equal;
+    Alcotest.test_case "prefix reuse transparent" `Quick prefix_reuse_transparent;
   ]

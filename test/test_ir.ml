@@ -293,6 +293,30 @@ let hblock_helpers () =
   check "t2 has two defs" true (List.length (Temp.Map.find 2 sites) = 2);
   check "guard uses" true (hop_uses (List.nth h.body 1) = [ 0; 1 ])
 
+(* a copy owns its blocks and its temp supply: temps drawn and blocks
+   edited on either side do not show in the other *)
+let copy_independent () =
+  let cfg = build_loop_cfg () in
+  let copy = Cfg.copy cfg in
+  let t_orig = Temp.Gen.fresh cfg.Cfg.gen in
+  let t_copy = Temp.Gen.fresh copy.Cfg.gen in
+  check "copy draws what the original drew" true (t_orig = t_copy);
+  ignore (Temp.Gen.fresh copy.Cfg.gen);
+  check "copy's draws leave the original" true
+    (Temp.Gen.fresh cfg.Cfg.gen = t_orig + 1);
+  ignore (Temp.Gen.fresh cfg.Cfg.gen);
+  check "original's draws leave the copy" true
+    (Temp.Gen.fresh copy.Cfg.gen = t_copy + 2);
+  (Cfg.block copy "b").Cfg.instrs <- [];
+  check "copy's edit leaves the original" true
+    ((Cfg.block cfg "b").Cfg.instrs <> []);
+  (Cfg.block cfg "c").Cfg.term <- Tac.Ret None;
+  check "original's edit leaves the copy" true
+    ((Cfg.block copy "c").Cfg.term = Tac.Jmp "join");
+  Cfg.remove_block copy "exit";
+  check "removing from the copy leaves the original" true
+    (Cfg.block_opt cfg "exit" <> None)
+
 let tests =
   [
     Alcotest.test_case "rpo order" `Quick rpo_order;
@@ -302,4 +326,5 @@ let tests =
     Alcotest.test_case "liveness over loop" `Quick liveness_loop;
     Alcotest.test_case "ssa construct/destruct" `Quick ssa_roundtrip;
     Alcotest.test_case "hblock helpers" `Quick hblock_helpers;
+    Alcotest.test_case "copy independent" `Quick copy_independent;
   ]

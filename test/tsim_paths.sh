@@ -2,7 +2,7 @@
 # tsim runs .k, .s and .img inputs through one runner, so -f selects
 # the functional simulator and -m the timing backend whatever the input;
 # --profile prints one row per compiler stage plus other, summing to the
-# profiled compile's wall time.
+# profiled compile's wall time, the prefix stages included.
 #   sh tsim_paths.sh TSIM KERNEL.k PROGRAM.s
 set -eu
 tsim=$1
@@ -23,14 +23,18 @@ if [ "$grid" = "$inorder" ]; then
   exit 1
 fi
 
+# tsim has just compiled the same program with the same checker setting,
+# so the profiled compile must run its prefix (ssa .. sizing) afresh
+# rather than reuse it
 prof=$("$tsim" "$kernel" -c both --check --profile | sed -n '/^compile profile /,$p')
 wall=$(printf '%s\n' "$prof" | sed -n 's/^compile profile .*: \([0-9]*\) us$/\1/p')
 sum=$(printf '%s\n' "$prof" | awk 'NR > 1 { s += $2 } END { print s + 0 }')
-if [ -z "$wall" ] || [ "$wall" != "$sum" ] \
-   || ! printf '%s\n' "$prof" | grep -q '^  opt_classic ' \
-   || ! printf '%s\n' "$prof" | grep -q '^  check ' \
-   || ! printf '%s\n' "$prof" | grep -q '^  other '; then
-  echo "tsim $kernel --profile: stage rows missing or not summing to the wall time:"
+missing=
+for stage in ssa opt_classic unroll regions sizing check other; do
+  printf '%s\n' "$prof" | grep -q "^  $stage " || missing="$missing $stage"
+done
+if [ -z "$wall" ] || [ "$wall" != "$sum" ] || [ -n "$missing" ]; then
+  echo "tsim $kernel --profile: stage rows missing ($missing) or not summing to the wall time:"
   printf '%s\n' "$prof"
   exit 1
 fi
