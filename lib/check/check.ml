@@ -34,23 +34,32 @@ let empty = { diags = []; skipped = 0 }
 
 let merge a b = { diags = a.diags @ b.diags; skipped = a.skipped + b.skipped }
 
-let of_outcome = function
-  | Block_check.Clean -> empty
-  | Block_check.Skipped _ -> { diags = []; skipped = 1 }
-  | Block_check.Diags ds -> { diags = ds; skipped = 0 }
-
-let of_houtcome = function
-  | Hblock_check.Clean -> empty
-  | Hblock_check.Skipped _ -> { diags = []; skipped = 1 }
-  | Hblock_check.Diags ds -> { diags = ds; skipped = 0 }
+(* a passing verdict is reused for identical content judged earlier for
+   the same program (see [Scope]); the key leaves out [pass], which
+   only failures mention *)
+let of_verdict = function
+  | Ok skipped -> { diags = []; skipped = Bool.to_int skipped }
+  | Error ds -> { diags = ds; skipped = 0 }
 
 let hblocks ~pass (hs : Hb.t list) : result =
   List.fold_left
-    (fun acc h -> merge acc (of_houtcome (Hblock_check.check ~pass h)))
+    (fun acc h ->
+      merge acc
+        (of_verdict
+           (Scope.verdict ~tag:"hblock_check" h (fun () ->
+                match Hblock_check.check ~pass h with
+                | Hblock_check.Clean -> Ok false
+                | Hblock_check.Skipped _ -> Ok true
+                | Hblock_check.Diags ds -> Error ds))))
     empty hs
 
 let block ~pass (b : Edge_isa.Block.t) : result =
-  of_outcome (Block_check.check ~pass b)
+  of_verdict
+    (Scope.verdict ~tag:"block_check" b (fun () ->
+         match Block_check.check ~pass b with
+         | Block_check.Clean -> Ok false
+         | Block_check.Skipped _ -> Ok true
+         | Block_check.Diags ds -> Error ds))
 
 let program ?(pass = "codegen") (p : Edge_isa.Program.t) : result =
   List.fold_left

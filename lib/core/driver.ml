@@ -323,58 +323,58 @@ let run_prefix ?profile ~check cfg (config : Config.t) =
   in
   Ok { cfg; retq; liveness; regions }
 
-(* The prefixes of the last program each domain compiled, by key (see
-   driver.mli).  The generator's counter joins the digest because
-   emitted code depends on temp numbers; [check] joins the key because
-   the prefix runs the checker after the classic optimizations.  Stored
-   prefixes are never mutated: a hit finishes on a copy of the CFG, and
-   a miss stores a copy of its own. *)
-type last_program = {
-  digest : Digest.t;
-  prefixes : ((bool * Config.mode * int * int) * (prefix, string) result) list;
-}
-
-let last_program =
-  Domain.DLS.new_key (fun () -> { digest = ""; prefixes = [] })
+(* The prefixes of the domain's current program (see
+   [Edge_check.Scope]), keyed on what the prefix reads of the config.
+   Stored prefixes are never mutated: a hit finishes on a copy of the
+   CFG, and a miss stores a copy of its own. *)
+type Edge_check.Scope.entry += Prefix of (prefix, string) result
 
 let copy_prefix = Result.map (fun p -> { p with cfg = Cfg.copy p.cfg })
 
 let shared_prefix ~check cfg (config : Config.t) =
-  let digest =
-    Digest.string
-      (Marshal.to_string
-         (cfg.Cfg.blocks, cfg.Cfg.params, cfg.Cfg.entry, cfg.Cfg.gen)
-         [ Marshal.No_sharing ])
-  in
   let key =
     match config.Config.mode with
-    | Config.Bb -> (check, Config.Bb, 0, 0)
+    | Config.Bb -> "prefix bb"
     | Config.Hyper ->
-        ( check,
-          Config.Hyper,
-          config.Config.max_unroll,
-          config.Config.max_block_instrs )
+        Printf.sprintf "prefix hyper unroll=%d block=%d"
+          config.Config.max_unroll config.Config.max_block_instrs
   in
-  let last = Domain.DLS.get last_program in
-  let known = if String.equal last.digest digest then last.prefixes else [] in
-  match List.assoc_opt key known with
-  | Some prefix -> copy_prefix prefix
-  | None ->
+  match Edge_check.Scope.find key with
+  | Some (Prefix prefix) -> copy_prefix prefix
+  | _ ->
       let prefix = run_prefix ~check cfg config in
-      Domain.DLS.set last_program
-        { digest; prefixes = (key, copy_prefix prefix) :: known };
+      Edge_check.Scope.add key (Prefix (copy_prefix prefix));
       prefix
+
+(* A compile's program: the digest of the CFG as handed in (emitted code
+   depends on temp numbers, so the generator's counter joins it) plus
+   [check], which decides whether the prefix runs the checker and, in a
+   traced fuzz-oracle op, keeps the unchecked compiles that time the
+   checker from filling the checked compiles' verdicts. *)
+let program_name ~check cfg =
+  Digest.string
+    (Marshal.to_string
+       (cfg.Cfg.blocks, cfg.Cfg.params, cfg.Cfg.entry, cfg.Cfg.gen)
+       [ Marshal.No_sharing ])
+  ^ if check then " checked" else " unchecked"
 
 let compile_cfg ?check ?lint ?profile cfg (config : Config.t) =
   let check =
     match check with Some c -> c | None -> Edge_check.Check.enabled ()
   in
-  (* a profiled compile times every stage; aggressive sizing runs the
-     config's own passes, whose test hooks no key covers *)
+  (* a profiled compile times every stage and every check, so it reads
+     and stores nothing; aggressive sizing runs the config's own passes,
+     whose test hooks no prefix key covers *)
   let* { cfg; retq; liveness; regions } =
-    if profile <> None || config.Config.aggressive_regions then
+    if profile <> None then begin
+      Edge_check.Scope.leave ();
       run_prefix ?profile ~check cfg config
-    else shared_prefix ~check cfg config
+    end
+    else begin
+      Edge_check.Scope.enter (program_name ~check cfg);
+      if config.Config.aggressive_regions then run_prefix ~check cfg config
+      else shared_prefix ~check cfg config
+    end
   in
   let* emitted, pass_counters =
     generate ?profile ~check ?lint cfg config liveness ~retq

@@ -36,22 +36,28 @@ val compile_cfg :
 (** The CFG may be mutated; pass a fresh lowering or a
     {!Edge_ir.Cfg.copy}.
 
+    Each compile names its program in the domain's
+    {!Edge_check.Scope}: the digest of the CFG as handed in (blocks,
+    parameters, entry and the temp generator's counter) plus [check].
+    A new name drops everything stored for the previous program.
+
     A program compiled under several configs pays once for each
     config-independent prefix: SSA construction and destruction, the
     classic optimizations, unrolling, region selection and region
-    sizing.  Each domain keeps the prefixes of the last program it
-    compiled, keyed on the digest of the CFG as handed in (blocks,
-    parameters, entry and the temp generator's counter), on [check], and
-    on what the prefix reads of the config: the mode, plus [max_unroll]
-    and [max_block_instrs] in Hyper mode.  All Hyper configs that share
+    sizing.  The scope keeps the program's prefixes, keyed on what the
+    prefix reads of the config: the mode, plus [max_unroll] and
+    [max_block_instrs] in Hyper mode.  All Hyper configs that share
     those two limits share a prefix, since regions are sized against
     naive predication whatever the config's predicate optimizations.  A
     miss runs the prefix on the caller's CFG and stores a copy; a hit
     finishes on a copy of the stored prefix and leaves the caller's CFG
-    untouched.  Compiles with [profile] (it times every stage) and with
-    [aggressive_regions] (its sizing runs the config's own passes)
-    always run their prefix and store nothing.  The result is the same
-    as a compile in a domain with no stored prefix.
+    untouched.  Compiles with [aggressive_regions] (its sizing runs the
+    config's own passes) always run their prefix.  The scope also keeps
+    the passing verdicts of the checker and of the fuzz oracle's
+    validator and enumerator, keyed on the exact content judged.  A
+    compile with [profile] (it times every stage and every check)
+    leaves the scope: it reads and stores nothing.  The result is the
+    same as a compile in a domain with nothing stored.
 
     [check] runs the static verifier ({!Edge_check.Check}) after every
     pass — if-conversion, each predicate optimization, register

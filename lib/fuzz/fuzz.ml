@@ -134,35 +134,37 @@ let replay_source ?cycle ?machines ?validate ?check ?max_vars ~name src :
    static validator over each artifact — the "validator passes on all
    compiled artifacts of the Figure 7 sweep" acceptance gate, extended
    to the auxiliary configs. Compilation goes through the memoized
-   harness cache, so a subsequent experiment sweep pays nothing extra. *)
+   harness cache, so a subsequent experiment sweep pays nothing extra.
+   One task is one workload's configs, so they share its compile prefix
+   and verdicts in one domain. *)
 let validate_workloads ?jobs ?max_vars ?(workloads = Edge_workloads.Registry.all)
     () : (string * string) list =
-  let tasks =
-    List.concat_map
-      (fun (w : Edge_workloads.Workload.t) ->
-        List.map (fun (cname, config) -> (w, cname, config)) Oracle.configs)
-      workloads
-  in
   Edge_parallel.Pool.run ?jobs
-    (fun ((w : Edge_workloads.Workload.t), cname, config) ->
-      let label = Printf.sprintf "%s/%s" w.Edge_workloads.Workload.name cname in
-      match Edge_harness.Experiment.compile_cached w config with
-      | Error e -> [ (label, "compile: " ^ e) ]
-      | Ok compiled -> (
-          match Validate.program ?max_vars compiled.Dfp.Driver.program with
-          | Ok _skipped -> []
-          | Error es -> List.map (fun e -> (label, e)) es))
-    tasks
+    (fun (w : Edge_workloads.Workload.t) ->
+      List.concat_map
+        (fun (cname, config) ->
+          let label =
+            Printf.sprintf "%s/%s" w.Edge_workloads.Workload.name cname
+          in
+          match Edge_harness.Experiment.compile_cached w config with
+          | Error e -> [ (label, "compile: " ^ e) ]
+          | Ok compiled -> (
+              match Validate.program ?max_vars compiled.Dfp.Driver.program with
+              | Ok _skipped -> []
+              | Error es -> List.map (fun e -> (label, e)) es))
+        Oracle.configs)
+    workloads
   |> List.concat
 
 (* ---------- checker smoke ---------- *)
 
-(* Run the per-pass lattice checker (no execution, no enumeration) over
-   a set of named kernel sources plus [n] generated kernels, under every
-   configuration. Returns one entry per diagnostic-bearing compile; a
-   clean sweep is the `make check-smoke` gate. *)
-let smoke_tasks ?(n = 50) ?(seed = 2006) ~sources () =
-  let gen_tasks =
+(* The smoke kernels: the named sources plus [n] generated kernels.
+   One task is one kernel's configs, in [Oracle.configs] order, so they
+   share its compile prefix and verdicts in one domain.  [f] gets each
+   config's label and fresh lowering; [error] gives a parse or lowering
+   failure the same shape. *)
+let smoke ?jobs ?(n = 50) ?(seed = 2006) ~sources ~error f =
+  let generated =
     List.init n (fun i ->
         let size =
           Gen.size_for ~min_size:default_min_size ~max_size:default_max_size i
@@ -171,27 +173,32 @@ let smoke_tasks ?(n = 50) ?(seed = 2006) ~sources () =
         ( Printf.sprintf "gen-seed-%d" s,
           Pretty.kernel_to_string (Gen.generate ~seed:s ~size) ))
   in
-  List.concat_map
+  Edge_parallel.Pool.run ?jobs
     (fun (name, src) ->
       List.map
-        (fun (cname, config) -> (name, src, cname, config))
+        (fun (cname, config) ->
+          let label = Printf.sprintf "%s/%s" name cname in
+          match Edge_lang.Parser.parse src with
+          | Error e -> error (label, "parse: " ^ e)
+          | Ok ast -> (
+              match Edge_lang.Lower.lower ast with
+              | Error e -> error (label, "lower: " ^ e)
+              | Ok cfg -> f label cfg config))
         Oracle.configs)
-    (sources @ gen_tasks)
+    (sources @ generated)
+  |> List.concat
 
+(* Run the per-pass lattice checker (no execution, no enumeration) over
+   the smoke kernels under every configuration. Returns one entry per
+   diagnostic-bearing compile; a clean sweep is the `make check-smoke`
+   gate. *)
 let check_smoke ?jobs ?n ?seed ~sources () : (string * string) list =
-  Edge_parallel.Pool.run ?jobs
-    (fun (name, src, cname, config) ->
-      let label = Printf.sprintf "%s/%s" name cname in
-      match Edge_lang.Parser.parse src with
-      | Error e -> [ (label, "parse: " ^ e) ]
-      | Ok ast -> (
-          match Edge_lang.Lower.lower ast with
-          | Error e -> [ (label, "lower: " ^ e) ]
-          | Ok cfg -> (
-              match Dfp.Driver.compile_cfg ~check:true cfg config with
-              | Ok _ -> []
-              | Error e -> [ (label, e) ])))
-    (smoke_tasks ?n ?seed ~sources ())
+  smoke ?jobs ?n ?seed ~sources
+    ~error:(fun e -> [ e ])
+    (fun label cfg config ->
+      match Dfp.Driver.compile_cfg ~check:true cfg config with
+      | Ok _ -> []
+      | Error e -> [ (label, e) ])
   |> List.concat
 
 (* ---------- ineffectuality-lint smoke ---------- *)
@@ -207,23 +214,16 @@ let check_smoke ?jobs ?n ?seed ~sources () : (string * string) list =
    "the analysis actually finds things". *)
 let analyze_smoke ?jobs ?n ?seed ~sources () : (string * string) list * int =
   let results =
-    Edge_parallel.Pool.run ?jobs
-      (fun (name, src, cname, config) ->
-        let label = Printf.sprintf "%s/%s" name cname in
-        match Edge_lang.Parser.parse src with
-        | Error e -> ([ (label, "parse: " ^ e) ], 0)
-        | Ok ast -> (
-            match Edge_lang.Lower.lower ast with
-            | Error e -> ([ (label, "lower: " ^ e) ], 0)
-            | Ok cfg -> (
-                let found = ref 0 in
-                let lint _f = incr found in
-                match Dfp.Driver.compile_cfg ~check:true ~lint cfg config with
-                | Ok _ -> ([], !found)
-                | Error e -> ([ (label, e) ], !found)
-                | exception Dfp.Opt_ineff.Breach msg ->
-                    ([ (label, "false positive: " ^ msg) ], !found))))
-      (smoke_tasks ?n ?seed ~sources ())
+    smoke ?jobs ?n ?seed ~sources
+      ~error:(fun e -> ([ e ], 0))
+      (fun label cfg config ->
+        let found = ref 0 in
+        let lint _f = incr found in
+        match Dfp.Driver.compile_cfg ~check:true ~lint cfg config with
+        | Ok _ -> ([], !found)
+        | Error e -> ([ (label, e) ], !found)
+        | exception Dfp.Opt_ineff.Breach msg ->
+            ([ (label, "false positive: " ^ msg) ], !found))
   in
   ( List.concat_map fst results,
     List.fold_left (fun acc (_, c) -> acc + c) 0 results )

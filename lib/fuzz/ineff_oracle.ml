@@ -303,6 +303,15 @@ let check_plan ?(max_vars = default_max_vars) (h : Hb.t)
 
 (* Install the enumerator as [Opt_ineff]'s cross-validation hook: every
    plan computed by any compile in this process is re-proved before it
-   is applied.  Module-init so worker domains inherit it. *)
+   is applied.  Module-init so worker domains inherit it.  The hook
+   still receives every plan; a plan already proved on an identical
+   block of the same program reuses that verdict (see
+   [Edge_check.Scope]). *)
 let install () =
-  Dfp.Opt_ineff.cross_validate := Some (fun h p -> check_plan h p)
+  let tag = Printf.sprintf "enum max_vars=%d" default_max_vars in
+  Dfp.Opt_ineff.cross_validate :=
+    Some
+      (fun h p ->
+        Edge_check.Scope.verdict ~tag (h, p) (fun () ->
+            Result.map (fun () -> false) (check_plan h p))
+        |> Result.map ignore)

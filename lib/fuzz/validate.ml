@@ -354,12 +354,19 @@ let path_errors ?(max_vars = default_max_vars) (b : B.t) :
 
 (* [Ok skipped]: the block is clean as far as the enumerator looked;
    [skipped] is true when path enumeration was declined (too many
-   variables) and only the structural/round-trip checks ran. *)
-let block ?max_vars (b : B.t) : (bool, string list) result =
+   variables) and only the structural/round-trip checks ran.  A passing
+   verdict is reused for an identical block validated under the same
+   [max_vars] for the same program (see [Edge_check.Scope]). *)
+let block ?(max_vars = default_max_vars) (b : B.t) :
+    (bool, string list) result =
+  Edge_check.Scope.verdict
+    ~tag:(Printf.sprintf "validate max_vars=%d" max_vars)
+    b
+  @@ fun () ->
   let structural =
     match B.validate b with Ok () -> [] | Error es -> es
   in
-  let path, skipped = path_errors ?max_vars b in
+  let path, skipped = path_errors ~max_vars b in
   match structural @ roundtrip_errors b @ path with
   | [] -> Ok skipped
   | es -> Error es

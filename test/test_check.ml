@@ -440,6 +440,150 @@ let enable_switch () =
   Alcotest.(check bool) "restored" true (Check.enabled ());
   Check.set_enabled before
 
+(* Verdicts reused within a domain's current program are invisible.
+   Back to back in one fresh domain, each input is compiled with the
+   checker on under every oracle config and [hand_optimized], and each
+   result is validated (without and with path enumeration) and checked
+   again; every answer must equal the same call alone in a domain of
+   its own, whose scope is empty.  A block the checker skips reads
+   skipped when its verdict is reused.  And failing verdicts are never
+   stored: the force_dead loop, run twice in one domain, fails and
+   passes the same way, with the same messages, both times. *)
+let verdict_reuse_transparent () =
+  let module Pins = Test_support.Compiled_pins in
+  let module Oracle = Edge_fuzz.Oracle in
+  Edge_fuzz.Ineff_oracle.install ();
+  let parse name src =
+    match Edge_lang.Parser.parse src with
+    | Ok ast -> (name, ast)
+    | Error e -> Alcotest.failf "%s: parse: %s" name e
+  in
+  let inputs =
+    List.map (fun k -> parse k (G.kernel_source k)) G.kernels
+    @ List.init 10 (fun i ->
+          let seed = 51 + i in
+          let size = Edge_fuzz.Gen.size_for ~min_size:6 ~max_size:45 i in
+          ( Printf.sprintf "gen:seed=%d,size=%d" seed size,
+            Edge_fuzz.Gen.generate ~seed ~size ))
+  in
+  let configs = Oracle.configs @ [ ("Hand", Dfp.Config.hand_optimized) ] in
+  (* under [max_vars:0] every block with a predicate variable is
+     skipped, so a skip verdict is judged and reused too *)
+  let validate (c : Dfp.Driver.compiled) =
+    List.concat_map
+      (fun max_vars ->
+        match Validate.program ~max_vars c.Dfp.Driver.program with
+        | Ok skipped -> [ string_of_int skipped ]
+        | Error es -> es)
+      [ 0; Validate.default_max_vars ]
+  in
+  let check_program (c : Dfp.Driver.compiled) =
+    let r = Check.program c.Dfp.Driver.program in
+    string_of_int r.Check.skipped :: List.map Diag.to_string r.Check.diags
+  in
+  let in_fresh_domain f = Domain.join (Domain.spawn f) in
+  List.iter
+    (fun (name, ast) ->
+      let shared =
+        in_fresh_domain (fun () ->
+            List.map
+              (fun (_, config) ->
+                let r = Oracle.compile ~check:true ast config in
+                let judged =
+                  Result.map (fun c -> (validate c, check_program c)) r
+                in
+                (r, judged))
+              configs)
+      in
+      List.iter2
+        (fun (cn, config) (r, judged) ->
+          let what = name ^ " " ^ cn in
+          Alcotest.(check (list string))
+            (what ^ " compile")
+            (in_fresh_domain (fun () ->
+                 Pins.fields (Oracle.compile ~check:true ast config)))
+            (Pins.fields r);
+          match (r, judged) with
+          | Ok c, Ok (validated, checked) ->
+              Alcotest.(check (list string))
+                (what ^ " validate")
+                (in_fresh_domain (fun () -> validate c))
+                validated;
+              Alcotest.(check (list string))
+                (what ^ " check")
+                (in_fresh_domain (fun () -> check_program c))
+                checked
+          | _ -> ())
+        configs shared)
+    inputs;
+  (* a block whose BDDs pass the checker's node budget is skipped, and
+     a reused verdict says so again: 16 test pairs (a_i, then b_i
+     predicated on a_i) feed one predicate-OR, whose fire region
+     OR (a_i && b_i) needs 2^16 nodes in the variable order a, then b *)
+  let over_budget =
+    let n = 16 in
+    mk "over_budget"
+      ~reads:
+        (List.init n (fun r ->
+             read r (3 + r) [ ti r T.Left; ti (n + r) T.Left ]))
+      (List.init n (fun r ->
+           I.make ~id:r ~opcode:(O.Tsti O.Eq) ~imm:1L
+             ~targets:[ ti (n + r) T.Pred ] ())
+      @ List.init n (fun r ->
+            I.make ~id:(n + r) ~opcode:(O.Tsti O.Eq) ~pred:I.If_true ~imm:2L
+              ~targets:[ ti (2 * n) T.Pred ] ())
+      @ [ I.make ~id:(2 * n) ~opcode:O.Bro ~pred:I.If_true ~exit_idx:0 () ])
+  in
+  let judge () =
+    let r = bcheck over_budget in
+    (keys r, r.Check.skipped)
+  in
+  List.iter
+    (fun (what, got) ->
+      Alcotest.(check (pair (list (pair string string)) int)) what ([], 1) got)
+    [
+      ("over budget, alone", in_fresh_domain judge);
+      ( "over budget, judged again for one program",
+        in_fresh_domain (fun () ->
+            Edge_check.Scope.enter "over budget";
+            ignore (judge ());
+            judge ()) );
+    ];
+  (* bogus deletions: caught by the enumerator hook, or by the checker
+     with the hook off *)
+  let ast = snd (parse "pred_diamond" (G.kernel_source "pred_diamond")) in
+  let force_dead_loop ~check =
+    List.init 16 (fun i ->
+        Dfp.Opt_ineff.force_dead := [ i ];
+        match Oracle.compile ~check ast Dfp.Config.both with
+        | Ok c -> Pins.fields (Ok c)
+        | Error e -> [ "error"; e ])
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Dfp.Opt_ineff.force_dead := [];
+      Edge_fuzz.Ineff_oracle.install ())
+    (fun () ->
+      List.iter
+        (fun (what, hooked, check) ->
+          if not hooked then Dfp.Opt_ineff.cross_validate := None;
+          let first, second =
+            in_fresh_domain (fun () ->
+                let first = force_dead_loop ~check in
+                (first, force_dead_loop ~check))
+          in
+          Alcotest.(check bool)
+            (what ^ ": some bogus deletion fails")
+            true
+            (List.exists (fun f -> List.hd f = "error") first);
+          List.iteri
+            (fun i (a, b) ->
+              Alcotest.(check (list string))
+                (Printf.sprintf "%s: force_dead [%d] again" what i)
+                a b)
+            (List.combine first second))
+        [ ("hooked", true, false); ("checker", false, true) ])
+
 let tests =
   [
     Alcotest.test_case "base blocks clean" `Quick bases_clean;
@@ -462,4 +606,6 @@ let tests =
     Alcotest.test_case "enumerator skip counting" `Quick skip_counting;
     Alcotest.test_case "diagnostic key round-trip" `Quick diag_key_roundtrip;
     Alcotest.test_case "enable switch" `Quick enable_switch;
+    Alcotest.test_case "verdict reuse transparent" `Quick
+      verdict_reuse_transparent;
   ]
