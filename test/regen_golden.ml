@@ -1,13 +1,14 @@
 (* Regenerate the golden trace files (test/golden/*.trace) from the
-   current simulator, and the pinned compiler output
-   (test/golden/compiled.digests) from the current compiler. Run from
+   current simulator, the pinned compiler output
+   (test/golden/compiled.digests) from the current compiler, and the
+   pinned block judges' answers (test/golden/judges.digests). Run from
    the repo root:
 
      make regen-golden        (or: dune exec test/regen_golden.exe)
 
    Inspect the diff before committing: a golden change means the
-   simulator's observable schedule or the emitted code changed, and
-   that must be intentional. *)
+   simulator's observable schedule, the emitted code or a judge's
+   answer changed, and that must be intentional. *)
 
 let () =
   let dir =
@@ -46,9 +47,14 @@ let () =
     (write ~machine:Test_support.Goldens.inorder_machine
        ~machine_tag:Test_support.Goldens.inorder_tag)
     (Test_support.Goldens.inorder_all ());
-  let lines = Test_support.Compiled_pins.lines () in
-  let path = Filename.concat dir Test_support.Compiled_pins.file_name in
-  let oc = open_out_bin path in
-  List.iter (fun l -> output_string oc (l ^ "\n")) lines;
-  close_out oc;
-  Printf.printf "wrote %s (%d compiles)\n" path (List.length lines)
+  let write_lines file_name what lines =
+    let path = Filename.concat dir file_name in
+    let oc = open_out_bin path in
+    List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+    close_out oc;
+    Printf.printf "wrote %s (%d %s)\n" path (List.length lines) what
+  in
+  write_lines Test_support.Compiled_pins.file_name "compiles"
+    (Test_support.Compiled_pins.lines ());
+  write_lines Test_support.Judge_pins.file_name "lines"
+    (Test_support.Judge_pins.lines ())

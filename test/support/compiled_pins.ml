@@ -22,8 +22,10 @@ module Gen = Edge_fuzz.Gen
 let file_name = "compiled.digests"
 let md5 s = Digest.to_hex (Digest.string s)
 
-(* every (name, config name, config, lowering) to pin, in file order *)
-let inputs () =
+(* the registry workloads as (name, config name, config, lowering) under
+   every oracle configuration plus [hand_optimized], and the other
+   pinned kernels as (name, lowering) *)
+let sources () =
   let parsed name source =
     (name, fun () -> Result.bind (Edge_lang.Parser.parse source) Edge_lang.Lower.lower)
   in
@@ -56,11 +58,22 @@ let inputs () =
         ( Printf.sprintf "gen:seed=%d,size=%d" seed size,
           fun () -> Edge_lang.Lower.lower (Gen.generate ~seed ~size) ))
   in
-  workloads
-  @ List.concat_map
-      (fun (name, lower) ->
-        List.map (fun (cn, c) -> (name, cn, c, lower)) Oracle.configs)
-      (examples @ corpus @ generated)
+  (workloads, examples @ corpus @ generated)
+
+let under_oracle_configs kernels =
+  List.concat_map
+    (fun (name, lower) ->
+      List.map (fun (cn, c) -> (name, cn, c, lower)) Oracle.configs)
+    kernels
+
+(* the example, corpus and generated kernels under every oracle
+   configuration *)
+let kernel_inputs () = under_oracle_configs (snd (sources ()))
+
+(* every (name, config name, config, lowering) to pin, in file order *)
+let inputs () =
+  let workloads, kernels = sources () in
+  workloads @ under_oracle_configs kernels
 
 let render_placements ps =
   String.concat ";"
