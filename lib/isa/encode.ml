@@ -29,8 +29,12 @@ let imm_fits imm = imm >= -256L && imm <= 255L
    allocating consumers at id 0 during code generation (id 0 is reserved
    for an unpredicated instruction with no incoming operands, or unused). *)
 let encode_target = function
-  | None -> 0
-  | Some t -> Target.encode t
+  | None -> Ok 0
+  | Some (Target.To_instr { id; _ } as t) when id < 0 || id >= 128 ->
+      Error (Format.asprintf "target %a out of range" Target.pp t)
+  | Some (Target.To_write w as t) when w < 0 || w >= 32 ->
+      Error (Format.asprintf "target %a out of range" Target.pp t)
+  | Some t -> Ok (Target.encode t)
 
 let decode_target v = if v = 0 then Ok None else
   match Target.decode v with
@@ -61,13 +65,13 @@ let encode (i : Instr.t) =
   else
     match opc with
     | Opcode.Geni ->
-        let t1 =
-          encode_target (List.nth_opt i.targets 0)
-        in
-        let hd = header i ~imm9:None ~t2:0 ~t1 in
-        let lo = Int64.to_int32 i.imm in
-        let hi = Int64.to_int32 (Int64.shift_right_logical i.imm 32) in
-        Ok [ hd; lo; hi ]
+        Result.map
+          (fun t1 ->
+            let hd = header i ~imm9:None ~t2:0 ~t1 in
+            let lo = Int64.to_int32 i.imm in
+            let hi = Int64.to_int32 (Int64.shift_right_logical i.imm 32) in
+            [ hd; lo; hi ])
+          (encode_target (List.nth_opt i.targets 0))
     | Opcode.Mov4 ->
         (* Mov4 packs four 7-bit instruction ids plus one shared operand
            slot across two words; all targets must use the same slot. *)
@@ -123,10 +127,14 @@ let encode (i : Instr.t) =
         if has_imm && not (imm_fits i.imm) then
           Error (Printf.sprintf "immediate %Ld does not fit 9 bits" i.imm)
         else
-          let t1 = encode_target (List.nth_opt i.targets 0) in
-          let t2v = encode_target (List.nth_opt i.targets 1) in
-          let imm9 = if has_imm then Some (Int64.to_int i.imm) else None in
-          Ok [ header i ~imm9 ~t2:t2v ~t1 ]
+          Result.bind (encode_target (List.nth_opt i.targets 0)) (fun t1 ->
+              Result.map
+                (fun t2v ->
+                  let imm9 =
+                    if has_imm then Some (Int64.to_int i.imm) else None
+                  in
+                  [ header i ~imm9 ~t2:t2v ~t1 ])
+                (encode_target (List.nth_opt i.targets 1)))
 
 let decode ~id ws =
   match ws with

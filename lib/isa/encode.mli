@@ -10,7 +10,9 @@
 
     The encoder rejects instructions whose immediate does not fit the
     9-bit signed field (except [Geni]); the code generator is responsible
-    for materializing wide constants with [Geni]. *)
+    for materializing wide constants with [Geni]. It also rejects a
+    target that names an instruction outside 0..127 or a write slot
+    outside 0..31. *)
 
 val words : Instr.t -> int
 (** Number of 32-bit words the instruction occupies (3 for [Geni], else 1). *)

@@ -1041,27 +1041,7 @@ let grid_machines_pinned () =
    instructions (I2 feeds I3, whose false test reaches I2's predicate
    after I2 fired on I1's); every path must still finish the block *)
 let predicate_cycle () =
-  let b =
-    {
-      B.name = "pcycle";
-      instrs =
-        [|
-          I.make ~id:0 ~opcode:O.Movi ~imm:1L
-            ~targets:[ T.To_instr { id = 1; slot = T.Left } ] ();
-          I.make ~id:1 ~opcode:(O.Tsti O.Eq) ~imm:1L
-            ~targets:[ T.To_instr { id = 2; slot = T.Pred } ] ();
-          I.make ~id:2 ~opcode:O.Movi ~pred:I.If_true ~imm:0L
-            ~targets:[ T.To_instr { id = 3; slot = T.Left } ] ();
-          I.make ~id:3 ~opcode:(O.Tsti O.Eq) ~imm:5L
-            ~targets:[ T.To_instr { id = 2; slot = T.Pred } ] ();
-          I.make ~id:4 ~opcode:O.Halt ();
-        |];
-      reads = [||];
-      writes = [||];
-      store_lsids = [];
-      exits = [| B.halt_exit |];
-    }
-  in
+  let b = Test_support.Judge_pins.pcycle in
   List.iter
     (fun (path, r) ->
       match r with Ok _ -> () | Error e -> Alcotest.failf "%s: %s" path e)
