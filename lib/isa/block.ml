@@ -30,66 +30,33 @@ let required_slots (i : Instr.t) =
   in
   if Instr.is_predicated i then Target.Pred :: data else data
 
-let instr_producers t id slot =
-  let hits = ref [] in
-  Array.iter
-    (fun (i : Instr.t) ->
-      if
-        List.exists
-          (function
-            | Target.To_instr { id = d; slot = s } ->
-                d = id && Target.slot_equal s slot
-            | Target.To_write _ -> false)
-          i.targets
-      then hits := i.id :: !hits)
-    t.instrs;
-  List.rev !hits
-
-let read_producers t id slot =
-  Array.exists
-    (fun r ->
-      List.exists
-        (function
-          | Target.To_instr { id = d; slot = s } ->
-              d = id && Target.slot_equal s slot
-          | Target.To_write _ -> false)
-        r.rtargets)
-    t.reads
-
-let write_has_producer t wslot =
-  let from_instr =
-    Array.exists
-      (fun (i : Instr.t) ->
-        List.exists
-          (function
-            | Target.To_write w -> w = wslot
-            | Target.To_instr _ -> false)
-          i.targets)
-      t.instrs
-  in
-  let from_read =
-    Array.exists
-      (fun r ->
-        List.exists
-          (function
-            | Target.To_write w -> w = wslot
-            | Target.To_instr _ -> false)
-          r.rtargets)
-      t.reads
-  in
-  from_instr || from_read
-
 let validate t =
   let errs = ref [] in
   let err fmt = Format.kasprintf (fun s -> errs := s :: !errs) fmt in
   let n = Array.length t.instrs in
+  let nw = Array.length t.writes in
+  (* one pass over every target: which operand slots (instruction slot
+     [idx], operand [slot] at [3 * idx + code slot]) and which write
+     slots have a producer; nulls that satisfy writes/stores count as
+     producers of those outputs *)
+  let code = function Target.Left -> 0 | Target.Right -> 1 | Target.Pred -> 2 in
+  let operand_produced = Array.make (3 * n) false in
+  let write_produced = Array.make nw false in
+  let mark = function
+    | Target.To_instr { id; slot } ->
+        if id >= 0 && id < n then operand_produced.((3 * id) + code slot) <- true
+    | Target.To_write w -> if w >= 0 && w < nw then write_produced.(w) <- true
+  in
+  Array.iter (fun (i : Instr.t) -> List.iter mark i.targets) t.instrs;
+  Array.iter (fun r -> List.iter mark r.rtargets) t.reads;
+  let produced idx slot = operand_produced.((3 * idx) + code slot) in
   if n > max_instrs then err "block has %d instructions (max %d)" n max_instrs;
-  if size_in_words t > max_instrs then
-    err "block body is %d words (max %d)" (size_in_words t) max_instrs;
+  let words = size_in_words t in
+  if words > max_instrs then
+    err "block body is %d words (max %d)" words max_instrs;
   if Array.length t.reads > max_reads then
     err "block has %d reads (max %d)" (Array.length t.reads) max_reads;
-  if Array.length t.writes > max_writes then
-    err "block has %d writes (max %d)" (Array.length t.writes) max_writes;
+  if nw > max_writes then err "block has %d writes (max %d)" nw max_writes;
   if List.length t.store_lsids > max_lsids then
     err "block declares %d store lsids (max %d)"
       (List.length t.store_lsids) max_lsids;
@@ -139,20 +106,16 @@ let validate t =
                     if not (Instr.is_predicated dst) then
                       err "I%d: targets predicate of unpredicated I%d" idx d)
           | Target.To_write w ->
-              if w < 0 || w >= Array.length t.writes then
+              if w < 0 || w >= nw then
                 err "I%d: write slot %d out of range" idx w)
         i.targets)
     t.instrs;
-  (* Every required operand must have at least one producer; nulls that
-     satisfy writes/stores count as producers of those outputs. *)
+  (* Every required operand must have at least one producer. *)
   Array.iteri
     (fun idx (i : Instr.t) ->
       List.iter
         (fun slot ->
-          let produced =
-            instr_producers t idx slot <> [] || read_producers t idx slot
-          in
-          if not produced then
+          if not (produced idx slot) then
             err "I%d: operand %a has no producer" idx Target.pp_slot slot)
         (required_slots i))
     t.instrs;
@@ -160,7 +123,7 @@ let validate t =
     (fun idx w ->
       if w.wslot <> idx then err "W%d: slot mismatch" idx;
       if w.wreg < 0 || w.wreg > 127 then err "W%d: register out of range" idx;
-      if not (write_has_producer t idx) then err "W%d: no producer" idx)
+      if not write_produced.(idx) then err "W%d: no producer" idx)
     t.writes;
   Array.iteri
     (fun idx r ->
@@ -178,16 +141,14 @@ let validate t =
                       err "R%d: targets predicate of unpredicated I%d" idx d
                 | Target.Left | Target.Right -> ())
           | Target.To_write w ->
-              if w < 0 || w >= Array.length t.writes then
-                err "R%d: write slot out of range" idx)
+              if w < 0 || w >= nw then err "R%d: write slot out of range" idx)
         r.rtargets)
     t.reads;
   (* Unpredicated instructions must not receive predicate tokens. *)
   Array.iteri
     (fun idx (i : Instr.t) ->
-      if not (Instr.is_predicated i) then
-        if instr_producers t idx Target.Pred <> [] || read_producers t idx Target.Pred
-        then err "I%d: unpredicated but receives a predicate" idx)
+      if (not (Instr.is_predicated i)) && produced idx Target.Pred then
+        err "I%d: unpredicated but receives a predicate" idx)
     t.instrs;
   if
     not

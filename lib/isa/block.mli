@@ -46,10 +46,6 @@ val validate : t -> (unit, string list) result
     store LSID has at least one producer; at least one exit instruction;
     all [Bro] exit indices valid. Returns all violations found. *)
 
-val instr_producers : t -> int -> Target.slot -> int list
-(** [instr_producers b id slot] lists instruction ids (not reads) that
-    target operand [slot] of instruction [id]. *)
-
 val pp : Format.formatter -> t -> unit
 
 val halt_exit : string
