@@ -24,72 +24,67 @@ let boolean_relevant (b : B.t) : bool array * bool array =
   let n = Array.length b.B.instrs in
   let instr_rel = Array.make n false in
   let read_rel = Array.make (Array.length b.B.reads) false in
-  let changed = ref true in
-  let mark_producers_of id =
-    (* producers of [id]'s data operands become relevant *)
-    Array.iter
-      (fun (i : I.t) ->
-        if
-          List.exists
-            (function
-              | T.To_instr { id = d; slot = T.Left | T.Right } -> d = id
-              | _ -> false)
-            i.I.targets
-        then
-          if not instr_rel.(i.I.id) then begin
-            instr_rel.(i.I.id) <- true;
-            changed := true
-          end)
-      b.B.instrs;
-    Array.iteri
-      (fun r (rd : B.read) ->
-        if
-          List.exists
-            (function
-              | T.To_instr { id = d; slot = T.Left | T.Right } -> d = id
-              | _ -> false)
-            rd.B.rtargets
-        then
-          if not read_rel.(r) then begin
-            read_rel.(r) <- true;
-            changed := true
-          end)
-      b.B.reads
+  (* producers of each instruction's data operands, by instruction id:
+     instructions and read slots *)
+  let instr_prods = Array.make n [] and read_prods = Array.make n [] in
+  let propagates = Array.make n false in
+  let scan add targets =
+    List.iter
+      (function
+        | T.To_instr { id = d; slot = T.Left | T.Right } when d >= 0 && d < n ->
+            add d
+        | _ -> ())
+      targets
   in
-  (* seed: predicate producers, and sand operand producers (sand's
-     short-circuit firing rule depends on its left value) *)
   Array.iter
     (fun (i : I.t) ->
-      if
-        List.exists
-          (function T.To_instr { slot = T.Pred; _ } -> true | _ -> false)
-          i.I.targets
-      then instr_rel.(i.I.id) <- true)
+      scan (fun d -> instr_prods.(d) <- i.I.id :: instr_prods.(d)) i.I.targets;
+      match i.I.opcode with
+      | O.Un (O.Mov | O.Not | O.Neg) | O.Mov4 | O.Sand ->
+          propagates.(i.I.id) <- true
+      | _ -> ())
     b.B.instrs;
   Array.iteri
     (fun r (rd : B.read) ->
-      if
-        List.exists
-          (function T.To_instr { slot = T.Pred; _ } -> true | _ -> false)
-          rd.B.rtargets
-      then read_rel.(r) <- true)
+      scan (fun d -> read_prods.(d) <- r :: read_prods.(d)) rd.B.rtargets)
+    b.B.reads;
+  (* a relevant value-propagating instruction waits here until its
+     producers are marked *)
+  let work = ref [] in
+  let mark id =
+    if not instr_rel.(id) then begin
+      instr_rel.(id) <- true;
+      if propagates.(id) then work := id :: !work
+    end
+  in
+  let mark_producers_of id =
+    List.iter mark instr_prods.(id);
+    List.iter (fun r -> read_rel.(r) <- true) read_prods.(id)
+  in
+  (* seed: predicate producers, and sand operand producers (sand's
+     short-circuit firing rule depends on its left value) *)
+  let targets_pred =
+    List.exists (function T.To_instr { slot = T.Pred; _ } -> true | _ -> false)
+  in
+  Array.iter (fun (i : I.t) -> if targets_pred i.I.targets then mark i.I.id)
+    b.B.instrs;
+  Array.iteri
+    (fun r (rd : B.read) -> if targets_pred rd.B.rtargets then read_rel.(r) <- true)
     b.B.reads;
   Array.iter
     (fun (i : I.t) ->
       match i.I.opcode with O.Sand -> mark_producers_of i.I.id | _ -> ())
     b.B.instrs;
   (* closure through value-propagating opcodes *)
-  while !changed do
-    changed := false;
-    Array.iter
-      (fun (i : I.t) ->
-        if instr_rel.(i.I.id) then
-          match i.I.opcode with
-          | O.Un (O.Mov | O.Not | O.Neg) | O.Mov4 | O.Sand ->
-              mark_producers_of i.I.id
-          | _ -> ())
-      b.B.instrs
-  done;
+  let rec drain () =
+    match !work with
+    | [] -> ()
+    | id :: rest ->
+        work := rest;
+        mark_producers_of id;
+        drain ()
+  in
+  drain ();
   (instr_rel, read_rel)
 
 (* Where does the value arriving at an operand come from?  Chains of
