@@ -313,11 +313,58 @@ let symbolic_diags ~pass (b : B.t) : outcome =
       (Array.append (Array.map Bdd.uid vt)
          (Array.append (Array.map Bdd.uid vu) (Array.map Bdd.uid nl)))
   in
+  (* evaluation order: producers before consumers.  [step] of an
+     instruction reads its operand and predicate producers, and a load
+     reads every store of a lower lsid, so those are the edges.  In an
+     acyclic graph the equations have one solution, which one pass in
+     this order computes and a second confirms; id order (several
+     passes) if the graph has a cycle *)
+  let order =
+    let succs = Array.make n [] and indeg = Array.make n 0 in
+    let edge p d =
+      succs.(p) <- d :: succs.(p);
+      indeg.(d) <- indeg.(d) + 1
+    in
+    Array.iter
+      (fun (i : I.t) ->
+        List.iter
+          (function T.To_instr { id; _ } -> edge i.I.id id | T.To_write _ -> ())
+          i.I.targets;
+        match i.I.opcode with
+        | O.St _ ->
+            Array.iter
+              (fun (l : I.t) ->
+                match l.I.opcode with
+                | O.Ld _ when i.I.lsid < l.I.lsid -> edge i.I.id l.I.id
+                | _ -> ())
+              b.B.instrs
+        | _ -> ())
+      b.B.instrs;
+    (* Kahn's algorithm *)
+    let order = Array.make n 0 and len = ref 0 in
+    let ready id =
+      order.(!len) <- id;
+      incr len
+    in
+    Array.iteri (fun id d -> if d = 0 then ready id) indeg;
+    let head = ref 0 in
+    while !head < !len do
+      let p = order.(!head) in
+      incr head;
+      List.iter
+        (fun d ->
+          indeg.(d) <- indeg.(d) - 1;
+          if indeg.(d) = 0 then ready d)
+        succs.(p)
+    done;
+    if !len = n then Array.map (fun id -> b.B.instrs.(id)) order
+    else b.B.instrs
+  in
   let max_rounds = (2 * (n + nr)) + 16 in
   let rec iterate round prev =
     if round > max_rounds then Error "fixpoint did not converge"
     else begin
-      Array.iter step b.B.instrs;
+      Array.iter step order;
       let cur = snapshot () in
       if cur = prev then Ok () else iterate (round + 1) cur
     end
