@@ -18,11 +18,27 @@ type node =
   | True
   | Node of { uid : int; var : int; lo : node; hi : node }
 
+(* Every table is keyed on one int.  A unique-table key packs a node's
+   variable and its children's uids, [uid_bits] bits each; an and/or
+   cache key packs the operands' uids, smaller first; a negation cache
+   key is the operand's uid. *)
+module Tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  (* multiply, then fold the high bits down: the table indexes by the
+     low bits, and the low bits of a key are one uid *)
+  let hash k =
+    let h = k * 0x2545F4914F6CDD1D in
+    (h lxor (h lsr 29)) land max_int
+end)
+
 type t = {
-  unique : (int * int * int, node) Hashtbl.t;
-  and_cache : (int * int, node) Hashtbl.t;
-  or_cache : (int * int, node) Hashtbl.t;
-  not_cache : (int, node) Hashtbl.t;
+  unique : node Tbl.t;
+  and_cache : node Tbl.t;
+  or_cache : node Tbl.t;
+  not_cache : node Tbl.t;
   budget : int;
   mutable next_uid : int;
 }
@@ -30,18 +46,23 @@ type t = {
 exception Budget
 
 let default_budget = 200_000
+let uid_bits = 21
 
 let create ?(budget = default_budget) () =
+  (* uids run from 2 to [budget + 1] *)
+  if budget + 1 >= 1 lsl uid_bits then
+    invalid_arg "Bdd.create: budget too large for packed keys";
   {
-    unique = Hashtbl.create 256;
-    and_cache = Hashtbl.create 256;
-    or_cache = Hashtbl.create 256;
-    not_cache = Hashtbl.create 64;
+    unique = Tbl.create 256;
+    and_cache = Tbl.create 256;
+    or_cache = Tbl.create 256;
+    not_cache = Tbl.create 64;
     budget;
     next_uid = 2;
   }
 
 let uid = function False -> 0 | True -> 1 | Node { uid; _ } -> uid
+let pack a b = (a lsl uid_bits) lor b
 
 (* structural sharing makes equality a uid comparison *)
 let equal a b = uid a = uid b
@@ -52,14 +73,14 @@ let is_true n = equal n True
 let mk m var lo hi =
   if equal lo hi then lo
   else
-    let key = (var, uid lo, uid hi) in
-    match Hashtbl.find_opt m.unique key with
-    | Some n -> n
-    | None ->
+    let key = pack (pack var (uid lo)) (uid hi) in
+    match Tbl.find m.unique key with
+    | n -> n
+    | exception Not_found ->
         if m.next_uid - 2 >= m.budget then raise Budget;
         let n = Node { uid = m.next_uid; var; lo; hi } in
         m.next_uid <- m.next_uid + 1;
-        Hashtbl.replace m.unique key n;
+        Tbl.replace m.unique key n;
         n
 
 let var m v = mk m v False True
@@ -79,14 +100,14 @@ let rec conj m a b =
   | True, x | x, True -> x
   | _ when equal a b -> a
   | _ -> (
-      let key = (min (uid a) (uid b), max (uid a) (uid b)) in
-      match Hashtbl.find_opt m.and_cache key with
-      | Some n -> n
-      | None ->
+      let key = pack (min (uid a) (uid b)) (max (uid a) (uid b)) in
+      match Tbl.find m.and_cache key with
+      | n -> n
+      | exception Not_found ->
           let v = min (top_var a) (top_var b) in
           let alo, ahi = branches v a and blo, bhi = branches v b in
           let n = mk m v (conj m alo blo) (conj m ahi bhi) in
-          Hashtbl.replace m.and_cache key n;
+          Tbl.replace m.and_cache key n;
           n)
 
 let rec disj m a b =
@@ -95,14 +116,14 @@ let rec disj m a b =
   | False, x | x, False -> x
   | _ when equal a b -> a
   | _ -> (
-      let key = (min (uid a) (uid b), max (uid a) (uid b)) in
-      match Hashtbl.find_opt m.or_cache key with
-      | Some n -> n
-      | None ->
+      let key = pack (min (uid a) (uid b)) (max (uid a) (uid b)) in
+      match Tbl.find m.or_cache key with
+      | n -> n
+      | exception Not_found ->
           let v = min (top_var a) (top_var b) in
           let alo, ahi = branches v a and blo, bhi = branches v b in
           let n = mk m v (disj m alo blo) (disj m ahi bhi) in
-          Hashtbl.replace m.or_cache key n;
+          Tbl.replace m.or_cache key n;
           n)
 
 let rec neg m a =
@@ -110,11 +131,11 @@ let rec neg m a =
   | False -> True
   | True -> False
   | Node { uid = u; var; lo; hi } -> (
-      match Hashtbl.find_opt m.not_cache u with
-      | Some n -> n
-      | None ->
+      match Tbl.find m.not_cache u with
+      | n -> n
+      | exception Not_found ->
           let n = mk m var (neg m lo) (neg m hi) in
-          Hashtbl.replace m.not_cache u n;
+          Tbl.replace m.not_cache u n;
           n)
 
 let conj_list m = List.fold_left (conj m) True
