@@ -317,6 +317,87 @@ let copy_independent () =
   check "removing from the copy leaves the original" true
     (Cfg.block_opt cfg "exit" <> None)
 
+(* Seeded random formulas over up to 10 variables, built through the
+   BDD package and evaluated directly: every result agrees with its
+   formula on all 2^k assignments, formulas with one truth table get
+   one uid and formulas with different tables different uids, and
+   [any_sat] finds a satisfying assignment exactly when [sat] holds.
+   The tables are keyed on packed ints, so a budget whose uids do not
+   fit the packing is refused. *)
+type formula =
+  | Var of int
+  | Nvar of int
+  | Conj of formula * formula
+  | Disj of formula * formula
+  | Neg of formula
+
+let bdd_truth_tables () =
+  let module Bdd = Edge_ir.Bdd in
+  let rng = Random.State.make [| 23 |] in
+  let rec gen k depth =
+    if depth = 0 || Random.State.int rng 4 = 0 then
+      let v = Random.State.int rng k in
+      if Random.State.bool rng then Var v else Nvar v
+    else
+      match Random.State.int rng 3 with
+      | 0 -> Conj (gen k (depth - 1), gen k (depth - 1))
+      | 1 -> Disj (gen k (depth - 1), gen k (depth - 1))
+      | _ -> Neg (gen k (depth - 1))
+  in
+  let rec eval env = function
+    | Var v -> env v
+    | Nvar v -> not (env v)
+    | Conj (a, b) -> eval env a && eval env b
+    | Disj (a, b) -> eval env a || eval env b
+    | Neg a -> not (eval env a)
+  in
+  let rec build m = function
+    | Var v -> Bdd.var m v
+    | Nvar v -> Bdd.nvar m v
+    | Conj (a, b) -> Bdd.conj m (build m a) (build m b)
+    | Disj (a, b) -> Bdd.disj m (build m a) (build m b)
+    | Neg a -> Bdd.neg m (build m a)
+  in
+  let rec walk env = function
+    | Bdd.False -> false
+    | Bdd.True -> true
+    | Bdd.Node { var; lo; hi; _ } -> walk env (if env var then hi else lo)
+  in
+  let bit a v = a land (1 lsl v) <> 0 in
+  for _ = 1 to 60 do
+    let k = 1 + Random.State.int rng 10 in
+    let m = Bdd.create () in
+    let uid_of_table = Hashtbl.create 64 and table_of_uid = Hashtbl.create 64 in
+    for _ = 1 to 40 do
+      let f = gen k 7 in
+      let n = build m f in
+      let table =
+        String.init (1 lsl k) (fun a -> if eval (bit a) f then '1' else '0')
+      in
+      for a = 0 to (1 lsl k) - 1 do
+        if walk (bit a) n <> (table.[a] = '1') then
+          Alcotest.failf "k=%d: the BDD and its formula differ on %d" k a
+      done;
+      let uid = Bdd.uid n in
+      (match Hashtbl.find_opt uid_of_table table with
+      | Some u -> Alcotest.(check int) "one truth table, one uid" u uid
+      | None -> Hashtbl.replace uid_of_table table uid);
+      (match Hashtbl.find_opt table_of_uid uid with
+      | Some t -> Alcotest.(check string) "one uid, one truth table" t table
+      | None -> Hashtbl.replace table_of_uid uid table);
+      match Bdd.any_sat n with
+      | None -> check "no assignment only when unsatisfiable" false (Bdd.sat n)
+      | Some pairs ->
+          check "an assignment only when satisfiable" true (Bdd.sat n);
+          let env v = Option.value ~default:false (List.assoc_opt v pairs) in
+          check "the assignment satisfies the formula" true (eval env f)
+    done
+  done;
+  ignore (Bdd.create ~budget:((1 lsl 21) - 2) ());
+  match Bdd.create ~budget:(1 lsl 21) () with
+  | _ -> Alcotest.fail "a budget of 2^21 nodes was accepted"
+  | exception Invalid_argument _ -> ()
+
 let tests =
   [
     Alcotest.test_case "rpo order" `Quick rpo_order;
@@ -327,4 +408,5 @@ let tests =
     Alcotest.test_case "ssa construct/destruct" `Quick ssa_roundtrip;
     Alcotest.test_case "hblock helpers" `Quick hblock_helpers;
     Alcotest.test_case "copy independent" `Quick copy_independent;
+    Alcotest.test_case "bdd truth tables" `Quick bdd_truth_tables;
   ]
