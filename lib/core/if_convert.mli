@@ -33,12 +33,3 @@ val convert :
     (optional) receives the pass counters
     ["pass.if_convert.hyperblocks"], ["pass.if_convert.instrs"] and
     ["pass.if_convert.guarded_instrs"]. *)
-
-val exit_edge_live :
-  Edge_ir.Cfg.t ->
-  Edge_ir.Liveness.t ->
-  src:Edge_ir.Label.t ->
-  target:Edge_ir.Label.t option ->
-  retq:Edge_ir.Temp.t ->
-  Edge_ir.Temp.Set.t
-(** Liveness across an exit edge; a halt exit keeps only [retq] alive. *)

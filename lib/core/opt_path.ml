@@ -49,8 +49,6 @@ let analyze_block (h : Hb.t) =
             | _ -> None))
     h.Hb.houts
 
-let promotions h = List.length (analyze_block h)
-
 let run ?m hblocks _cfg _liveness ~retq =
   ignore retq;
   List.iter

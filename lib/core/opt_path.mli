@@ -19,6 +19,3 @@ val run :
   unit
 (** [m] (optional) receives the pass counter
     ["pass.path.outputs_promoted"]. *)
-
-val promotions : Edge_ir.Hblock.t -> int
-(** How many outputs of this block are promotable (for reporting). *)

@@ -21,5 +21,3 @@ val reg_of : t -> Edge_ir.Temp.t -> int option
 
 val live_in : t -> Edge_ir.Label.t -> Edge_ir.Temp.Set.t
 val live_out : t -> Edge_ir.Label.t -> Edge_ir.Temp.Set.t
-val block_uses : Edge_ir.Hblock.t -> Edge_ir.Temp.Set.t
-(** Temps consumed by the body with no internal definition (live-ins). *)

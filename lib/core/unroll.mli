@@ -11,5 +11,3 @@ val run : Edge_ir.Cfg.t -> max_unroll:int -> target_instrs:int -> unit
 (** Unrolls every innermost loop by a factor chosen so the unrolled body's
     estimated instruction count stays under [target_instrs] (and at most
     [max_unroll]). *)
-
-val unroll_loop : Edge_ir.Cfg.t -> Loops.loop -> factor:int -> unit

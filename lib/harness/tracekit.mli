@@ -42,14 +42,6 @@ val compile_source :
 (** Parse → lower → compile; errors are prefixed with the failing
     stage. Uncached (golden kernels are tiny). *)
 
-val run_traced :
-  ?machine:Edge_sim.Machine.t ->
-  ?level:Edge_obs.Trace.level ->
-  Dfp.Driver.compiled ->
-  (traced, string) result
-(** Cycle-simulates under the default argument/memory convention with a
-    collector attached ([level] defaults to [Full]). *)
-
 val trace_source :
   ?machine:Edge_sim.Machine.t ->
   ?level:Edge_obs.Trace.level ->
@@ -57,7 +49,9 @@ val trace_source :
   config:Dfp.Config.t ->
   unit ->
   (traced, string) result
-(** [compile_source] followed by [run_traced]. *)
+(** [compile_source], then a cycle simulation under the default
+    argument/memory convention with a collector attached ([level]
+    defaults to [Full]). *)
 
 val header :
   ?machine:string ->

@@ -82,21 +82,6 @@ let defs t =
     t.blocks;
   !m
 
-let max_temp t =
-  let mx = ref 0 in
-  let see tmp = if tmp > !mx then mx := tmp in
-  List.iter see t.params;
-  Label.Map.iter
-    (fun _ b ->
-      List.iter
-        (fun i ->
-          Option.iter see (Tac.def i);
-          List.iter see (Tac.uses i))
-        b.instrs;
-      List.iter see (Tac.term_uses b.term))
-    t.blocks;
-  !mx
-
 let copy t =
   {
     t with

@@ -33,7 +33,6 @@ val iter_instrs : t -> (Label.t -> Tac.instr -> unit) -> unit
 val defs : t -> Label.Set.t Temp.Map.t
 (** For every temp, the set of blocks containing a definition. *)
 
-val max_temp : t -> Temp.t
 val copy : t -> t
 (** Deep copy: the blocks and the temp generator are the copy's own, so
     block edits and temps drawn on one do not show in the other. *)

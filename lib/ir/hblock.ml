@@ -75,8 +75,6 @@ let store_count t =
 let predicated_count t =
   List.length (List.filter (fun hi -> hi.guard <> None) t.body)
 
-let instr_count t = List.length t.body
-
 let def_sites t =
   let m = ref Temp.Map.empty in
   List.iteri
@@ -88,33 +86,6 @@ let def_sites t =
           m := Temp.Map.add d (l @ [ i ]) !m)
     t.body;
   !m
-
-let guard_def_chain t temp =
-  let sites = def_sites t in
-  let body = Array.of_list t.body in
-  let rec chase temp acc seen =
-    if Temp.Set.mem temp seen then acc
-    else
-      match Temp.Map.find_opt temp sites with
-      | None | Some [] -> acc
-      | Some (i :: _) -> (
-          let g = body.(i).guard in
-          match g with
-          | None -> acc
-          | Some gd -> (
-              match gd.gpreds with
-              | [ p ] -> chase p (g :: acc) (Temp.Set.add temp seen)
-              | _ -> g :: acc))
-  in
-  match Temp.Map.find_opt temp sites with
-  | None | Some [] -> []
-  | Some (i :: _) -> (
-      match body.(i).guard with
-      | None -> []
-      | Some g -> (
-          match g.gpreds with
-          | [ p ] -> chase p [ Some g ] Temp.Set.empty
-          | _ -> [ Some g ]))
 
 let pp_guard ppf = function
   | None -> ()

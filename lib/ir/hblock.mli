@@ -60,17 +60,10 @@ val store_count : t -> int
 (** Number of distinct store indices (LSIDs) in the body. *)
 
 val predicated_count : t -> int
-val instr_count : t -> int
 
 val def_sites : t -> int list Temp.Map.t
 (** For each temp, the body positions (0-based) that define it; multiple
     positions mean complementary guarded definitions (a dataflow join). *)
-
-val guard_def_chain : t -> Temp.t -> guard option list
-(** The chain of guards from an instruction's guard upward through the
-    guards of the tests that define its predicates; used to compute
-    divergence edges for nullification. Cycles are impossible in
-    well-formed hyperblocks. *)
 
 val pp_guard : Format.formatter -> guard option -> unit
 val pp_hinstr : Format.formatter -> hinstr -> unit

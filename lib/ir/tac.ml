@@ -62,13 +62,6 @@ let map_operands f = function
   | Store r -> Store { r with addr = f r.addr; v = f r.v }
   | Phi r -> Phi { r with args = List.map (fun (l, o) -> (l, f o)) r.args }
 
-let map_term_temp f = function
-  | Jmp l -> Jmp l
-  | Cbr r -> Cbr { r with c = f r.c }
-  | Ret None -> Ret None
-  | Ret (Some (T t)) -> Ret (Some (T (f t)))
-  | Ret (Some (C c)) -> Ret (Some (C c))
-
 let with_dst dst = function
   | Bin r -> Bin { r with dst }
   | Fbin r -> Fbin { r with dst }
@@ -77,10 +70,6 @@ let with_dst dst = function
   | Load r -> Load { r with dst }
   | Phi r -> Phi { r with dst }
   | Store _ as s -> s
-
-let has_side_effect = function
-  | Store _ -> true
-  | Bin _ | Fbin _ | Cmp _ | Un _ | Load _ | Phi _ -> false
 
 let can_raise = function
   | Load _ | Store _ -> true
@@ -99,43 +88,6 @@ let is_cheap = function
   | Un { op = Opcode.Neg; _ } ->
       true
   | Un _ | Fbin _ | Cmp _ | Load _ | Store _ | Phi _ -> false
-
-let operand_equal a b =
-  match (a, b) with
-  | T x, T y -> Temp.equal x y
-  | C x, C y -> Int64.equal x y
-  | T _, C _ | C _, T _ -> false
-
-let instr_equal i1 i2 =
-  match (i1, i2) with
-  | Bin a, Bin b ->
-      Temp.equal a.dst b.dst && a.op = b.op && operand_equal a.a b.a
-      && operand_equal a.b b.b
-  | Fbin a, Fbin b ->
-      Temp.equal a.dst b.dst && a.op = b.op && operand_equal a.a b.a
-      && operand_equal a.b b.b
-  | Cmp a, Cmp b ->
-      Temp.equal a.dst b.dst && a.cond = b.cond && a.fp = b.fp
-      && operand_equal a.a b.a && operand_equal a.b b.b
-  | Un a, Un b ->
-      Temp.equal a.dst b.dst && a.op = b.op && operand_equal a.a b.a
-  | Load a, Load b ->
-      Temp.equal a.dst b.dst && a.width = b.width
-      && operand_equal a.addr b.addr && a.off = b.off
-  | Store a, Store b ->
-      a.width = b.width && operand_equal a.addr b.addr && a.off = b.off
-      && operand_equal a.v b.v
-  | Phi a, Phi b ->
-      Temp.equal a.dst b.dst
-      && List.length a.args = List.length b.args
-      && List.for_all2
-           (fun (l1, o1) (l2, o2) -> Label.equal l1 l2 && operand_equal o1 o2)
-           a.args b.args
-  | ( (Bin _ | Fbin _ | Cmp _ | Un _ | Load _ | Store _ | Phi _),
-      (Bin _ | Fbin _ | Cmp _ | Un _ | Load _ | Store _ | Phi _) ) ->
-      false
-
-let lexically_equal = instr_equal
 
 let pp_operand ppf = function
   | T t -> Temp.pp ppf t

@@ -54,11 +54,7 @@ val term_uses : term -> Temp.t list
 val term_succs : term -> Label.t list
 
 val map_operands : (operand -> operand) -> instr -> instr
-val map_term_temp : (Temp.t -> Temp.t) -> term -> term
 val with_dst : Temp.t -> instr -> instr
-
-val has_side_effect : instr -> bool
-(** Stores (the only side-effecting instruction in the IR). *)
 
 val can_raise : instr -> bool
 (** Whether the instruction can set the exception bit: memory accesses and
@@ -68,12 +64,5 @@ val can_raise : instr -> bool
 val is_cheap : instr -> bool
 (** Single-cycle and safe to speculate freely. *)
 
-val instr_equal : instr -> instr -> bool
-
-val lexically_equal : instr -> instr -> bool
-(** Equality modulo nothing — same operation, operands and destination;
-    the merge candidate test of Section 5.3. *)
-
-val pp_operand : Format.formatter -> operand -> unit
 val pp_instr : Format.formatter -> instr -> unit
 val pp_term : Format.formatter -> term -> unit

@@ -1,5 +1,3 @@
-let print_program = Program.pp
-
 type line =
   | Lprogram of string
   | Lblock of string

@@ -24,6 +24,3 @@
 
 val parse_program : string -> (Program.t, string) result
 val parse_block : string -> (Block.t, string) result
-
-val print_program : Format.formatter -> Program.t -> unit
-(** Alias of {!Program.pp}. *)

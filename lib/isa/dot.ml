@@ -61,13 +61,6 @@ let block_body buf prefix (b : Block.t) =
         w.Block.wreg)
     b.Block.writes
 
-let block_to_dot b =
-  let buf = Buffer.create 1024 in
-  Printf.bprintf buf "digraph \"%s\" {\n  rankdir=TB;\n" (esc b.Block.name);
-  block_body buf "" b;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
-
 let program_to_dot (pr : Program.t) =
   let buf = Buffer.create 4096 in
   Printf.bprintf buf "digraph program {\n  rankdir=TB;\n  compound=true;\n";

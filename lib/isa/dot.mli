@@ -5,5 +5,4 @@
     annotated arcs). Reads enter from the top, writes and exits sink at
     the bottom. *)
 
-val block_to_dot : Block.t -> string
 val program_to_dot : Program.t -> string

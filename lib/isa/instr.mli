@@ -39,4 +39,3 @@ val predicate_matches : predication -> Token.t -> bool
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val pred_pp : Format.formatter -> predication -> unit

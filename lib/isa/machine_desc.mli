@@ -80,8 +80,6 @@ val presets : (string * t) list
 val name : t -> string
 (** The preset name when [t] equals a preset, else ["custom"]. *)
 
-val backend_name : backend -> string
-
 (* -- geometry ------------------------------------------------------ *)
 
 val num_tiles : t -> int

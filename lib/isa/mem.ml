@@ -54,8 +54,4 @@ let store t ~width ~addr v =
 
 let load_int t addr = Bytes.get_int64_le t.data addr
 let store_int t addr v = Bytes.set_int64_le t.data addr v
-let load_float t addr = Int64.float_of_bits (load_int t addr)
 let store_float t addr v = store_int t addr (Int64.bits_of_float v)
-
-let blit_ints t addr vs =
-  List.iteri (fun i v -> store_int t (addr + (8 * i)) v) vs

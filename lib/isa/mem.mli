@@ -15,8 +15,8 @@ val equal : t -> t -> bool
 
 val store_count : t -> int
 (** Number of architectural stores committed through {!store} since
-    creation. Setup helpers ([store_int], [store_float], [blit_ints]) do
-    not count: the counter measures dynamic stores the program performed,
+    creation. Setup helpers ([store_int], [store_float]) do not
+    count: the counter measures dynamic stores the program performed,
     which every execution path (interpreter, functional, cycle) must
     agree on. *)
 
@@ -32,7 +32,5 @@ val load_int : t -> int -> int64
 (** 8-byte load for test harnesses; raises on out-of-range. *)
 
 val store_int : t -> int -> int64 -> unit
-val load_float : t -> int -> float
 val store_float : t -> int -> float -> unit
-val blit_ints : t -> int -> int64 list -> unit
 val width_bytes : Opcode.width -> int

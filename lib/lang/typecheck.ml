@@ -189,39 +189,3 @@ let check_kernel (k : Ast.kernel) =
       let ret = ref None in
       let* _ = check_stmts env ~in_loop:false ~ret k.Ast.body in
       Ok ()
-
-let return_type (k : Ast.kernel) =
-  let found = ref None in
-  let rec scan stmts env =
-    List.fold_left
-      (fun env s ->
-        match s with
-        | Ast.Decl (ty, n, _) -> (n, ty) :: env
-        | Ast.Return (Some e) ->
-            (match type_of_expr env e with
-            | Ok t -> if !found = None then found := Some t
-            | Error _ -> ());
-            env
-        | Ast.If (_, a, b) ->
-            ignore (scan a env);
-            ignore (scan b env);
-            env
-        | Ast.While (_, b) ->
-            ignore (scan b env);
-            env
-        | Ast.For (init, _, _, b) ->
-            let env' =
-              match init with
-              | Some (Ast.Decl (ty, n, _)) -> (n, ty) :: env
-              | _ -> env
-            in
-            ignore (scan b env');
-            env
-        | Ast.Assign _ | Ast.Store _ | Ast.Break | Ast.Continue
-        | Ast.Return None ->
-            env)
-      env stmts
-  in
-  let env = List.map (fun p -> (p.Ast.pname, p.Ast.pty)) k.Ast.params in
-  ignore (scan k.Ast.body env);
-  !found

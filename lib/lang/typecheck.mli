@@ -12,6 +12,3 @@ val check_kernel : Ast.kernel -> (unit, string) result
 (** Checks declarations-before-use, type agreement of assignments,
     conditions of integer type, break/continue only inside loops, and
     consistent return types. *)
-
-val return_type : Ast.kernel -> Ast.ty option
-(** The kernel's result type, if any return carries a value. *)
