@@ -6,8 +6,10 @@
    and [name config error md5(message)] for a compile that fails.  The
    inputs are the registry workloads under every oracle configuration
    plus [hand_optimized], the example kernels and the crash corpus
-   under every oracle configuration, and 40 fixed-seed generated
-   kernels under every oracle configuration.  A compiler change that
+   under every oracle configuration, 40 fixed-seed generated kernels
+   under every oracle configuration, and last the three generated
+   kernels on which [Opt_classic] reaches its round cap ([capped]),
+   under every oracle configuration.  A compiler change that
    moves any emitted byte, placement, static count or pass counter
    shows up here, even when no simulated cycle count moves.
 
@@ -70,10 +72,23 @@ let under_oracle_configs kernels =
    configuration *)
 let kernel_inputs () = under_oracle_configs (snd (sources ()))
 
+(* generated kernels on which [Opt_classic] runs its full 10 rounds,
+   sized as the fuzz campaign sizes its program [seed - 1]; appended
+   after every other input, so the lines before them keep their order *)
+let capped_seeds = [ 62; 77; 112 ]
+
+let capped () =
+  List.map
+    (fun seed ->
+      let size = Gen.size_for ~min_size:6 ~max_size:45 (seed - 1) in
+      ( Printf.sprintf "gen:seed=%d,size=%d" seed size,
+        fun () -> Edge_lang.Lower.lower (Gen.generate ~seed ~size) ))
+    capped_seeds
+
 (* every (name, config name, config, lowering) to pin, in file order *)
 let inputs () =
   let workloads, kernels = sources () in
-  workloads @ under_oracle_configs kernels
+  workloads @ under_oracle_configs kernels @ under_oracle_configs (capped ())
 
 let render_placements ps =
   String.concat ";"
