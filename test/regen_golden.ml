@@ -1,8 +1,9 @@
 (* Regenerate the golden trace files (test/golden/*.trace) from the
    current simulator, the pinned compiler output
-   (test/golden/compiled.digests) from the current compiler, and the
-   pinned block judges' answers (test/golden/judges.digests). Run from
-   the repo root:
+   (test/golden/compiled.digests) from the current compiler, the pinned
+   block judges' answers (test/golden/judges.digests) and the pinned
+   ineffectuality enumerator's answers (test/golden/enum.digests). Run
+   from the repo root:
 
      make regen-golden        (or: dune exec test/regen_golden.exe)
 
@@ -57,4 +58,6 @@ let () =
   write_lines Test_support.Compiled_pins.file_name "compiles"
     (Test_support.Compiled_pins.lines ());
   write_lines Test_support.Judge_pins.file_name "lines"
-    (Test_support.Judge_pins.lines ())
+    (Test_support.Judge_pins.lines ());
+  write_lines Test_support.Enum_pins.file_name "lines"
+    (Test_support.Enum_pins.lines ())
