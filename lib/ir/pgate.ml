@@ -42,7 +42,7 @@ let origin sites body op =
         else
           match Temp.Map.find_opt t sites with
           | Some [ i ] -> (
-              match (List.nth body i).Hb.hop with
+              match body.(i).Hb.hop with
               | Hb.Op (Tac.Un { op = O.Mov; a; _ }) ->
                   go a (Temp.Set.add t seen)
               | _ -> HTemp t)
@@ -60,9 +60,18 @@ type t = {
   svu : Bdd.node array;  (** site value underivable *)
   site_var : (int * bool) option array;  (** enumeration var per def site *)
   livein_var : (Temp.t, int) Hashtbl.t;
-  names : string array;  (** display name per enumeration variable *)
+  vars : (Temp.t * int option) array;
+      (** per enumeration variable: its temp and def site ([None] for a
+          live-in) *)
   nvars : int;
 }
+
+(* a variable's display name: [t3@5] for the def of t3 at site 5, [t3]
+   for a live-in; rendered only when a diagnostic needs it *)
+let name g v =
+  match g.vars.(v) with
+  | t, Some i -> Format.asprintf "%a@%d" Temp.pp t i
+  | t, None -> Format.asprintf "%a" Temp.pp t
 
 let avail g t =
   match Temp.Map.find_opt t g.sites with
@@ -133,7 +142,7 @@ let witness g cond =
         (String.concat " "
            (List.map
               (fun (v, value) ->
-                Printf.sprintf "%s=%d" g.names.(v) (if value then 1 else 0))
+                Printf.sprintf "%s=%d" (name g v) (if value then 1 else 0))
               pairs))
 
 let analyze ?budget (h : Hb.t) : (t, string) result =
@@ -194,12 +203,12 @@ let analyze ?budget (h : Hb.t) : (t, string) result =
   let relevant = !relevant in
   (* ---- variables ---- *)
   let m = Bdd.create ?budget () in
-  let names = ref [] in
+  let vars = ref [] in
   let count = ref 0 in
-  let alloc name =
+  let alloc t site =
     let pos = !count in
     incr count;
-    names := name :: !names;
+    vars := (t, site) :: !vars;
     pos
   in
   let key_tbl = Hashtbl.create 16 in
@@ -208,7 +217,7 @@ let analyze ?budget (h : Hb.t) : (t, string) result =
   let cmp_key (c : Tac.instr) =
     match c with
     | Tac.Cmp { cond; fp; a; b; _ } ->
-        let oa = origin sites body a and ob = origin sites body b in
+        let oa = origin sites barr a and ob = origin sites barr b in
         if fp then Some (`F (cond, oa, ob), false)
         else
           let cond, oa, ob =
@@ -227,30 +236,26 @@ let analyze ?budget (h : Hb.t) : (t, string) result =
           | Hb.Op (Tac.Un { op = O.Mov | O.Not | O.Neg; _ }) | Hb.Sand _ ->
               () (* derived *)
           | Hb.Op (Tac.Cmp _ as c) -> (
-              let name = Format.asprintf "%a@%d" Temp.pp d i in
               match cmp_key c with
               | Some (key, neg) ->
                   let pos =
                     match Hashtbl.find_opt key_tbl key with
                     | Some pos -> pos
                     | None ->
-                        let pos = alloc name in
+                        let pos = alloc d (Some i) in
                         Hashtbl.replace key_tbl key pos;
                         pos
                   in
                   site_var.(i) <- Some (pos, neg)
-              | None -> site_var.(i) <- Some (alloc name, false))
-          | _ ->
-              let name = Format.asprintf "%a@%d" Temp.pp d i in
-              site_var.(i) <- Some (alloc name, false))
+              | None -> site_var.(i) <- Some (alloc d (Some i), false))
+          | _ -> site_var.(i) <- Some (alloc d (Some i), false))
       | _ -> ())
     barr;
   Temp.Set.iter
     (fun t ->
       if not (Temp.Map.mem t sites) then
-        Hashtbl.replace livein_var t (alloc (Format.asprintf "%a" Temp.pp t)))
+        Hashtbl.replace livein_var t (alloc t None))
     relevant;
-  let names_arr = Array.of_list (List.rev !names) in
   (* ---- fixpoint over site fire regions and values ---- *)
   let g =
     {
@@ -263,7 +268,7 @@ let analyze ?budget (h : Hb.t) : (t, string) result =
       svu = Array.make len Bdd.False;
       site_var;
       livein_var;
-      names = names_arr;
+      vars = Array.of_list (List.rev !vars);
       nvars = !count;
     }
   in

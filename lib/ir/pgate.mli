@@ -8,7 +8,8 @@
 
 type horigin = HTemp of Temp.t | HImm of int64
 
-val origin : int list Temp.Map.t -> Hblock.hinstr list -> Tac.operand -> horigin
+val origin :
+  int list Temp.Map.t -> Hblock.hinstr array -> Tac.operand -> horigin
 (** Operand identity up to single-def mov chains, for compare-variable
     sharing. *)
 
@@ -22,9 +23,15 @@ type t = {
   svu : Bdd.node array;  (** site value underivable *)
   site_var : (int * bool) option array;
   livein_var : (Temp.t, int) Hashtbl.t;
-  names : string array;  (** display name per enumeration variable *)
+  vars : (Temp.t * int option) array;
+      (** per enumeration variable: the temp it stands for and its def
+          site, [None] for a live-in *)
   nvars : int;  (** enumeration variable count *)
 }
+
+val name : t -> int -> string
+(** An enumeration variable's display name, rendered on demand: [t3@5]
+    for the def of [t3] at body position 5, [t3] for a live-in. *)
 
 val analyze : ?budget:int -> Hblock.t -> (t, string) result
 (** Run the fire/value fixpoint. [Error msg] means the analysis is
