@@ -66,27 +66,43 @@ let fold_unop op a =
   | Opcode.Fitod -> Some (Int64.bits_of_float (Int64.to_float a))
   | Opcode.Fdtoi -> Some (Int64.of_float (Int64.float_of_bits a))
 
-(* One round of constant/copy propagation. Returns true if changed. *)
-let propagate cfg =
-  let changed = ref false in
+(* temps as the keys of an int-keyed table *)
+module Tbl = Hashtbl.Make (struct
+  type t = Temp.t
+
+  let equal = Int.equal
+  let hash t = t land max_int
+end)
+
+let same_operand a b =
+  match (a, b) with
+  | Tac.T x, Tac.T y -> Temp.equal x y
+  | Tac.C x, Tac.C y -> Int64.equal x y
+  | _ -> false
+
+(* One round of constant/copy propagation over the blocks [labels].
+   Returns whether it changed anything and whether it folded a [Cbr]
+   into a [Jmp], the one change to the edges a round can make. *)
+let propagate cfg labels =
+  let changed = ref false and folded = ref false in
   (* substitution map from SSA defs *)
-  let subst : (Temp.t, Tac.operand) Hashtbl.t = Hashtbl.create 64 in
+  let subst : Tac.operand Tbl.t = Tbl.create 64 in
   Cfg.iter_instrs cfg (fun _ i ->
       match i with
-      | Tac.Un { dst; op = Opcode.Mov; a } -> Hashtbl.replace subst dst a
+      | Tac.Un { dst; op = Opcode.Mov; a } -> Tbl.replace subst dst a
       | Tac.Bin { dst; op; a = Tac.C a; b = Tac.C b } -> (
           match fold_ibinop op a b with
-          | Some v -> Hashtbl.replace subst dst (Tac.C v)
+          | Some v -> Tbl.replace subst dst (Tac.C v)
           | None -> ())
       | Tac.Fbin { dst; op; a = Tac.C a; b = Tac.C b } -> (
           match fold_fbinop op a b with
-          | Some v -> Hashtbl.replace subst dst (Tac.C v)
+          | Some v -> Tbl.replace subst dst (Tac.C v)
           | None -> ())
       | Tac.Cmp { dst; cond; fp; a = Tac.C a; b = Tac.C b } ->
-          Hashtbl.replace subst dst (Tac.C (fold_cmp cond fp a b))
+          Tbl.replace subst dst (Tac.C (fold_cmp cond fp a b))
       | Tac.Un { dst; op; a = Tac.C a } -> (
           match fold_unop op a with
-          | Some v -> Hashtbl.replace subst dst (Tac.C v)
+          | Some v -> Tbl.replace subst dst (Tac.C v)
           | None -> ())
       | Tac.Phi { dst; args } -> (
           (* phi with identical arguments (or only self-references) *)
@@ -100,7 +116,7 @@ let propagate cfg =
                  (List.map (fun (_, o) -> ((), o)) args))
           in
           match distinct with
-          | [ ((), o) ] -> Hashtbl.replace subst dst o
+          | [ ((), o) ] -> Tbl.replace subst dst o
           | _ -> ())
       | Tac.Bin _ | Tac.Fbin _ | Tac.Cmp _ | Tac.Un _ | Tac.Load _
       | Tac.Store _ ->
@@ -112,39 +128,44 @@ let propagate cfg =
     | Tac.T t -> (
         if Temp.Set.mem t seen then o
         else
-          match Hashtbl.find_opt subst t with
+          match Tbl.find_opt subst t with
           | Some o' -> resolve (Temp.Set.add t seen) o'
           | None -> o)
   in
   let apply o =
     let o' = resolve Temp.Set.empty o in
-    if o' <> o then changed := true;
+    if not (same_operand o' o) then changed := true;
     o'
+  in
+  (* only an operand with a substitution can change *)
+  let rewrite i =
+    if List.exists (Tbl.mem subst) (Tac.uses i) then Tac.map_operands apply i
+    else i
   in
   List.iter
     (fun l ->
       let b = Cfg.block cfg l in
-      b.Cfg.instrs <- List.map (Tac.map_operands apply) b.Cfg.instrs;
+      b.Cfg.instrs <- List.map rewrite b.Cfg.instrs;
       b.Cfg.term <-
         (match b.Cfg.term with
         | Tac.Cbr r as t -> (
             match resolve Temp.Set.empty (Tac.T r.c) with
             | Tac.C v ->
                 changed := true;
+                folded := true;
                 Tac.Jmp (if v <> 0L then r.if_true else r.if_false)
             | Tac.T c' ->
                 if not (Temp.equal c' r.c) then changed := true;
                 if Temp.equal c' r.c then t else Tac.Cbr { r with c = c' })
         | Tac.Ret (Some o) -> Tac.Ret (Some (apply o))
         | (Tac.Jmp _ | Tac.Ret None) as t -> t))
-    (Cfg.rpo cfg);
-  !changed
+    labels;
+  (!changed, !folded)
 
 (* Dominator-scoped CSE over pure instructions, keyed by the
    instruction itself with its destination zeroed. *)
-let cse cfg =
+let cse cfg dom =
   let changed = ref false in
-  let dom = Dom.of_cfg cfg in
   let table : (Tac.instr, Temp.t) Hashtbl.t = Hashtbl.create 64 in
   let key i =
     match i with
@@ -175,18 +196,20 @@ let cse cfg =
     List.iter (fun c -> walk c (scope + 1)) (Dom.children dom l);
     List.iter (fun k -> Hashtbl.remove table k) !added
   in
-  (match Cfg.rpo cfg with [] -> () | entry :: _ -> walk entry 0);
+  if Cfg.block_opt cfg cfg.Cfg.entry <> None then walk cfg.Cfg.entry 0;
   !changed
 
-(* Dead-code elimination: remove pure defs with no uses. *)
-let dce cfg =
+(* Dead-code elimination: remove pure defs with no uses.  A use by an
+   instruction this round removes still counts, so each round removes
+   one dead layer. *)
+let dce cfg labels =
   let changed = ref false in
-  let used = ref Temp.Set.empty in
-  let mark t = used := Temp.Set.add t !used in
+  let used = Tbl.create 256 in
+  let mark t = Tbl.replace used t () in
   Cfg.iter_instrs cfg (fun _ i -> List.iter mark (Tac.uses i));
   List.iter
     (fun l -> List.iter mark (Tac.term_uses (Cfg.block cfg l).Cfg.term))
-    (Cfg.rpo cfg);
+    labels;
   List.iter
     (fun l ->
       let b = Cfg.block cfg l in
@@ -199,13 +222,14 @@ let dce cfg =
                only be removed if its fault cannot matter — we keep the
                paper's semantics by removing it: speculation filters such
                exceptions anyway *)
-            Temp.Set.mem d !used
+            Tbl.mem used d
         | None, _ -> true
       in
-      let before = List.length b.Cfg.instrs in
-      b.Cfg.instrs <- List.filter keep b.Cfg.instrs;
-      if List.length b.Cfg.instrs <> before then changed := true)
-    (Cfg.rpo cfg);
+      if not (List.for_all keep b.Cfg.instrs) then begin
+        b.Cfg.instrs <- List.filter keep b.Cfg.instrs;
+        changed := true
+      end)
+    labels;
   !changed
 
 (* Merge straight-line jump chains: b ends in Jmp s, s has one pred and is
@@ -292,16 +316,37 @@ let prune_phi_args cfg =
           b.Cfg.instrs)
     (Cfg.rpo cfg)
 
+(* Up to 10 rounds of propagate, CSE and DCE.  Only a [Cbr] folded by
+   propagate changes the edges, so the reverse postorder and the
+   dominator tree are computed again only after a fold, and pruning
+   (unreachable blocks, then phi arguments of removed edges) runs in
+   the first round and after a fold: in any other round both would
+   find nothing to remove.  The order and tree computed after a fold
+   but before the pruning are those of the pruned CFG, since neither
+   looks at unreachable blocks. *)
 let run cfg =
   let rounds = ref 0 in
   let continue_opt = ref true in
+  let edges = ref None in
+  let current () =
+    match !edges with
+    | Some e -> e
+    | None ->
+        let e = (Cfg.rpo cfg, Dom.of_cfg cfg) in
+        edges := Some e;
+        e
+  in
   while !continue_opt && !rounds < 10 do
     incr rounds;
-    let c1 = propagate cfg in
-    let c2 = cse cfg in
-    let c3 = dce cfg in
-    Cfg.prune_unreachable cfg;
-    prune_phi_args cfg;
+    let c1, folded = propagate cfg (fst (current ())) in
+    if folded then edges := None;
+    let labels, dom = current () in
+    let c2 = cse cfg dom in
+    let c3 = dce cfg labels in
+    if !rounds = 1 || folded then begin
+      Cfg.prune_unreachable cfg;
+      prune_phi_args cfg
+    end;
     continue_opt := c1 || c2 || c3
   done;
   ignore (merge_chains cfg);
