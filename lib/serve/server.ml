@@ -206,13 +206,20 @@ let run_digest (r : Experiment.run) =
     (Digest.string
        (Marshal.to_string { r with Experiment.compile_s = 0.; sim_s = 0. } []))
 
+(* a bounded stage ran out: the message ends in the form that stage
+   emits, [fault: fuel exhausted] (the reference interpreter),
+   [malformed: fuel exhausted] (the functional run) or [watchdog: <n>
+   cycles] (a timing backend).  Identifiers cannot contain ':' or a
+   space, so a front-end error that names [watchdog] is not one. *)
 let timeoutish msg =
-  let has needle =
-    let nl = String.length needle and ml = String.length msg in
-    let rec go i = i + nl <= ml && (String.sub msg i nl = needle || go (i + 1)) in
-    go 0
-  in
-  has "fuel exhausted" || has "watchdog"
+  let ends suffix = String.ends_with ~suffix msg in
+  ends "fault: fuel exhausted"
+  || ends "malformed: fuel exhausted"
+  ||
+  match List.rev (String.split_on_char ' ' msg) with
+  | "cycles" :: n :: "watchdog:" :: _ ->
+      n <> "" && String.for_all (fun c -> c >= '0' && c <= '9') n
+  | _ -> false
 
 (* run one job to a terminal result; [emit] receives streaming trace /
    metrics responses for the submitting waiter only *)

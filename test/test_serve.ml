@@ -459,6 +459,48 @@ let timeouts () =
   | Error e -> Alcotest.fail e);
   Client.close c
 
+(* a job fails as a timeout only when a bounded stage ran out, not when
+   a front-end error happens to name a variable [watchdog] *)
+let timeout_reasons () =
+  Edge_check.Check.without_check @@ fun () ->
+  with_server ~jobs:1 "srv_reasons" @@ fun _srv ->
+  let c = Client.connect "srv_reasons.sock" in
+  let kernel name body =
+    Printf.sprintf "kernel %s(int x, int y, int* A, int* B) {\n%s}\n" name
+      body
+  in
+  let expect what ?fuel ?max_cycles source want =
+    match
+      Client.run_job c
+        (Client.source_job ?fuel ?max_cycles ~source ~config:"Merge" ())
+    with
+    | Ok v ->
+        Alcotest.(check string) (what ^ ": type") "error" (rtype v);
+        Alcotest.(check string) (what ^ ": reason") want (reason v)
+    | Error e -> Alcotest.fail e
+  in
+  expect "undeclared watchdog"
+    (kernel "named" "  return x + watchdog;\n")
+    "job";
+  expect "undeclared dog" (kernel "named" "  return x + dog;\n") "job";
+  expect "interpreter fuel" ~fuel:20_000
+    (kernel "spin"
+       "  int s = 0;\n  while (x > 0) { s = s + 1; }\n  return s;\n")
+    "timeout";
+  expect "cycle watchdog" ~max_cycles:200 (slow_kernel "_wd") "timeout";
+  List.iter
+    (fun (msg, want) ->
+      Alcotest.(check bool) msg want (Server.timeoutish msg))
+    [
+      ("serve-1: fault: fuel exhausted", true);
+      ("serve-1/Merge functional: malformed: fuel exhausted", true);
+      ("serve-1/Merge cycle: watchdog: 200 cycles", true);
+      ("serve-1: undeclared variable watchdog", false);
+      ("serve-1: watchdog: many cycles", false);
+      ("serve-1: fuel exhausted elsewhere", false);
+    ];
+  Client.close c
+
 (* traced jobs stream events and a metrics snapshot before done *)
 let trace_streaming () =
   with_server ~jobs:1 "srv_trace" @@ fun _srv ->
@@ -866,6 +908,7 @@ let tests =
     Alcotest.test_case "single-flight stampede" `Quick single_flight_stampede;
     Alcotest.test_case "backpressure" `Quick backpressure;
     Alcotest.test_case "timeouts" `Quick timeouts;
+    Alcotest.test_case "timeout reasons" `Quick timeout_reasons;
     Alcotest.test_case "trace streaming" `Quick trace_streaming;
     Alcotest.test_case "machine jobs" `Quick machine_jobs;
     Alcotest.test_case "shutdown drains" `Quick shutdown_drains;
