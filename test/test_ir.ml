@@ -172,6 +172,35 @@ let pred_table_matches_naive () =
       preds_agree (what ^ " destructed") cfg)
     (kernel_cfgs ())
 
+(* Opt_classic prunes in its first round: a def whose one use sits in
+   an unreachable block goes in the second round, not left for the
+   final pruning after the rounds have stopped *)
+let opt_classic_prunes_first_round () =
+  let cfg =
+    Cfg.create ~fname:"f" ~params:[ 0; 1 ] ~entry:"entry"
+      ~gen:(Temp.Gen.create ())
+  in
+  Cfg.add_block cfg
+    {
+      Cfg.label = "entry";
+      instrs =
+        [
+          Tac.Un { dst = 2; op = O.Mov; a = Tac.T 1 };
+          Tac.Bin { dst = 3; op = O.Add; a = Tac.T 0; b = Tac.T 2 };
+        ];
+      term = Tac.Ret (Some (Tac.T 0));
+    };
+  Cfg.add_block cfg
+    {
+      Cfg.label = "unreachable";
+      instrs =
+        [ Tac.Store { width = O.W8; addr = Tac.T 0; off = 0; v = Tac.T 3 } ];
+      term = Tac.Ret None;
+    };
+  Dfp.Opt_classic.run cfg;
+  check "unreachable block pruned" true (Cfg.labels cfg = [ "entry" ]);
+  check "the add it read removed" true ((Cfg.block cfg "entry").Cfg.instrs = [])
+
 let dominator_tree_shape () =
   let cfg = build_loop_cfg () in
   let dom = Dom.of_cfg cfg in
@@ -404,6 +433,8 @@ let tests =
     Alcotest.test_case "dominators vs naive" `Quick dominators_match_naive;
     Alcotest.test_case "predecessor table vs naive" `Quick pred_table_matches_naive;
     Alcotest.test_case "dominator tree shape" `Quick dominator_tree_shape;
+    Alcotest.test_case "classic opts prune in the first round" `Quick
+      opt_classic_prunes_first_round;
     Alcotest.test_case "liveness over loop" `Quick liveness_loop;
     Alcotest.test_case "ssa construct/destruct" `Quick ssa_roundtrip;
     Alcotest.test_case "hblock helpers" `Quick hblock_helpers;
