@@ -2,14 +2,18 @@
    for it.
 
    [Dfp.Driver.compile_cfg] names the program of every compile; a new
-   name drops everything stored under the old one.  Two kinds of
+   name drops everything stored under the old one.  Three kinds of
    entries live here, each under a string key:
 
    - the driver's config-independent compile prefixes;
-   - the passing verdicts of four pure per-block judges: the
-     hyperblock and block checkers (through [Check.hblocks] and
-     [Check.block]), the fuzz validator's [Validate.block], and the
-     ineffectuality enumerator the fuzz oracle installs as
+   - the driver's pipeline stages: the hyperblocks after if-conversion
+     and after each predicate pass of a config's step list, keyed on
+     the prefix, the attempt and the steps so far, which a later
+     config whose steps start the same way resumes from;
+   - the passing verdicts of pure per-block judges: the hyperblock and
+     block checkers (through [Check.hblocks] and [Check.block]), the
+     driver's psi round trip, the fuzz validator's [Validate.block],
+     and the ineffectuality enumerator the fuzz oracle installs as
      [Opt_ineff.cross_validate].
 
    A verdict's key is a printable tag naming the judge and its
@@ -29,8 +33,10 @@
    no two of them judge at once: dfpd's reader threads never compile or
    validate, only its worker domains do.  Memory: a domain holds the
    entries of one program, each verdict key a copy of a block judged
-   since the program was named.  A domain that validates programs it
-   did not just compile (as [Fuzz.validate_workloads] does over
+   since the program was named, each stage a list of block records
+   whose contents it shares with the other stages.  A domain that
+   validates programs it did not just compile (as
+   [Fuzz.validate_workloads] does over
    [Experiment.compile_cached] hits) adds to the scope of its last
    compile, one key per distinct block judged, until its next compile;
    those keys are bounded by the artifacts it was handed. *)

@@ -52,9 +52,15 @@ val compile_cfg :
     miss runs the prefix on the caller's CFG and stores a copy; a hit
     finishes on a copy of the stored prefix and leaves the caller's CFG
     untouched.  Compiles with [aggressive_regions] (its sizing runs the
-    config's own passes) always run their prefix.  The scope also keeps
-    the passing verdicts of the checker and of the fuzz oracle's
-    validator and enumerator, keyed on the exact content judged.  A
+    config's own passes) always run their prefix.  Past the prefix, the
+    scope keeps the hyperblocks after if-conversion and after each
+    predicate pass, keyed on the prefix, the regions, the state of
+    {!Opt_ineff}'s test hooks and the passes so far; a config whose
+    passes start as a stored stage's did resumes from the deepest one.
+    Lint and [aggressive_regions] compiles neither read nor store
+    stages.  The scope also keeps the passing verdicts of the checker
+    (the psi round trip included) and of the fuzz oracle's validator
+    and enumerator, keyed on the exact content judged.  A
     compile with [profile] (it times every stage and every check)
     leaves the scope: it reads and stores nothing.  The result is the
     same as a compile in a domain with nothing stored.

@@ -90,6 +90,19 @@ let inputs () =
   let workloads, kernels = sources () in
   workloads @ under_oracle_configs kernels @ under_oracle_configs (capped ())
 
+(* [inputs ()] grouped by program: (name, lowering, its configs), in
+   file order *)
+let programs () =
+  List.fold_left
+    (fun acc (name, cn, config, lower) ->
+      match acc with
+      | (name', lower', configs) :: rest when String.equal name name' ->
+          (name, lower', (cn, config) :: configs) :: rest
+      | _ -> (name, lower, [ (cn, config) ]) :: acc)
+    [] (inputs ())
+  |> List.rev_map (fun (name, lower, configs) ->
+         (name, lower, List.rev configs))
+
 let render_placements ps =
   String.concat ";"
     (List.map
@@ -122,10 +135,9 @@ let fields (result : (Dfp.Driver.compiled, string) result) =
         md5 (render_counters c.Dfp.Driver.pass_counters);
       ]
 
-let line (name, config_name, config, lower) =
+let line ?(check = false) (name, config_name, config, lower) =
   let result =
-    Result.bind (lower ()) (fun cfg ->
-        Dfp.Driver.compile_cfg ~check:false cfg config)
+    Result.bind (lower ()) (fun cfg -> Dfp.Driver.compile_cfg ~check cfg config)
   in
   String.concat " " (name :: config_name :: fields result)
 
@@ -135,7 +147,10 @@ let without_enum_hook f =
   Dfp.Opt_ineff.cross_validate := None;
   Fun.protect ~finally:(fun () -> Dfp.Opt_ineff.cross_validate := hook) f
 
-(* the pinned lines of the current compiler *)
-let lines () = without_enum_hook (fun () -> List.map line (inputs ()))
+(* the pinned lines of the current compiler, compiled once per process
+   (the checker's [checked compile equals unchecked] test compares
+   against them too) *)
+let current = lazy (without_enum_hook (fun () -> List.map line (inputs ())))
+let lines () = Lazy.force current
 
 let path () = Filename.concat (Goldens.golden_dir ()) file_name

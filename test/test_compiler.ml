@@ -447,6 +447,85 @@ let prefix_reuse_transparent () =
         configs shared)
     inputs
 
+(* Compiles of one program in one domain share the stages of their pass
+   pipelines.  Each pinned input is compiled under its pinned configs
+   (every oracle config, and [hand_optimized] for the registry
+   workloads) in three orders: as listed, reversed, and each config
+   twice in a row.  Every result must equal the same compile run alone.
+   Each run starts from an empty scope ([Scope.leave], as in a fresh
+   domain, without a second domain's garbage-collector
+   synchronisation), so its first compile is that config's compile
+   alone.  A compile that finds all of its stages stored stores nothing,
+   so the first compile of each pair in the twice order sees what the
+   same config sees in the listed order: one run checks both orders. *)
+let stage_reuse_transparent () =
+  let module Pins = Test_support.Compiled_pins in
+  let from_empty_scope f =
+    Edge_check.Scope.leave ();
+    f ()
+  in
+  Pins.without_enum_hook @@ fun () ->
+  List.iter
+    (fun (name, lower, configs) ->
+      let lowered = lower () in
+      let compile (_, config) =
+        Pins.fields
+          (Result.bind lowered (fun cfg ->
+               Dfp.Driver.compile_cfg ~check:false (Edge_ir.Cfg.copy cfg)
+                 config))
+      in
+      let runs =
+        List.map
+          (fun (order, configs) ->
+            let shared = from_empty_scope (fun () -> List.map compile configs) in
+            (order, configs, shared))
+          [
+            ("reversed", List.rev configs);
+            ("twice", List.concat_map (fun c -> [ c; c ]) configs);
+          ]
+      in
+      let alone =
+        List.map
+          (fun ((cn, _) as c) ->
+            match
+              List.find_opt
+                (fun (_, configs, _) -> fst (List.hd configs) = cn)
+                runs
+            with
+            | Some (_, _, first :: _) -> (cn, first)
+            | _ -> (cn, from_empty_scope (fun () -> compile c)))
+          configs
+      in
+      List.iter
+        (fun (order, configs, shared) ->
+          List.iteri
+            (fun i ((cn, _), got) ->
+              let order =
+                if order = "twice" && i mod 2 = 0 then "listed" else order
+              in
+              Alcotest.(check (list string))
+                (Printf.sprintf "%s %s (%s)" name cn order)
+                (List.assoc cn alone) got)
+            (List.combine configs shared))
+        runs)
+    (Pins.programs ())
+
+(* The checker only reads: with it on, every pinned input compiles
+   under each of its pinned configs to the line [compiled code pinned]
+   compares, which is compiled with it off.  Both sets run in file
+   order, so each program's compiles share their stages as a caller's
+   would. *)
+let checked_equals_unchecked () =
+  let module Pins = Test_support.Compiled_pins in
+  let checked =
+    Pins.without_enum_hook (fun () ->
+        List.map (Pins.line ~check:true) (Pins.inputs ()))
+  in
+  List.iter2
+    (fun unchecked checked ->
+      Alcotest.(check string) "checked compile" unchecked checked)
+    (Pins.lines ()) checked
+
 let tests =
   [
     Alcotest.test_case "region formation" `Quick region_formation;
@@ -463,4 +542,7 @@ let tests =
     Alcotest.test_case "compiled code pinned" `Quick compiled_code_pinned;
     Alcotest.test_case "profiled compile equal" `Quick profiled_compile_equal;
     Alcotest.test_case "prefix reuse transparent" `Quick prefix_reuse_transparent;
+    Alcotest.test_case "stage reuse transparent" `Quick stage_reuse_transparent;
+    Alcotest.test_case "checked compile equals unchecked" `Quick
+      checked_equals_unchecked;
   ]
