@@ -162,11 +162,49 @@ let propagate cfg labels =
     labels;
   (!changed, !folded)
 
+(* CSE's keys: pure instructions with the destination zeroed.  Two
+   keys are equal exactly when [compare] says so (constants are int64
+   bits, so there is no float case); the hash mixes the opcode and the
+   operands. *)
+module Pure = Hashtbl.Make (struct
+  type t = Tac.instr
+
+  let equal a b =
+    match (a, b) with
+    | Tac.Bin x, Tac.Bin y ->
+        x.op = y.op && same_operand x.a y.a && same_operand x.b y.b
+    | Tac.Fbin x, Tac.Fbin y ->
+        x.op = y.op && same_operand x.a y.a && same_operand x.b y.b
+    | Tac.Cmp x, Tac.Cmp y ->
+        x.cond = y.cond && Bool.equal x.fp y.fp && same_operand x.a y.a
+        && same_operand x.b y.b
+    | Tac.Un x, Tac.Un y -> x.op = y.op && same_operand x.a y.a
+    | _ -> false
+
+  let operand = function
+    | Tac.T t -> 2 * t
+    | Tac.C c -> (2 * Int64.to_int c) + 1
+
+  let hash i =
+    let mix h x = (h * 65599) + x in
+    match i with
+    | Tac.Bin r ->
+        mix (mix (mix 1 (Hashtbl.hash r.op)) (operand r.a)) (operand r.b)
+    | Tac.Fbin r ->
+        mix (mix (mix 2 (Hashtbl.hash r.op)) (operand r.a)) (operand r.b)
+    | Tac.Cmp r ->
+        mix
+          (mix (mix 3 (Hashtbl.hash r.cond + Bool.to_int r.fp)) (operand r.a))
+          (operand r.b)
+    | Tac.Un r -> mix (mix 4 (Hashtbl.hash r.op)) (operand r.a)
+    | Tac.Load _ | Tac.Store _ | Tac.Phi _ -> 0
+end)
+
 (* Dominator-scoped CSE over pure instructions, keyed by the
    instruction itself with its destination zeroed. *)
 let cse cfg dom =
   let changed = ref false in
-  let table : (Tac.instr, Temp.t) Hashtbl.t = Hashtbl.create 64 in
+  let table = Pure.create 64 in
   let key i =
     match i with
     | Tac.Bin r -> Some (Tac.Bin { r with dst = 0 })
@@ -183,18 +221,18 @@ let cse cfg dom =
         (fun i ->
           match (key i, Tac.def i) with
           | Some k, Some d -> (
-              match Hashtbl.find_opt table k with
+              match Pure.find_opt table k with
               | Some prior ->
                   changed := true;
                   Tac.Un { dst = d; op = Opcode.Mov; a = Tac.T prior }
               | None ->
-                  Hashtbl.replace table k d;
+                  Pure.replace table k d;
                   added := k :: !added;
                   i)
           | _ -> i)
         b.Cfg.instrs;
     List.iter (fun c -> walk c (scope + 1)) (Dom.children dom l);
-    List.iter (fun k -> Hashtbl.remove table k) !added
+    List.iter (fun k -> Pure.remove table k) !added
   in
   if Cfg.block_opt cfg cfg.Cfg.entry <> None then walk cfg.Cfg.entry 0;
   !changed
