@@ -18,7 +18,10 @@
    server and the wire, not the client's JSON library. Each pass is a
    deterministic replay of the same frames; the best of 5 is reported
    per row, because on a shared host the variance between identical
-   passes is neighbour noise, not signal.
+   passes is neighbour noise, not signal.  The bench runs 3 times,
+   alternating over the rows, and writes each row's per-field median:
+   the cold pass is 8 jobs, and a single run spreads too widely for
+   bench_compare's 20% warm gate.
    Each row records its threads/batch/depth so the methodology is in
    the data, and scaling_efficiency = warm_jobs_s(-jN) /
    warm_jobs_s(-j1). A final section precompiles every spec
@@ -616,9 +619,43 @@ let bench_json specs rows ~identical ~preencoded_ok =
           ] );
     ]
 
+(* runs per bench: each figure the file records is the median of its
+   row's runs, the form BENCH_serve.json is kept in, so one fresh bench
+   compares like with like under bench_compare's warm gate *)
+let bench_runs = 3
+
+(* the per-field median of one row's runs *)
+let median_row = function
+  | [] -> die "no bench runs"
+  | r :: _ as runs ->
+      let med f =
+        let a = Array.of_list (List.map f runs) in
+        Array.sort compare a;
+        percentile a 0.5
+      in
+      let medi f = int_of_float (med (fun r -> float_of_int (f r))) in
+      {
+        r with
+        cold_jobs_s = med (fun r -> r.cold_jobs_s);
+        warm_jobs_s = med (fun r -> r.warm_jobs_s);
+        warm_p50_ms = med (fun r -> r.warm_p50_ms);
+        warm_p99_ms = med (fun r -> r.warm_p99_ms);
+        ratio = med (fun r -> r.ratio);
+        cache_hits = medi (fun r -> r.cache_hits);
+        cache_misses = medi (fun r -> r.cache_misses);
+        fast_hits = medi (fun r -> r.fast_hits);
+      }
+
 let run_bench ~out =
   let specs = specs bench_workloads in
-  let results = List.map (fun j -> bench_one ~j specs) [ 1; 2; 4 ] in
+  let js = [ 1; 2; 4 ] in
+  (* the runs alternate over the rows, so a slow spell of the host
+     spreads over all three *)
+  let results =
+    List.concat
+      (List.init bench_runs (fun _ ->
+           List.map (fun j -> bench_one ~j specs) js))
+  in
   (* ground truth after the timed passes (a direct run warms the
      in-process memo, which must not contaminate the servers' cold
      passes; child processes would be immune, but stay careful) *)
@@ -633,7 +670,12 @@ let run_bench ~out =
       results
   in
   let preencoded_ok = preencoded_check specs direct in
-  let rows = List.map fst results in
+  let rows =
+    List.map
+      (fun j ->
+        median_row (List.filter (fun r -> r.j = j) (List.map fst results)))
+      js
+  in
   let base_warm = (List.hd rows).warm_jobs_s in
   List.iter
     (fun r ->
@@ -997,7 +1039,10 @@ let () =
       ( "--cross-cache",
         Arg.Set cross_cache,
         " two processes sharing one cache dir: warm hits, no torn reads" );
-      ("--out", Arg.Set_string out, "FILE bench output (default BENCH_serve.json)");
+      ( "--out",
+        Arg.Set_string out,
+        "FILE bench output, per-row medians of 3 runs (default \
+         BENCH_serve.json)" );
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument: " ^ a)))
     "serve_bench [--smoke|--scale-smoke|--cross-cache] [--out FILE]";
