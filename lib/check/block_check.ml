@@ -76,67 +76,136 @@ let classify_structural msg =
 let classify_encoding msg =
   if contains msg "mov4" then Diag.Fanout else Diag.Encode
 
-(* structural and encodability checks, classified into invariants;
-   mirrors the fuzz validator's structural tier so the checker is
-   self-contained (lib/check cannot depend on lib/fuzz) *)
-let structural_diags ~pass (b : B.t) : Diag.t list =
-  let diags = ref [] in
-  let add where invariant msg =
-    diags := Diag.make ~pass ~block:b.B.name ~where invariant msg :: !diags
+(* ---------- a block's structural facts ---------- *)
+
+(* What both encoded-block judges, this checker and the fuzz
+   validator's [Validate.block], read before they evaluate a block:
+   [Block.validate]'s errors, the encode/decode round trip's, and the
+   enumeration variables of [Gate].  The variables are defined only
+   when every id and target is in range, which [Block.validate] reports
+   otherwise.  Computed once per distinct block of the current program
+   ([Scope]), whichever judge asks first. *)
+type gate = {
+  names : string list;
+  var_of : (int, int * bool) Hashtbl.t;
+      (** source index (instruction id, or instruction count + read
+          slot) to (variable, negated) *)
+  nvars : int;
+  order : int array;
+      (** instruction slots, producers before consumers when [acyclic],
+          slot order otherwise *)
+  acyclic : bool;
+}
+
+type facts = {
+  invalid : string list;  (** [Block.validate]'s errors *)
+  roundtrip : (int option * string) list;  (** [Encode.roundtrip_errors] *)
+  gate : gate option;  (** [None] when an id or target is out of range *)
+}
+
+let indexable (b : B.t) =
+  let n = Array.length b.B.instrs and nw = Array.length b.B.writes in
+  let in_range = function
+    | T.To_instr { id; _ } -> id >= 0 && id < n
+    | T.To_write w -> w >= 0 && w < nw
   in
-  (match B.validate b with
-  | Ok () -> ()
-  | Error es ->
+  Array.for_all
+    (fun (i : I.t) -> i.I.id >= 0 && i.I.id < n && List.for_all in_range i.I.targets)
+    b.B.instrs
+  && Array.for_all (fun (rd : B.read) -> List.for_all in_range rd.B.rtargets) b.B.reads
+
+(* Instruction slots, producers before consumers: an instruction's
+   firing reads its operand and predicate producers, and a load's reads
+   every store of a lower lsid, so those are the edges (Kahn's
+   algorithm).  A target names a slot.  [None] if the graph has a
+   cycle. *)
+let dependence_order (b : B.t) =
+  let n = Array.length b.B.instrs in
+  let succs = Array.make n [] and indeg = Array.make n 0 in
+  let edge p d =
+    succs.(p) <- d :: succs.(p);
+    indeg.(d) <- indeg.(d) + 1
+  in
+  Array.iteri
+    (fun p (i : I.t) ->
       List.iter
-        (fun msg -> add (where_of_message msg) (classify_structural msg) msg)
-        es);
-  (* the reserved-target rule, with a clear message *)
-  Array.iter
-    (fun (i : I.t) ->
-      List.iter
-        (function
-          | T.To_instr { id = 0; slot = T.Left } ->
-              add
-                (Printf.sprintf "I%d" i.I.id)
-                Diag.Encode
-                (Printf.sprintf
-                   "I%d targets I0's left operand (encodes as no-target)"
-                   i.I.id)
-          | _ -> ())
-        i.I.targets)
+        (function T.To_instr { id; _ } -> edge p id | T.To_write _ -> ())
+        i.I.targets;
+      match i.I.opcode with
+      | O.St _ ->
+          Array.iteri
+            (fun d (l : I.t) ->
+              match l.I.opcode with
+              | O.Ld _ when i.I.lsid < l.I.lsid -> edge p d
+              | _ -> ())
+            b.B.instrs
+      | _ -> ())
     b.B.instrs;
-  (match E.encode_block_body b.B.instrs with
-  | Error e -> add "-" (classify_encoding e) ("encode: " ^ e)
-  | Ok words -> (
-      match E.decode_block_body words with
-      | Error e -> add "-" (classify_encoding e) ("decode: " ^ e)
-      | Ok instrs' ->
-          if Array.length instrs' <> Array.length b.B.instrs then
-            add "-" Diag.Encode
-              (Printf.sprintf "round trip changed instruction count: %d -> %d"
-                 (Array.length b.B.instrs) (Array.length instrs'))
-          else
-            Array.iteri
-              (fun idx (orig : I.t) ->
-                if not (I.equal orig instrs'.(idx)) then
-                  add
-                    (Printf.sprintf "I%d" idx)
-                    Diag.Encode
-                    (Format.asprintf "I%d does not round-trip: %a <> %a" idx
-                       I.pp orig I.pp instrs'.(idx)))
-              b.B.instrs));
-  List.rev !diags
+  let order = Array.make n 0 and len = ref 0 in
+  let ready id =
+    order.(!len) <- id;
+    incr len
+  in
+  Array.iteri (fun id d -> if d = 0 then ready id) indeg;
+  let head = ref 0 in
+  while !head < !len do
+    let p = order.(!head) in
+    incr head;
+    List.iter
+      (fun d ->
+        indeg.(d) <- indeg.(d) - 1;
+        if indeg.(d) = 0 then ready d)
+      succs.(p)
+  done;
+  if !len = n then Some order else None
+
+type Scope.entry += Facts of facts
+
+let facts (b : B.t) : facts =
+  let key = "facts" ^ Marshal.to_string b [ Marshal.No_sharing ] in
+  match Scope.find key with
+  | Some (Facts f) -> f
+  | _ ->
+      let f =
+        {
+          invalid = (match B.validate b with Ok () -> [] | Error es -> es);
+          roundtrip = E.roundtrip_errors b.B.instrs;
+          gate =
+            (if indexable b then
+               let names, var_of, nvars =
+                 Gate.variables b (Gate.boolean_relevant b)
+               in
+               let order, acyclic =
+                 match dependence_order b with
+                 | Some order -> (order, true)
+                 | None -> (Array.init (Array.length b.B.instrs) Fun.id, false)
+               in
+               Some { names; var_of; nvars; order; acyclic }
+             else None);
+        }
+      in
+      Scope.add key (Facts f);
+      f
+
+(* the structural facts as diagnostics, classified into invariants *)
+let structural_diags ~pass (b : B.t) (f : facts) : Diag.t list =
+  let diag where invariant msg = Diag.make ~pass ~block:b.B.name ~where invariant msg in
+  List.map (fun msg -> diag (where_of_message msg) (classify_structural msg) msg) f.invalid
+  @ List.map
+      (function
+        | Some id, msg -> diag (Printf.sprintf "I%d" id) Diag.Encode msg
+        | None, msg -> diag "-" (classify_encoding msg) msg)
+      f.roundtrip
 
 (* ---------- symbolic gating analysis ---------- *)
 
 type source = Si of int | Sr of int  (* instruction id / read slot *)
 
-let symbolic_diags ~pass (b : B.t) : outcome =
+let symbolic_diags ~pass (b : B.t) (g : gate) : outcome =
   let n = Array.length b.B.instrs in
   let nr = Array.length b.B.reads in
-  let rel = Gate.boolean_relevant b in
-  let names, var_of, _k = Gate.variables b rel in
-  let names_arr = Array.of_list names in
+  let var_of = g.var_of in
+  let names_arr = Array.of_list g.names in
   let m = Bdd.create () in
   let src_idx = function Si i -> i | Sr r -> n + r in
   (* producer tables, one entry per target occurrence (a duplicated
@@ -313,53 +382,10 @@ let symbolic_diags ~pass (b : B.t) : outcome =
       (Array.append (Array.map Bdd.uid vt)
          (Array.append (Array.map Bdd.uid vu) (Array.map Bdd.uid nl)))
   in
-  (* evaluation order: producers before consumers.  [step] of an
-     instruction reads its operand and predicate producers, and a load
-     reads every store of a lower lsid, so those are the edges.  In an
-     acyclic graph the equations have one solution, which one pass in
-     this order computes and a second confirms; id order (several
-     passes) if the graph has a cycle *)
-  let order =
-    let succs = Array.make n [] and indeg = Array.make n 0 in
-    let edge p d =
-      succs.(p) <- d :: succs.(p);
-      indeg.(d) <- indeg.(d) + 1
-    in
-    Array.iter
-      (fun (i : I.t) ->
-        List.iter
-          (function T.To_instr { id; _ } -> edge i.I.id id | T.To_write _ -> ())
-          i.I.targets;
-        match i.I.opcode with
-        | O.St _ ->
-            Array.iter
-              (fun (l : I.t) ->
-                match l.I.opcode with
-                | O.Ld _ when i.I.lsid < l.I.lsid -> edge i.I.id l.I.id
-                | _ -> ())
-              b.B.instrs
-        | _ -> ())
-      b.B.instrs;
-    (* Kahn's algorithm *)
-    let order = Array.make n 0 and len = ref 0 in
-    let ready id =
-      order.(!len) <- id;
-      incr len
-    in
-    Array.iteri (fun id d -> if d = 0 then ready id) indeg;
-    let head = ref 0 in
-    while !head < !len do
-      let p = order.(!head) in
-      incr head;
-      List.iter
-        (fun d ->
-          indeg.(d) <- indeg.(d) - 1;
-          if indeg.(d) = 0 then ready d)
-        succs.(p)
-    done;
-    if !len = n then Array.map (fun id -> b.B.instrs.(id)) order
-    else b.B.instrs
-  in
+  (* in an acyclic graph the equations have one solution, which one
+     pass in dependence order computes; several passes in id order if
+     the graph has a cycle *)
+  let order = Array.map (fun id -> b.B.instrs.(id)) g.order in
   let max_rounds = (2 * (n + nr)) + 16 in
   let rec iterate round prev =
     if round > max_rounds then Error "fixpoint did not converge"
@@ -369,7 +395,9 @@ let symbolic_diags ~pass (b : B.t) : outcome =
       if cur = prev then Ok () else iterate (round + 1) cur
     end
   in
-  match iterate 0 (snapshot ()) with
+  match
+    if g.acyclic then Ok (Array.iter step order) else iterate 0 (snapshot ())
+  with
   | exception Bdd.Budget -> Skipped "BDD node budget exceeded"
   | Error e -> Skipped e
   | Ok () -> (
@@ -516,7 +544,10 @@ let symbolic_diags ~pass (b : B.t) : outcome =
         match List.rev !diags with [] -> Clean | ds -> Diags ds
       with Bdd.Budget -> Skipped "BDD node budget exceeded")
 
+(* a block that passes [Block.validate] has every id and target in
+   range, so its gate is defined *)
 let check ~pass (b : B.t) : outcome =
-  match structural_diags ~pass b with
-  | [] -> symbolic_diags ~pass b
-  | ds -> Diags ds
+  let f = facts b in
+  match (structural_diags ~pass b f, f.gate) with
+  | [], Some g -> symbolic_diags ~pass b g
+  | ds, _ -> Diags ds

@@ -2,7 +2,7 @@
    for it.
 
    [Dfp.Driver.compile_cfg] names the program of every compile; a new
-   name drops everything stored under the old one.  Three kinds of
+   name drops everything stored under the old one.  Four kinds of
    entries live here, each under a string key:
 
    - the driver's config-independent compile prefixes;
@@ -14,7 +14,9 @@
      block checkers (through [Check.hblocks] and [Check.block]), the
      driver's psi round trip, the fuzz validator's [Validate.block],
      and the ineffectuality enumerator the fuzz oracle installs as
-     [Opt_ineff.cross_validate].
+     [Opt_ineff.cross_validate];
+   - the structural facts of each block the two encoded-block judges
+     saw ([Block_check.facts]), which both of them read.
 
    A verdict's key is a printable tag naming the judge and its
    parameters, followed by [Marshal.to_string v [No_sharing]] of the
@@ -32,8 +34,9 @@
    The state is domain-local.  Systhreads of one domain share it, and
    no two of them judge at once: dfpd's reader threads never compile or
    validate, only its worker domains do.  Memory: a domain holds the
-   entries of one program, each verdict key a copy of a block judged
-   since the program was named, each stage a list of block records
+   entries of one program, each verdict or facts key a copy of a block
+   judged since the program was named, each facts entry a few arrays
+   and a table the size of its block, each stage a list of block records
    whose contents it shares with the other stages.  A domain that
    validates programs it did not just compile (as
    [Fuzz.validate_workloads] does over

@@ -5,8 +5,9 @@
    variables.  This module re-proves the claims the way the fuzz
    enumerator re-proves the lattice checker: enumerate every assignment
    of those variables and evaluate the gating semantics *concretely*
-   (one bit per assignment, 32 assignments per word, a fixpoint over
-   the same step rules, then a concrete backward effectuality pass).  It shares the variable
+   (one bit per assignment, 32 per word in the layout of [Lanes], a
+   fixpoint over the same step rules, then a concrete backward
+   effectuality pass).  It shares the variable
    *allocation* with [Pgate] — which sites and live-ins get variables,
    and the compare-sharing — but none of the BDD machinery, so a bug in
    BDD construction or in the symbolic fixpoint shows up as a
@@ -31,36 +32,11 @@ module Pg = Edge_ir.Pgate
 let ( let* ) = Result.bind
 let default_max_vars = 10
 
-(* Assignment [a] of the block's [nvars] variables gives variable [v]
-   the value [(a lsr v) land 1].  The enumerator evaluates 32
-   assignments at once, one per bit ("lane") of an OCaml int: chunk [c]
-   holds assignments [32c] to [32c + 31], assignment [a] in lane
-   [a land 31] of chunk [a lsr 5].  Within a chunk a variable [v < 5] is
-   a fixed lane pattern and a variable [v >= 5] is the same in every
-   lane.  A block with fewer than 5 variables has one chunk whose lanes
-   from [2^nvars] on are unused; [full] marks the lanes in use, and
-   every mask stays inside it. *)
-let lane_bits = 5
-
-let lane_pattern =
-  [| 0xAAAA_AAAA; 0xCCCC_CCCC; 0xF0F0_F0F0; 0xFF00_FF00; 0xFFFF_0000 |]
-
-let chunks nvars = max 1 ((1 lsl nvars) lsr lane_bits)
-
-let full_lanes nvars =
-  if nvars >= lane_bits then 0xFFFF_FFFF else (1 lsl (1 lsl nvars)) - 1
-
-(* the lanes of chunk [c] on which variable [v] is 1 *)
-let var_mask ~full c v =
-  if v < lane_bits then lane_pattern.(v) land full
-  else if (c lsr (v - lane_bits)) land 1 = 1 then full
-  else 0
-
 (* Concrete per-site state for one chunk: fired / value-true /
    value-underivable, one lane per assignment. *)
 type state = {
   full : int;
-  vars : int array;  (** [var_mask] of each variable *)
+  vars : int array;  (** [Lanes.var_mask] of each variable *)
   e : int array;
   svt : int array;
   svu : int array;
@@ -127,11 +103,11 @@ let fire_unguarded g st i =
 let eval_chunk (g : Pg.t) c : (state, string) result =
   let body = g.Pg.body in
   let len = Array.length body in
-  let full = full_lanes g.Pg.nvars in
+  let full = Lanes.full_lanes g.Pg.nvars in
   let st =
     {
       full;
-      vars = Array.init g.Pg.nvars (var_mask ~full c);
+      vars = Array.init g.Pg.nvars (Lanes.var_mask ~full c);
       e = Array.make len 0;
       svt = Array.make len 0;
       svu = Array.make len 0;
@@ -272,17 +248,6 @@ let breach h where msg =
        Edge_check.Diag.Structure
        ("ineffectuality cross-validation breach: " ^ msg))
 
-(* the lowest assignment on which [lanes c] is set, chunk by chunk *)
-let first_asg n_chunks lanes =
-  let rec lowest m k = if m land 1 = 1 then k else lowest (m lsr 1) (k + 1) in
-  let rec go c =
-    if c >= n_chunks then None
-    else
-      let m = lanes c in
-      if m <> 0 then Some ((c lsl lane_bits) + lowest m 0) else go (c + 1)
-  in
-  go 0
-
 (* Re-prove a plan by enumeration.  [Ok ()] also covers the excused
    skips (too many variables, inconclusive analysis) — the enumerator
    never guesses. *)
@@ -293,7 +258,7 @@ let check_plan ?(max_vars = default_max_vars) (h : Hb.t)
   | Ok g ->
       if g.Pg.nvars > max_vars then Ok ()
       else begin
-        let n_chunks = chunks g.Pg.nvars in
+        let n_chunks = Lanes.chunks g.Pg.nvars in
         let rec eval_all acc c =
           if c >= n_chunks then Ok (Array.of_list (List.rev acc))
           else
@@ -315,21 +280,21 @@ let check_plan ?(max_vars = default_max_vars) (h : Hb.t)
             | Hb.Op instr -> Tac.can_raise instr
             | _ -> false
           in
-          match first_asg n_chunks (fun c -> eff.(i).(c)) with
+          match Lanes.first_asg n_chunks (fun c -> eff.(i).(c)) with
           | Some a ->
               breach_on i "site deleted as ineffectual but contributes on" a
           | None -> (
               if not can_fault then Ok ()
               else
                 (* a faulting site may only be deleted if it never fires *)
-                match first_asg n_chunks (fun c -> states.(c).e.(i)) with
+                match Lanes.first_asg n_chunks (fun c -> states.(c).e.(i)) with
                 | None -> Ok ()
                 | Some a ->
                     breach_on i "deleted site can fault and still fires on" a)
         in
         let check_drop i =
           match
-            first_asg n_chunks (fun c ->
+            Lanes.first_asg n_chunks (fun c ->
                 fire_unguarded g states.(c) i lxor states.(c).e.(i))
           with
           | None -> Ok ()

@@ -1,12 +1,18 @@
-let opcode_table : (Opcode.t * int) list =
-  List.mapi (fun i op -> (op, i)) Opcode.all
+(* an opcode's code is its position in [Opcode.all] *)
+let opcodes = Array.of_list Opcode.all
+
+let codes : (Opcode.t, int) Hashtbl.t =
+  let t = Hashtbl.create (2 * Array.length opcodes) in
+  Array.iteri (fun c op -> Hashtbl.replace t op c) opcodes;
+  t
 
 let code_of_opcode op =
-  match List.assoc_opt op opcode_table with
+  match Hashtbl.find_opt codes op with
   | Some c -> c
   | None -> invalid_arg "Encode.code_of_opcode"
 
-let opcode_of_code c = List.nth_opt Opcode.all c
+let opcode_of_code c =
+  if c >= 0 && c < Array.length opcodes then Some opcodes.(c) else None
 
 let pred_code = function
   | Instr.Unpredicated -> 0
@@ -243,3 +249,46 @@ let decode_block_body words_arr =
         | Ok (i, rest) -> go (i :: acc) (id + 1) rest)
   in
   go [] 0 (Array.to_list words_arr)
+
+(* The reserved-target rule, checked explicitly for a clear message,
+   then the round trip itself: the first codec error, or each
+   instruction that does not come back equal. *)
+let roundtrip_errors instrs =
+  let reserved =
+    Array.to_list instrs
+    |> List.concat_map (fun (i : Instr.t) ->
+           List.filter_map
+             (function
+               | Target.To_instr { id = 0; slot = Target.Left } ->
+                   Some
+                     ( Some i.Instr.id,
+                       Printf.sprintf
+                         "I%d targets I0's left operand (encodes as no-target)"
+                         i.Instr.id )
+               | _ -> None)
+             i.Instr.targets)
+  in
+  let trip =
+    match encode_block_body instrs with
+    | Error e -> [ (None, "encode: " ^ e) ]
+    | Ok words -> (
+        match decode_block_body words with
+        | Error e -> [ (None, "decode: " ^ e) ]
+        | Ok decoded when Array.length decoded <> Array.length instrs ->
+            [
+              ( None,
+                Printf.sprintf "round trip changed instruction count: %d -> %d"
+                  (Array.length instrs) (Array.length decoded) );
+            ]
+        | Ok decoded ->
+            List.filter_map Fun.id
+              (List.init (Array.length instrs) (fun idx ->
+                   let orig = instrs.(idx) and dec = decoded.(idx) in
+                   if Instr.equal orig dec then None
+                   else
+                     Some
+                       ( Some idx,
+                         Format.asprintf "I%d does not round-trip: %a <> %a" idx
+                           Instr.pp orig Instr.pp dec ))))
+  in
+  reserved @ trip

@@ -25,3 +25,11 @@ val decode : id:int -> int32 list -> (Instr.t * int32 list, string) result
 
 val encode_block_body : Instr.t array -> (int32 array, string) result
 val decode_block_body : int32 array -> (Instr.t array, string) result
+
+val roundtrip_errors : Instr.t array -> (int option * string) list
+(** Why a block body does not survive an encode/decode round trip
+    bit-exactly, in order: each target at I0's left operand (whose
+    encoding collides with "no target"), then the first encode or
+    decode error, a changed instruction count, or each instruction that
+    comes back different. An error carries the id of the instruction it
+    is about, if there is one. [[]] when the body round-trips. *)

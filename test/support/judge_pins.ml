@@ -257,55 +257,72 @@ let judged ~gate (b : B.t) =
 let line ?(gate = true) name variant b =
   String.concat " " (name :: variant :: judged ~gate b)
 
-(* every distinct compiled block, named after its first compile *)
-let compiled_blocks () =
-  let seen = Hashtbl.create 1024 in
-  Compiled_pins.without_enum_hook (fun () ->
-      List.concat_map
-        (fun (name, config_name, config, lower) ->
-          match
-            Result.bind (lower ()) (fun cfg ->
-                Dfp.Driver.compile_cfg ~check:false cfg config)
-          with
-          | Error _ -> []
-          | Ok c ->
-              List.filter_map
-                (fun (bname, b) ->
-                  let key = Marshal.to_string b [] in
-                  if Hashtbl.mem seen key then None
-                  else begin
-                    Hashtbl.add seen key ();
-                    Some (String.concat "/" [ name; config_name; bname ], b)
-                  end)
-                c.Dfp.Driver.program.Edge_isa.Program.blocks)
-        (Compiled_pins.kernel_inputs ()))
+(* every distinct compiled block, named after its first compile;
+   computed once per process *)
+let compiled_blocks =
+  let blocks =
+    lazy
+      (let seen = Hashtbl.create 1024 in
+       Compiled_pins.without_enum_hook (fun () ->
+           List.concat_map
+             (fun (name, config_name, config, lower) ->
+               match
+                 Result.bind (lower ()) (fun cfg ->
+                     Dfp.Driver.compile_cfg ~check:false cfg config)
+               with
+               | Error _ -> []
+               | Ok c ->
+                   List.filter_map
+                     (fun (bname, b) ->
+                       let key = Marshal.to_string b [] in
+                       if Hashtbl.mem seen key then None
+                       else begin
+                         Hashtbl.add seen key ();
+                         Some (String.concat "/" [ name; config_name; bname ], b)
+                       end)
+                     c.Dfp.Driver.program.Edge_isa.Program.blocks)
+             (Compiled_pins.kernel_inputs ())))
+  in
+  fun () -> Lazy.force blocks
+
+(* every pinned block, as (name, variant, gate, block): each compiled
+   block ([-]) followed by its mutants, then the hand-built and the
+   malformed blocks, whose lines have no enumeration variables *)
+let blocks () =
+  let compiled =
+    List.concat
+      (List.mapi
+         (fun k (name, b) ->
+           let rng = Random.State.make [| k |] in
+           (name, "-", true, b)
+           :: List.filter_map
+                (fun (variant, mutate) ->
+                  Option.map (fun m -> (name, variant, true, m)) (mutate rng b))
+                mutators)
+         (compiled_blocks ()))
+  in
+  compiled
+  @ List.map (fun (b : B.t) -> ("hand/" ^ b.B.name, "-", true, b)) hand_built
+  @ List.map
+      (fun (b : B.t) -> ("malformed/" ^ b.B.name, "-", false, b))
+      malformed
 
 (* the pinned lines of the current judges; each judge runs, since no
-   program is named while they do, so no verdict is reused *)
+   program is named while they do, so no verdict is reused.  A mutant
+   on which a judge raises is left out. *)
 let lines () =
-  let compiled = compiled_blocks () in
+  let blocks = blocks () in
   Edge_check.Scope.leave ();
   let left_out = ref 0 in
-  let block_lines k (name, b) =
-    let rng = Random.State.make [| k |] in
-    line name "-" b
-    :: List.filter_map
-         (fun (variant, mutate) ->
-           Option.bind (mutate rng b) (fun m ->
-               match line name variant m with
-               | l -> Some l
-               | exception _ ->
-                   incr left_out;
-                   None))
-         mutators
-  in
-  let compiled = List.concat (List.mapi block_lines compiled) in
-  let hand =
-    List.map (fun (b : B.t) -> line ("hand/" ^ b.B.name) "-" b) hand_built
-    @ List.map
-        (fun (b : B.t) -> line ~gate:false ("malformed/" ^ b.B.name) "-" b)
-        malformed
-  in
-  compiled @ hand @ [ Printf.sprintf "left-out %d" !left_out ]
+  List.filter_map
+    (fun (name, variant, gate, b) ->
+      match line ~gate name variant b with
+      | l -> Some l
+      | exception e when variant = "-" -> raise e
+      | exception _ ->
+          incr left_out;
+          None)
+    blocks
+  @ [ Printf.sprintf "left-out %d" !left_out ]
 
 let path () = Filename.concat (Goldens.golden_dir ()) file_name
