@@ -309,6 +309,22 @@ let analyze ?budget (h : Hb.t) : (t, string) result =
     Array.append (Array.map Bdd.uid g.e)
       (Array.append (Array.map Bdd.uid g.svt) (Array.map Bdd.uid g.svu))
   in
+  (* when every site's uses are defined only by earlier sites (or are
+     live-ins), body order is a dependence order and one pass computes
+     the fixpoint; otherwise rounds until nothing changes *)
+  let ordered =
+    let ok = ref true in
+    Array.iteri
+      (fun i hi ->
+        List.iter
+          (fun t ->
+            match Temp.Map.find_opt t sites with
+            | Some ss -> if List.exists (fun j -> j >= i) ss then ok := false
+            | None -> ())
+          (Hb.hop_uses hi))
+      barr;
+    !ok
+  in
   let max_rounds = (2 * len) + 16 in
   let rec iterate round prev =
     if round > max_rounds then Error "fixpoint did not converge"
@@ -318,7 +334,9 @@ let analyze ?budget (h : Hb.t) : (t, string) result =
       if cur = prev then Ok () else iterate (round + 1) cur
     end
   in
-  match iterate 0 (snapshot ()) with
+  match
+    if ordered then Ok (Array.iteri step barr) else iterate 0 (snapshot ())
+  with
   | exception Bdd.Budget -> Error "BDD node budget exceeded"
   | Error msg -> Error msg
   | Ok () -> Ok g
