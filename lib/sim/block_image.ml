@@ -215,7 +215,7 @@ let cache : (string, program) Hashtbl.t = Hashtbl.create 64
 let cache_mu = Mutex.create ()
 let cache_cap = 256
 
-let of_program p =
+let cached p =
   let key = Program.digest p in
   Mutex.lock cache_mu;
   let img =
@@ -229,3 +229,20 @@ let of_program p =
   in
   Mutex.unlock cache_mu;
   img
+
+(* In front of the table, the last program this domain imaged, by
+   physical equality: the fuzz oracle runs the functional, grid and
+   in-order simulators on one compiled program in turn, and the digest
+   (a marshal and an MD5 of the whole program) is most of a hit's cost.
+   Sound because no code mutates a compiled program in place; tests
+   that edit one edit a copy, which is another object. *)
+let last : (Program.t * program) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let of_program p =
+  match Domain.DLS.get last with
+  | Some (q, img) when q == p -> img
+  | _ ->
+      let img = cached p in
+      Domain.DLS.set last (Some (p, img));
+      img

@@ -84,7 +84,9 @@ val build : Program.t -> program
 
 val of_program : Program.t -> program
 (** [build], memoised in a bounded content-addressed table keyed by
-    [Program.digest]. Thread-safe; shared across domains. *)
+    [Program.digest]. Thread-safe; shared across domains. The last
+    program a domain imaged is answered by physical equality, without
+    a digest: a compiled program must not be mutated in place. *)
 
 val find_index : program -> string -> int option
 
