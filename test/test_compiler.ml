@@ -526,6 +526,48 @@ let checked_equals_unchecked () =
       Alcotest.(check string) "checked compile" unchecked checked)
     (Pins.lines ()) checked
 
+(* A checked compile after an unchecked one of the same CFG in one
+   domain runs every enumerator check that a checked compile from an
+   empty scope runs: the two compiles are different programs, so the
+   checked one resumes from none of the unchecked one's stages, whose
+   passes ran without checker hooks. *)
+let checked_after_unchecked () =
+  let module G = Test_support.Goldens in
+  let module Oracle = Edge_fuzz.Oracle in
+  Edge_fuzz.Ineff_oracle.install ();
+  let hook = Option.get !Dfp.Opt_ineff.cross_validate in
+  let calls = Atomic.make 0 in
+  Fun.protect ~finally:(fun () -> Dfp.Opt_ineff.cross_validate := Some hook)
+  @@ fun () ->
+  Dfp.Opt_ineff.cross_validate :=
+    Some
+      (fun h p ->
+        Atomic.incr calls;
+        hook h p);
+  let checked_calls ~after_unchecked ast config =
+    Domain.join
+      (Domain.spawn (fun () ->
+           if after_unchecked then ignore (Oracle.compile ~check:false ast config);
+           Atomic.set calls 0;
+           ignore (Oracle.compile ~check:true ast config);
+           Atomic.get calls))
+  in
+  let total = ref 0 in
+  List.iter
+    (fun kernel ->
+      let ast = Result.get_ok (Edge_lang.Parser.parse (G.kernel_source kernel)) in
+      List.iter
+        (fun (cn, config) ->
+          let alone = checked_calls ~after_unchecked:false ast config in
+          total := !total + alone;
+          Alcotest.(check int)
+            (Printf.sprintf "%s %s: hook calls" kernel cn)
+            alone
+            (checked_calls ~after_unchecked:true ast config))
+        Oracle.configs)
+    G.kernels;
+  check "some plan reaches the hook" true (!total > 0)
+
 let tests =
   [
     Alcotest.test_case "region formation" `Quick region_formation;
@@ -545,4 +587,6 @@ let tests =
     Alcotest.test_case "stage reuse transparent" `Quick stage_reuse_transparent;
     Alcotest.test_case "checked compile equals unchecked" `Quick
       checked_equals_unchecked;
+    Alcotest.test_case "checked after unchecked runs every check" `Quick
+      checked_after_unchecked;
   ]
