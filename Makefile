@@ -1,5 +1,5 @@
 .PHONY: all build test check smoke check-smoke analyze-smoke fuzz-smoke \
-	matrix-smoke trace-smoke perf-smoke serve-smoke \
+	matrix-smoke validate-smoke trace-smoke perf-smoke serve-smoke \
 	serve-scale-smoke serve-bench cross-cache-smoke bench-compare \
 	regen-golden bench clean
 
@@ -12,7 +12,8 @@ test:
 	dune runtest
 
 # the tier-1 gate: everything compiles, the full suite is green, a
-# short parallel fuzz campaign finds nothing, the observability layer
+# short parallel fuzz campaign finds nothing, the block validator
+# passes every registry workload's artifacts, the observability layer
 # round-trips (valid Chrome JSON, golden trace matches), served results
 # are byte-identical to direct runs (serve-smoke), and a fresh uncached
 # -j1 Figure 7 sweep reproduces all 280 committed cycle counts in
@@ -20,7 +21,7 @@ test:
 # drift)
 check:
 	dune build @all && dune runtest && $(MAKE) fuzz-smoke && $(MAKE) matrix-smoke \
-	&& $(MAKE) check-smoke && $(MAKE) analyze-smoke \
+	&& $(MAKE) validate-smoke && $(MAKE) check-smoke && $(MAKE) analyze-smoke \
 	&& $(MAKE) trace-smoke && $(MAKE) perf-smoke \
 	&& $(MAKE) serve-smoke && $(MAKE) serve-scale-smoke \
 	&& tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT \
@@ -50,6 +51,13 @@ fuzz-smoke: build
 # results on the tiled grid AND the in-order EDGE core
 matrix-smoke: build
 	dune exec bin/fuzz.exe -- --matrix --seed 7000 -n 40 -j 4 --min-size 4 --max-size 14 --no-minimize
+
+# the block validator over the artifacts of all 29 registry workloads
+# under every oracle configuration (dune runtest validates a 6-workload
+# slice); prints how many blocks path enumeration declined, and any
+# failure fails the run
+validate-smoke: build
+	dune exec bin/fuzz.exe -- --workloads -j 4
 
 # seconds-long end-to-end check of the tracing/metrics layer: run one
 # golden kernel traced, validate the Chrome JSON export, compare the

@@ -238,8 +238,13 @@ let () =
       Format.printf "validating compiled artifacts: %d workloads x %d configs@."
         (List.length Edge_workloads.Registry.all)
         (List.length Edge_fuzz.Oracle.configs);
-      match Edge_fuzz.Fuzz.validate_workloads ~jobs:!jobs ?max_vars:!max_vars ()
-      with
+      let skipped, errs =
+        Edge_fuzz.Fuzz.validate_workloads ~jobs:!jobs ?max_vars:!max_vars ()
+      in
+      Format.printf "path enumeration declined for %d blocks (max_vars %d)@."
+        skipped
+        (Option.value ~default:Edge_fuzz.Validate.default_max_vars !max_vars);
+      match errs with
       | [] ->
           Format.printf "all artifacts pass the block validator@.";
           exit 0

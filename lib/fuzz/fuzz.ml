@@ -136,25 +136,30 @@ let replay_source ?cycle ?machines ?validate ?check ?max_vars ~name src :
    to the auxiliary configs. Compilation goes through the memoized
    harness cache, so a subsequent experiment sweep pays nothing extra.
    One task is one workload's configs, so they share its compile prefix
-   and verdicts in one domain. *)
+   and verdicts in one domain.  Returns the number of blocks whose path
+   enumeration was declined (too many variables) and the failures. *)
 let validate_workloads ?jobs ?max_vars ?(workloads = Edge_workloads.Registry.all)
-    () : (string * string) list =
-  Edge_parallel.Pool.run ?jobs
-    (fun (w : Edge_workloads.Workload.t) ->
-      List.concat_map
-        (fun (cname, config) ->
-          let label =
-            Printf.sprintf "%s/%s" w.Edge_workloads.Workload.name cname
-          in
-          match Edge_harness.Experiment.compile_cached w config with
-          | Error e -> [ (label, "compile: " ^ e) ]
-          | Ok compiled -> (
-              match Validate.program ?max_vars compiled.Dfp.Driver.program with
-              | Ok _skipped -> []
-              | Error es -> List.map (fun e -> (label, e)) es))
-        Oracle.configs)
-    workloads
-  |> List.concat
+    () : int * (string * string) list =
+  let per_workload =
+    Edge_parallel.Pool.run ?jobs
+      (fun (w : Edge_workloads.Workload.t) ->
+        List.map
+          (fun (cname, config) ->
+            let label =
+              Printf.sprintf "%s/%s" w.Edge_workloads.Workload.name cname
+            in
+            match Edge_harness.Experiment.compile_cached w config with
+            | Error e -> (0, [ (label, "compile: " ^ e) ])
+            | Ok compiled -> (
+                match Validate.program ?max_vars compiled.Dfp.Driver.program with
+                | Ok skipped -> (skipped, [])
+                | Error es -> (0, List.map (fun e -> (label, e)) es)))
+          Oracle.configs)
+      workloads
+    |> List.concat
+  in
+  ( List.fold_left (fun acc (s, _) -> acc + s) 0 per_workload,
+    List.concat_map snd per_workload )
 
 (* ---------- checker smoke ---------- *)
 

@@ -47,8 +47,8 @@ let workload_artifacts () =
   in
   if workloads = [] then Alcotest.fail "workload slice resolved to nothing";
   match Fz.Fuzz.validate_workloads ~jobs:4 ~workloads () with
-  | [] -> ()
-  | (label, e) :: _ -> Alcotest.failf "%s: %s" label e
+  | _, [] -> ()
+  | _, (label, e) :: _ -> Alcotest.failf "%s: %s" label e
 
 let tests =
   (Alcotest.test_case "corpus present" `Quick corpus_present
