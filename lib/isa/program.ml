@@ -39,12 +39,6 @@ let validate t =
   in
   match block_errs @ check_exits t with [] -> Ok () | es -> Error es
 
-(* Content address of a program: blocks are pure data (no closures), so
-   a digest of the marshalled value identifies the program exactly.
-   Used by the decode-once block-image cache and the persistent result
-   cache to key derived artifacts. *)
-let digest t = Digest.to_hex (Digest.string (Marshal.to_string t []))
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>program (entry %s)@," t.entry;
   List.iter (fun (_, b) -> Format.fprintf ppf "%a@," Block.pp b) t.blocks;

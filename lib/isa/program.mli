@@ -14,9 +14,4 @@ val find : t -> string -> Block.t option
 val validate : t -> (unit, string list) result
 (** Validates every block and the inter-block exit graph. *)
 
-val digest : t -> string
-(** Hex content address of the program (digest of its marshalled
-    value). Two structurally equal programs share a digest; used to key
-    decode-once block images and persistent result caches. *)
-
 val pp : Format.formatter -> t -> unit

@@ -9,11 +9,12 @@
    int-indexed arrays, the software analogue of the TRIPS block header
    and pre-decoded instruction store feeding the issue window.
 
-   Images are cached per program in a content-addressed table keyed by
-   [Program.digest], so repeated runs of the same compiled artifact
-   (the experiment sweep runs each program once per simulator, the
-   fuzz oracle once per configuration) decode exactly once per
-   process, across domains. *)
+   Each domain remembers the last program it imaged, by physical
+   equality, so the simulators that run one compiled program in turn
+   (the functional, grid and in-order runs of the experiment sweep and
+   of the fuzz oracle) decode it once.  There is no
+   content-addressed table: a build is linear, and costs less than the
+   digest of the whole program that such a table would be keyed by. *)
 
 module Block = Edge_isa.Block
 module Instr = Edge_isa.Instr
@@ -202,40 +203,9 @@ let build (p : Program.t) =
 
 let find_index p name = Hashtbl.find_opt p.by_name name
 
-(* ---- content-addressed image cache ----
-
-   Keyed by [Program.digest]; shared across domains (the experiment
-   pool runs simulators concurrently), so lookups and inserts hold a
-   mutex. Build cost is linear and tiny, so building under the lock is
-   simpler than single-flight machinery. The table is bounded: a fuzz
-   campaign pushes thousands of distinct programs through the
-   simulators, and an unbounded table would grow without limit. *)
-
-let cache : (string, program) Hashtbl.t = Hashtbl.create 64
-let cache_mu = Mutex.create ()
-let cache_cap = 256
-
-let cached p =
-  let key = Program.digest p in
-  Mutex.lock cache_mu;
-  let img =
-    match Hashtbl.find_opt cache key with
-    | Some img -> img
-    | None ->
-        let img = build p in
-        if Hashtbl.length cache >= cache_cap then Hashtbl.reset cache;
-        Hashtbl.replace cache key img;
-        img
-  in
-  Mutex.unlock cache_mu;
-  img
-
-(* In front of the table, the last program this domain imaged, by
-   physical equality: the fuzz oracle runs the functional, grid and
-   in-order simulators on one compiled program in turn, and the digest
-   (a marshal and an MD5 of the whole program) is most of a hit's cost.
-   Sound because no code mutates a compiled program in place; tests
-   that edit one edit a copy, which is another object. *)
+(* The last program this domain imaged, by physical equality.  Sound
+   because no code mutates a compiled program in place; tests that edit
+   one edit a copy, which is another object. *)
 let last : (Program.t * program) option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
@@ -243,6 +213,6 @@ let of_program p =
   match Domain.DLS.get last with
   | Some (q, img) when q == p -> img
   | _ ->
-      let img = cached p in
+      let img = build p in
       Domain.DLS.set last (Some (p, img));
       img

@@ -83,10 +83,9 @@ val build : Program.t -> program
 (** Decode every block of a program, uncached. *)
 
 val of_program : Program.t -> program
-(** [build], memoised in a bounded content-addressed table keyed by
-    [Program.digest]. Thread-safe; shared across domains. The last
-    program a domain imaged is answered by physical equality, without
-    a digest: a compiled program must not be mutated in place. *)
+(** [build], except that the last program a domain imaged is answered
+    by physical equality: a compiled program must not be mutated in
+    place. *)
 
 val find_index : program -> string -> int option
 
