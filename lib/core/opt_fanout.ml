@@ -74,14 +74,6 @@ let hoistable hi =
   | Hb.Op i -> Tac.is_cheap i
   | Hb.Sand _ | Hb.Null_write _ | Hb.Null_store _ -> false
 
-let removable h =
-  let info = analyze h in
-  let implicit = implicitly_predicated h in
-  List.length
-    (List.filter
-       (fun hi -> candidate info hi && (implicit hi || hoistable hi))
-       h.Hb.body)
-
 let run ?m (h : Hb.t) =
   let info = analyze h in
   let implicit = implicitly_predicated h in

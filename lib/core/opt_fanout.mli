@@ -15,6 +15,3 @@
 val run : ?m:Edge_obs.Metrics.t -> Edge_ir.Hblock.t -> unit
 (** [m] (optional) receives the pass counter
     ["pass.fanout.guards_removed"]. *)
-
-val removable : Edge_ir.Hblock.t -> int
-(** Number of guards the pass would remove (for reporting). *)
