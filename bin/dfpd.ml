@@ -29,13 +29,12 @@ let () =
         Arg.Set_int cache_max_mb,
         "MB evict the cache down to this size (default: uncapped)" );
       ( "--mem-entries",
-        Arg.Set_int mem_entries,
-        "N entries of the in-memory result cache behind the warm fast path \
-         (default 4096)" );
-      ( "--no-mem-cache",
-        Arg.Unit (fun () -> mem_entries := 0),
-        " disable the in-memory result cache, and with it the warm fast \
-         path (repeats then go to a worker and the disk cache)" );
+        Arg.Int
+          (fun n ->
+            if n < 1 then raise (Arg.Bad "--mem-entries must be at least 1");
+            mem_entries := n),
+        "N entries (at least 1) of the in-memory result cache behind the \
+         warm fast path (default 4096)" );
       ( "--max-cycles",
         Arg.Set_int max_cycles,
         "N watchdog ceiling for submitted-source jobs (default 10M)" );
@@ -60,10 +59,13 @@ let () =
       (Edge_serve.Server.default_config ?cache ~socket_path:!socket ()) with
       jobs = max 1 !jobs;
       queue_cap = max 1 !queue_cap;
-      mem_entries = max 0 !mem_entries;
+      mem_entries = !mem_entries;
       max_cycles = max 1000 !max_cycles;
     }
   in
+  (* re-prove every ineffectuality plan a job's compile acts on by
+     exhaustive path enumeration, as the fuzz oracle does *)
+  Edge_fuzz.Ineff_oracle.install ();
   let srv = Edge_serve.Server.start cfg in
   let on_signal _ = Edge_serve.Server.request_shutdown srv in
   Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);

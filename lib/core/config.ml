@@ -40,6 +40,7 @@ let both =
 let merge = { both with opt_merge = true }
 
 let sand = { both with use_sand = true }
+let mov4 = { both with use_mov4 = true }
 
 let hand_optimized =
   (* the Section 5.3 case study: merging plus maximal unrolling, standing
@@ -66,3 +67,7 @@ let all_paper_configs =
     ("Inter", inter);
     ("Both", both);
   ]
+
+(* every configuration the compiler supports, paper and auxiliary *)
+let all_configs =
+  ("Merge", merge) :: ("Mov4", mov4) :: ("Sand", sand) :: all_paper_configs

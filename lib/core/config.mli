@@ -46,6 +46,9 @@ val merge : t
 val sand : t
 (** [both] plus short-circuit AND chain conversion (Section 7). *)
 
+val mov4 : t
+(** [both] with 4-target multicast fanout moves (Section 7). *)
+
 val hand_optimized : t
 (** [merge] with maximal unrolling and block filling — the automated
     equivalent of the paper's hand-optimized genalg (Section 5.3). *)
@@ -53,3 +56,8 @@ val hand_optimized : t
 val name : t -> string
 val all_paper_configs : (string * t) list
 (** The five configurations of Figure 7, in presentation order. *)
+
+val all_configs : (string * t) list
+(** Every named configuration: [Merge], [Mov4], [Sand], then
+    {!all_paper_configs}.  The names the fuzz oracle, dfpd jobs and the
+    dfpd client accept. *)

@@ -16,9 +16,7 @@ let variants =
     ( "in-order-memory",
       ( { Edge_sim.Machine.default with Edge_sim.Machine.aggressive_loads = false },
         Dfp.Config.both ) );
-    ( "mov4-fanout",
-      ( Edge_sim.Machine.default,
-        { Dfp.Config.both with Dfp.Config.use_mov4 = true } ) );
+    ("mov4-fanout", (Edge_sim.Machine.default, Dfp.Config.mov4));
     ( "merge",
       (Edge_sim.Machine.default, Dfp.Config.merge) );
     ( "no-unroll",

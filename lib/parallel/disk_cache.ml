@@ -260,31 +260,3 @@ let disk_usage t =
   List.fold_left (fun a (_, s, _) -> a + s) 0 (scan_entries t.dir)
 
 let entry_count t = List.length (scan_entries t.dir)
-
-let publish t (m : Edge_obs.Metrics.t) =
-  let module M = Edge_obs.Metrics in
-  M.incr ~by:(hits t) m "cache.hits";
-  M.incr ~by:(misses t) m "cache.misses";
-  M.incr ~by:(errors t) m "cache.errors";
-  M.incr ~by:(evictions t) m "cache.evictions";
-  M.incr ~by:(stores t) m "cache.stores";
-  M.incr ~by:(tmp_swept t) m "cache.tmp_swept";
-  M.incr ~by:(Atomic.get t.total) m "cache.bytes";
-  (* shard occupancy, one histogram sample per non-empty shard: a
-     healthy cache spreads entries evenly across the 256 directories *)
-  Array.iter
-    (fun shard ->
-      let d = Filename.concat t.dir shard in
-      match Sys.readdir d with
-      | exception Sys_error _ -> ()
-      | names ->
-          let entries =
-            Array.fold_left
-              (fun a n -> if is_entry n then a + 1 else a)
-              0 names
-          in
-          if entries > 0 then begin
-            M.incr ~by:entries m "cache.shard.occupied_entries";
-            M.observe m "cache.shard.entries" entries
-          end)
-    (Lazy.force shard_names)

@@ -82,10 +82,3 @@ val disk_usage : t -> int
     entries (exclusive of in-flight temp files). *)
 
 val entry_count : t -> int
-
-val publish : t -> Edge_obs.Metrics.t -> unit
-(** Snapshot the cache's counters into a metrics registry as
-    [cache.hits]/[cache.misses]/[cache.errors]/[cache.evictions]/
-    [cache.stores]/[cache.tmp_swept]/[cache.bytes], plus a
-    [cache.shard.entries] histogram (one sample per non-empty shard
-    directory). Additive: call on a fresh registry for a snapshot. *)

@@ -13,7 +13,6 @@ type 'v t = {
   cap_per_stripe : int;  (* 0 = unbounded *)
   hits : int Atomic.t;
   misses : int Atomic.t;
-  stores : int Atomic.t;
   evictions : int Atomic.t;
 }
 
@@ -31,7 +30,6 @@ let create ?(stripes = 64) ?(max_entries = 4096) () =
     cap_per_stripe;
     hits = Atomic.make 0;
     misses = Atomic.make 0;
-    stores = Atomic.make 0;
     evictions = Atomic.make 0;
   }
 
@@ -81,12 +79,10 @@ let store t ~key v =
       if t.cap_per_stripe > 0 && Hashtbl.length s.tbl >= t.cap_per_stripe
       then evict_lru t s;
       Hashtbl.replace s.tbl key { value = v; tick = s.clock });
-  Mutex.unlock s.mu;
-  Atomic.incr t.stores
+  Mutex.unlock s.mu
 
 let hits t = Atomic.get t.hits
 let misses t = Atomic.get t.misses
-let stores t = Atomic.get t.stores
 let evictions t = Atomic.get t.evictions
 
 let entry_count t =
@@ -97,18 +93,3 @@ let entry_count t =
       Mutex.unlock s.mu;
       acc + n)
     0 t.stripes_arr
-
-let publish t (m : Edge_obs.Metrics.t) =
-  let module M = Edge_obs.Metrics in
-  M.incr ~by:(hits t) m "cache.mem.hits";
-  M.incr ~by:(misses t) m "cache.mem.misses";
-  M.incr ~by:(stores t) m "cache.mem.stores";
-  M.incr ~by:(evictions t) m "cache.mem.evictions";
-  M.incr ~by:(entry_count t) m "cache.mem.entries";
-  Array.iter
-    (fun s ->
-      Mutex.lock s.mu;
-      let n = Hashtbl.length s.tbl in
-      Mutex.unlock s.mu;
-      if n > 0 then M.observe m "cache.mem.stripe.entries" n)
-    t.stripes_arr

@@ -32,15 +32,7 @@ val store : 'v t -> key:string -> 'v -> unit
 
 val hits : 'v t -> int
 val misses : 'v t -> int
-val stores : 'v t -> int
 val evictions : 'v t -> int
 
 val entry_count : 'v t -> int
 (** Entries currently held, summed across stripes. *)
-
-val publish : 'v t -> Edge_obs.Metrics.t -> unit
-(** Snapshot the counters into a metrics registry as
-    [cache.mem.hits] / [cache.mem.misses] / [cache.mem.stores] /
-    [cache.mem.evictions] / [cache.mem.entries], plus a
-    [cache.mem.stripe.entries] histogram (one sample per non-empty
-    stripe). Additive: call on a fresh registry for a snapshot. *)

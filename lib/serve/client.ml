@@ -181,7 +181,7 @@ let source_job ?(trace = false) ?(lint = false) ?machine ?timeout_ms
    (and run_digest) to the equivalent source job. *)
 let precompile_source ~source ~config () =
   let ( let* ) = Result.bind in
-  match List.assoc_opt config Edge_fuzz.Oracle.configs with
+  match List.assoc_opt config Dfp.Config.all_configs with
   | None -> Error ("unknown config: " ^ config)
   | Some cfg_v ->
       let w =

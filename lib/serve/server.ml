@@ -34,8 +34,8 @@ type config = {
   queue_cap : int;  (** pending (not-yet-running) job bound *)
   cache : Disk_cache.t option;
   mem_entries : int;
-      (** entry cap of the in-memory result cache behind the
-          reader-thread warm fast path; [0] disables both *)
+      (** entry cap (at least 1) of the in-memory result cache behind
+          the reader-thread warm fast path *)
   max_cycles : int;  (** watchdog ceiling for source jobs *)
   interp_fuel : int;  (** reference-interpreter bound for source jobs *)
   retry_after_ms : int;  (** hint attached to queue-full rejections *)
@@ -124,7 +124,7 @@ type t = {
   queue : entry Queue.t;
   mu : Mutex.t;
   inflight : (string, entry) Hashtbl.t;  (* digest -> entry, mu-guarded *)
-  fast : (string * string) Mem_cache.t option;
+  fast : (string * string) Mem_cache.t;
       (* the one in-memory result cache, read by the reader-thread fast
          path and keyed "job:<job digest>": the fully rendered
          (accepted, done) response pair (sans ids), so a hit costs one
@@ -134,9 +134,9 @@ type t = {
   mutable closing : bool;
   shutdown_req : bool Atomic.t;
   stats : stats;
-  (* per-stage latency histograms, "serve.stage." prefixed; Metrics is
-     not thread-safe, so this private registry has its own mutex and
-     is merged into the caller's registry at publish time *)
+  (* per-stage latency histograms, "serve.stage." prefixed, which
+     [stats] reports; Metrics is not thread-safe, so this private
+     registry has its own mutex *)
   stage_metrics : Metrics.t;
   stage_mu : Mutex.t;
   mutable conns : conn list;  (* mu-guarded *)
@@ -197,7 +197,7 @@ let workload_of_source src =
     setup = Edge_harness.Tracekit.setup;
   }
 
-let find_config name = List.assoc_opt name Edge_fuzz.Oracle.configs
+let find_config name = List.assoc_opt name Dfp.Config.all_configs
 
 (* digest of the run with its wall-clock noise zeroed: two runs of the
    same job are byte-identical iff these agree *)
@@ -355,17 +355,15 @@ let complete t (e : entry) result =
       (* back the reader-thread fast path: the next identical job is
          answered straight from these pre-rendered lines (times zeroed
          — a replayed result spent nothing compiling or simulating) *)
-      (match t.fast with
-      | Some f when not (e.spec.trace || e.spec.lint) ->
-          Mem_cache.store f
-            ~key:("job:" ^ e.digest)
-            ( Json.to_string (Proto.accepted ~digest:e.digest ~merged:false ()),
-              Json.to_string
-                (Proto.done_ ~workload:r.Experiment.workload
-                   ~config:r.Experiment.config ~cycles:r.Experiment.cycles
-                   ~ret:r.Experiment.ret ~warm:true
-                   ~run_digest:(run_digest r) ~compile_s:0. ~sim_s:0. ()) )
-      | Some _ | None -> ())
+      if not (e.spec.trace || e.spec.lint) then
+        Mem_cache.store t.fast
+          ~key:("job:" ^ e.digest)
+          ( Json.to_string (Proto.accepted ~digest:e.digest ~merged:false ()),
+            Json.to_string
+              (Proto.done_ ~workload:r.Experiment.workload
+                 ~config:r.Experiment.config ~cycles:r.Experiment.cycles
+                 ~ret:r.Experiment.ret ~warm:true ~run_digest:(run_digest r)
+                 ~compile_s:0. ~sim_s:0. ()) )
   | Error (Proto.Timeout, _) ->
       Atomic.incr t.stats.timeouts;
       Atomic.incr t.stats.failed
@@ -462,15 +460,12 @@ let stats_response t =
         ]
   in
   let mem =
-    match t.fast with
-    | None -> []
-    | Some m ->
-        [
-          ("mem_hits", Mem_cache.hits m);
-          ("mem_misses", Mem_cache.misses m);
-          ("mem_entries", Mem_cache.entry_count m);
-          ("mem_evictions", Mem_cache.evictions m);
-        ]
+    [
+      ("mem_hits", Mem_cache.hits t.fast);
+      ("mem_misses", Mem_cache.misses t.fast);
+      ("mem_entries", Mem_cache.entry_count t.fast);
+      ("mem_evictions", Mem_cache.evictions t.fast);
+    ]
   in
   (* per stage: samples and total µs *)
   let stage =
@@ -486,27 +481,6 @@ let stats_response t =
           stages)
   in
   Proto.stats (base @ cache @ mem @ stage)
-
-(* snapshot the server (and cache) counters into a metrics registry
-   under the serve.* / cache.* namespaces *)
-let publish t (m : Metrics.t) =
-  Metrics.incr ~by:(Atomic.get t.stats.accepted) m "serve.jobs_accepted";
-  Metrics.incr ~by:(Atomic.get t.stats.merged) m "serve.jobs_merged";
-  Metrics.incr ~by:(Atomic.get t.stats.completed) m "serve.jobs_completed";
-  Metrics.incr ~by:(Atomic.get t.stats.failed) m "serve.jobs_failed";
-  Metrics.incr ~by:(Atomic.get t.stats.rejected) m "serve.jobs_rejected";
-  Metrics.incr ~by:(Atomic.get t.stats.timeouts) m "serve.timeouts";
-  Metrics.incr
-    ~by:(Atomic.get t.stats.protocol_errors)
-    m "serve.protocol_errors";
-  Metrics.incr ~by:(Atomic.get t.stats.trace_events) m "serve.trace_events";
-  Metrics.incr ~by:(Atomic.get t.stats.fast_hits) m "serve.fast_hits";
-  Metrics.incr ~by:(Atomic.get t.stats.batches) m "serve.batches";
-  Mutex.lock t.stage_mu;
-  Metrics.merge ~into:m t.stage_metrics;
-  Mutex.unlock t.stage_mu;
-  (match t.fast with None -> () | Some f -> Mem_cache.publish f m);
-  match t.cfg.cache with None -> () | Some c -> Disk_cache.publish c m
 
 (* splice a request id in as the first field of a pre-rendered
    response line (always a non-empty JSON object) *)
@@ -535,8 +509,7 @@ let submit t conn id (spec : Proto.job_spec) ~ack ~(out : string -> unit) =
      worker wakeup, no disk. Trace jobs always execute for real. *)
   let fast =
     if spec.trace || spec.lint then None
-    else
-      Option.bind t.fast (fun f -> Mem_cache.find f ~key:("job:" ^ digest))
+    else Mem_cache.find t.fast ~key:("job:" ^ digest)
   in
   match fast with
   | Some (accepted, done_line) ->
@@ -726,10 +699,7 @@ let start (cfg : config) : t =
       queue = Queue.create ();
       mu = Mutex.create ();
       inflight = Hashtbl.create 64;
-      fast =
-        (if cfg.mem_entries > 0 then
-           Some (Mem_cache.create ~max_entries:cfg.mem_entries ())
-         else None);
+      fast = Mem_cache.create ~max_entries:cfg.mem_entries ();
       closing = false;
       shutdown_req = Atomic.make false;
       stats =

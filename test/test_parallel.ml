@@ -528,25 +528,6 @@ let cache_tmp_sweep () =
     "entries survive the sweep" (Some 41)
     (Disk_cache.find c2 ~key:"live")
 
-let cache_publish_metrics () =
-  let c = Disk_cache.create ~dir:(dc "dc_pub") () in
-  Alcotest.(check (option int)) "miss" None (Disk_cache.find c ~key:"absent");
-  Disk_cache.store c ~key:"a" 1;
-  Disk_cache.store c ~key:"b" 2;
-  Alcotest.(check (option int)) "hit" (Some 1) (Disk_cache.find c ~key:"a");
-  let m = Edge_obs.Metrics.create () in
-  Disk_cache.publish c m;
-  let counter = Edge_obs.Metrics.counter m in
-  Alcotest.(check int) "cache.hits" 1 (counter "cache.hits");
-  Alcotest.(check int) "cache.misses" 1 (counter "cache.misses");
-  Alcotest.(check int) "cache.stores" 2 (counter "cache.stores");
-  Alcotest.(check int) "cache.errors" 0 (counter "cache.errors");
-  Alcotest.(check int) "cache.bytes matches the scan" (Disk_cache.disk_usage c)
-    (counter "cache.bytes");
-  Alcotest.(check int) "shard occupancy sums to the entries" 2
-    (Edge_obs.Metrics.hist_sum
-       (Edge_obs.Metrics.histogram m "cache.shard.entries"))
-
 (* -- sharded in-memory result cache ------------------------------- *)
 
 let mem_basics () =
@@ -580,23 +561,6 @@ let mem_eviction_lru () =
     (Mem_cache.find m ~key:"a");
   Alcotest.(check (option int)) "newest survives" (Some 4)
     (Mem_cache.find m ~key:"d")
-
-let mem_publish_metrics () =
-  let m = Mem_cache.create () in
-  ignore (Mem_cache.find m ~key:"absent" : int option);
-  Mem_cache.store m ~key:"a" 1;
-  Mem_cache.store m ~key:"b" 2;
-  Alcotest.(check (option int)) "hit" (Some 1) (Mem_cache.find m ~key:"a");
-  let reg = Edge_obs.Metrics.create () in
-  Mem_cache.publish m reg;
-  let counter = Edge_obs.Metrics.counter reg in
-  Alcotest.(check int) "cache.mem.hits" 1 (counter "cache.mem.hits");
-  Alcotest.(check int) "cache.mem.misses" 1 (counter "cache.mem.misses");
-  Alcotest.(check int) "cache.mem.stores" 2 (counter "cache.mem.stores");
-  Alcotest.(check int) "cache.mem.entries" 2 (counter "cache.mem.entries");
-  Alcotest.(check int) "stripe occupancy sums to the entries" 2
-    (Edge_obs.Metrics.hist_sum
-       (Edge_obs.Metrics.histogram reg "cache.mem.stripe.entries"))
 
 (* domains hammering overlapping keys: every lookup must return a
    value some store put there for that exact key — stripe locking is
@@ -736,13 +700,10 @@ let tests =
       cache_eviction_race;
     Alcotest.test_case "disk cache size-cap soak" `Quick cache_size_cap_soak;
     Alcotest.test_case "disk cache tmp sweep" `Quick cache_tmp_sweep;
-    Alcotest.test_case "disk cache publish metrics" `Quick
-      cache_publish_metrics;
     Alcotest.test_case "disk cache async writeback" `Quick
       cache_store_durable;
     Alcotest.test_case "mem cache basics" `Quick mem_basics;
     Alcotest.test_case "mem cache LRU eviction" `Quick mem_eviction_lru;
-    Alcotest.test_case "mem cache publish metrics" `Quick mem_publish_metrics;
     Alcotest.test_case "mem cache concurrent" `Quick mem_concurrent;
     Alcotest.test_case "mem/disk cache coherence" `Quick mem_disk_coherence;
     Alcotest.test_case "pool stealing deterministic" `Quick

@@ -847,6 +847,47 @@ let stage_stats () =
         (fun s -> stat ("stage_" ^ s ^ "_count") > 0)
         [ "parse"; "compile"; "sim"; "encode" ])
 
+(* the stats reply is dfpd's one export of its counters, and perfbench's
+   serve-mix and serve_bench read its keys by name, taking a missing key
+   as 0: a renamed key would fail nothing else.  The exact list, in
+   order, with and without a disk cache *)
+let stats_keys () =
+  let keys ?cache name =
+    with_server ?cache name @@ fun _srv ->
+    let c = Client.connect (name ^ ".sock") in
+    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+    match Client.rpc c (Json.Obj [ ("op", Json.Str "stats") ]) with
+    | Ok (Json.Obj fields) -> List.map fst fields
+    | Ok v -> Alcotest.failf "stats is not an object: %s" (Json.to_string v)
+    | Error e -> Alcotest.fail e
+  in
+  let server =
+    [
+      "type"; "protocol"; "jobs_accepted"; "jobs_merged"; "jobs_completed";
+      "jobs_failed"; "jobs_rejected"; "timeouts"; "protocol_errors";
+      "trace_events"; "fast_hits"; "batches"; "queue_depth"; "workers";
+      "workers_spawned";
+    ]
+  and disk = [ "cache_hits"; "cache_misses"; "cache_errors"; "cache_evictions" ]
+  and mem_and_stages =
+    [
+      "mem_hits"; "mem_misses"; "mem_entries"; "mem_evictions";
+      "stage_parse_count"; "stage_parse_us"; "stage_queue_count";
+      "stage_queue_us"; "stage_compile_count"; "stage_compile_us";
+      "stage_sim_count"; "stage_sim_us"; "stage_encode_count";
+      "stage_encode_us";
+    ]
+  in
+  Alcotest.(check (list string))
+    "without a disk cache" (server @ mem_and_stages) (keys "srv_keys");
+  let cache =
+    Disk_cache.create ~dir:(Test_support.Tmpdir.path "srv_keys.cache") ()
+  in
+  Alcotest.(check (list string))
+    "with a disk cache"
+    (server @ disk @ mem_and_stages)
+    (keys ~cache "srv_keys_disk")
+
 (* The README's response order: a job's "accepted" precedes its
    terminal line. On a -j1 server a cold job runs on a worker domain as
    soon as it is queued, so that worker's "done" races the reader
@@ -917,6 +958,7 @@ let tests =
     Alcotest.test_case "image jobs" `Quick image_jobs;
     Alcotest.test_case "fast-path stats" `Quick fast_path_stats;
     Alcotest.test_case "stage stats" `Quick stage_stats;
+    Alcotest.test_case "stats keys pinned" `Quick stats_keys;
     Alcotest.test_case "accepted precedes terminal" `Quick
       accepted_precedes_terminal;
   ]
