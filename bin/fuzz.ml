@@ -27,11 +27,6 @@
                    them, with every verdict re-proved by exhaustive
                    path enumeration; a disproved verdict (false
                    positive) fails
-     --max-vars N  enumerator width cutoff: blocks with more than N
-                   predicate variables are skipped by exhaustive path
-                   enumeration (they still get the lattice checker);
-                   skip counts are reported
-     --no-check    disable the per-pass static checker in the oracle
      --matrix      run the cycle comparison on every timing backend
                    (tiled grid AND the in-order EDGE core) instead of
                    the grid alone
@@ -167,9 +162,7 @@ let run_serve ~seed ~n ~jobs ~min_size ~max_size =
 
 let usage =
   "usage: fuzz.exe [--seed S] [-n N] [-j J] [--min-size A] [--max-size B]\n\
-  \                [--no-cycle] [--no-validate] [--no-check] [--matrix]\n\
-  \                [--no-minimize]\n\
-  \                [--max-vars N] [--corpus DIR] [--cache-dir DIR]\n\
+  \                [--matrix] [--no-minimize] [--corpus DIR]\n\
   \                [--workloads] [--replay DIR] [--check-smoke DIR]\n\
   \                [--analyze-smoke DIR] [--serve]"
 
@@ -179,14 +172,9 @@ let () =
   let jobs = ref (Edge_parallel.Pool.default_jobs ()) in
   let min_size = ref Edge_fuzz.Fuzz.default_min_size in
   let max_size = ref Edge_fuzz.Fuzz.default_max_size in
-  let cycle = ref true in
   let machines = ref None in
-  let validate = ref true in
-  let check = ref true in
-  let max_vars = ref None in
   let minimize = ref true in
   let corpus = ref None in
-  let cache_dir = ref None in
   let mode = ref `Fuzz in
   let int_arg name v rest k =
     match int_of_string_opt v with
@@ -204,17 +192,11 @@ let () =
         int_arg "--min-size" v rest (fun i r -> min_size := i; parse r)
     | "--max-size" :: v :: rest ->
         int_arg "--max-size" v rest (fun i r -> max_size := i; parse r)
-    | "--no-cycle" :: rest -> cycle := false; parse rest
-    | "--no-validate" :: rest -> validate := false; parse rest
-    | "--no-check" :: rest -> check := false; parse rest
     | "--matrix" :: rest ->
         machines := Some Edge_fuzz.Oracle.matrix_machines;
         parse rest
-    | "--max-vars" :: v :: rest ->
-        int_arg "--max-vars" v rest (fun i r -> max_vars := Some i; parse r)
     | "--no-minimize" :: rest -> minimize := false; parse rest
     | "--corpus" :: dir :: rest -> corpus := Some dir; parse rest
-    | "--cache-dir" :: dir :: rest -> cache_dir := Some dir; parse rest
     | "--workloads" :: rest -> mode := `Workloads; parse rest
     | "--replay" :: dir :: rest -> mode := `Replay dir; parse rest
     | "--check-smoke" :: dir :: rest -> mode := `Check_smoke dir; parse rest
@@ -225,11 +207,6 @@ let () =
         exit 1
   in
   parse (List.tl (Array.to_list Sys.argv));
-  (* opt-in for fuzzing: campaigns that re-test identical kernels across
-     runs (fixed seeds in CI) skip every previously-clean verdict *)
-  let cache =
-    Option.map (fun dir -> Edge_parallel.Disk_cache.create ~dir ()) !cache_dir
-  in
   match !mode with
   | `Serve ->
       run_serve ~seed:!seed ~n:!n ~jobs:!jobs ~min_size:!min_size
@@ -238,12 +215,9 @@ let () =
       Format.printf "validating compiled artifacts: %d workloads x %d configs@."
         (List.length Edge_workloads.Registry.all)
         (List.length Edge_fuzz.Oracle.configs);
-      let skipped, errs =
-        Edge_fuzz.Fuzz.validate_workloads ~jobs:!jobs ?max_vars:!max_vars ()
-      in
+      let skipped, errs = Edge_fuzz.Fuzz.validate_workloads ~jobs:!jobs () in
       Format.printf "path enumeration declined for %d blocks (max_vars %d)@."
-        skipped
-        (Option.value ~default:Edge_fuzz.Validate.default_max_vars !max_vars);
+        skipped Edge_fuzz.Validate.default_max_vars;
       match errs with
       | [] ->
           Format.printf "all artifacts pass the block validator@.";
@@ -294,10 +268,7 @@ let () =
       let failed = ref 0 in
       List.iter
         (fun (name, src) ->
-          match
-            Edge_fuzz.Fuzz.replay_source ~cycle:!cycle ?machines:!machines
-              ~validate:!validate ~check:!check ?max_vars:!max_vars ~name src
-          with
+          match Edge_fuzz.Fuzz.replay_source ?machines:!machines ~name src with
           | Ok () -> ()
           | Error e ->
               incr failed;
@@ -307,9 +278,8 @@ let () =
       exit (if !failed = 0 then 0 else 1))
   | `Fuzz ->
       let report =
-        Edge_fuzz.Fuzz.run ~jobs:!jobs ~cycle:!cycle ?machines:!machines
-          ~validate:!validate ~check:!check ?max_vars:!max_vars ?cache
-          ~min_size:!min_size ~max_size:!max_size ~seed:!seed ~n:!n ()
+        Edge_fuzz.Fuzz.run ~jobs:!jobs ?machines:!machines ~min_size:!min_size
+          ~max_size:!max_size ~seed:!seed ~n:!n ()
       in
       Format.printf "%a" Edge_fuzz.Fuzz.pp_report report;
       (match (report.Edge_fuzz.Fuzz.failures, !corpus) with
@@ -323,9 +293,7 @@ let () =
                     f.Edge_fuzz.Fuzz.seed f.Edge_fuzz.Fuzz.size
                     f.Edge_fuzz.Fuzz.config;
                   Edge_fuzz.Pretty.kernel_to_string
-                    (Edge_fuzz.Fuzz.minimize_failure ~cycle:!cycle
-                       ?machines:!machines ~validate:!validate ~check:!check
-                       ?max_vars:!max_vars f)
+                    (Edge_fuzz.Fuzz.minimize_failure ?machines:!machines f)
                 end
                 else f.Edge_fuzz.Fuzz.source
               in

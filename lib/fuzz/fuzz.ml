@@ -3,7 +3,7 @@
 
    Each task is pure — it derives everything from its seed — and
    [Edge_parallel.Pool.run] is order-preserving, so a campaign's report
-   is a function of (seed, n, sizes, oracle switches) alone: the same
+   is a function of (seed, n, sizes, machines) alone: the same
    report for any [-j], which is what makes "fuzz found seed S" a
    reproducible statement rather than a race observation. *)
 
@@ -22,19 +22,19 @@ type report = {
   tested : int;  (** programs whose oracle verdict counted *)
   skipped : int;  (** reference interpreter ran out of fuel *)
   enum_skipped : int;
-      (** compiled blocks the enumerator skipped (more than [max_vars]
-          predicate variables); those blocks still got the structural
-          and lattice checks, just not exhaustive path enumeration *)
+      (** compiled blocks the enumerator skipped (more than
+          [Validate.default_max_vars] predicate variables); those blocks
+          still got the structural and lattice checks, just not
+          exhaustive path enumeration *)
   failures : failure list;  (** in seed order *)
 }
 
 let default_min_size = 6
 let default_max_size = 45
 
-let check_one ?cycle ?machines ?validate ?check ?max_vars ?cache ~seed ~size
-    () : (int, failure) result option =
+let check_one ?machines ~seed ~size () : (int, failure) result option =
   let ast = Gen.generate ~seed ~size in
-  match Oracle.check ?cycle ?machines ?validate ?check ?max_vars ?cache ast with
+  match Oracle.check ?machines ast with
   | exception Oracle.Skip -> None
   | Ok enum_skipped -> Some (Ok enum_skipped)
   | Error f ->
@@ -49,16 +49,14 @@ let check_one ?cycle ?machines ?validate ?check ?max_vars ?cache ~seed ~size
              source = Pretty.kernel_to_string ast;
            })
 
-let run ?jobs ?cycle ?machines ?validate ?check ?max_vars ?cache
-    ?(min_size = default_min_size) ?(max_size = default_max_size) ~seed ~n ()
-    : report =
+let run ?jobs ?machines ?(min_size = default_min_size)
+    ?(max_size = default_max_size) ~seed ~n () : report =
   let tasks = List.init n (fun i -> i) in
   let results =
     Edge_parallel.Pool.run ?jobs
       (fun i ->
         let size = Gen.size_for ~min_size ~max_size i in
-        check_one ?cycle ?machines ?validate ?check ?max_vars ?cache
-          ~seed:(seed + i) ~size ())
+        check_one ?machines ~seed:(seed + i) ~size ())
       tasks
   in
   List.fold_left
@@ -95,8 +93,7 @@ let pp_report ppf (r : report) =
    (config, kind) — and, for checker failures, the diagnostic's
    (pass, invariant) key, so the minimized kernel still trips the same
    invariant in the same pass as the original. *)
-let minimize_failure ?cycle ?machines ?validate ?check ?max_vars
-    (f : failure) : A.kernel =
+let minimize_failure ?machines (f : failure) : A.kernel =
   let ast = Gen.generate ~seed:f.seed ~size:f.size in
   let check_key =
     match f.kind with
@@ -105,20 +102,17 @@ let minimize_failure ?cycle ?machines ?validate ?check ?max_vars
   in
   Shrink.minimize
     ~keep:
-      (Oracle.still_fails ?cycle ?machines ?validate ?check ?check_key
-         ?max_vars ~config:f.config ~kind:f.kind)
+      (Oracle.still_fails ?machines ?check_key ~config:f.config ~kind:f.kind)
     ast
 
 (* ---------- corpus replay ---------- *)
 
-let replay_source ?cycle ?machines ?validate ?check ?max_vars ~name src :
-    (unit, string) result =
+let replay_source ?machines ~name src : (unit, string) result =
   match Edge_lang.Parser.parse src with
   | Error e -> Error (Printf.sprintf "%s: parse: %s" name e)
   | Ok ast -> (
       match
-        try `R (Oracle.check ?cycle ?machines ?validate ?check ?max_vars ast)
-        with Oracle.Skip -> `Skip
+        try `R (Oracle.check ?machines ast) with Oracle.Skip -> `Skip
       with
       | `Skip -> Ok ()
       | `R (Ok _) -> Ok ()
@@ -138,8 +132,8 @@ let replay_source ?cycle ?machines ?validate ?check ?max_vars ~name src :
    One task is one workload's configs, so they share its compile prefix
    and verdicts in one domain.  Returns the number of blocks whose path
    enumeration was declined (too many variables) and the failures. *)
-let validate_workloads ?jobs ?max_vars ?(workloads = Edge_workloads.Registry.all)
-    () : int * (string * string) list =
+let validate_workloads ?jobs ?(workloads = Edge_workloads.Registry.all) () :
+    int * (string * string) list =
   let per_workload =
     Edge_parallel.Pool.run ?jobs
       (fun (w : Edge_workloads.Workload.t) ->
@@ -151,7 +145,7 @@ let validate_workloads ?jobs ?max_vars ?(workloads = Edge_workloads.Registry.all
             match Edge_harness.Experiment.compile_cached w config with
             | Error e -> (0, [ (label, "compile: " ^ e) ])
             | Ok compiled -> (
-                match Validate.program ?max_vars compiled.Dfp.Driver.program with
+                match Validate.program compiled.Dfp.Driver.program with
                 | Ok skipped -> (skipped, [])
                 | Error es -> (0, List.map (fun e -> (label, e)) es)))
           Oracle.configs)

@@ -261,8 +261,8 @@ let droppable_guard () =
    surfaces as a failure here. *)
 let roundtrip_property () =
   let report =
-    Fz.Fuzz.run ~jobs:4 ~machines:Oracle.matrix_machines ~check:true
-      ~min_size:4 ~max_size:14 ~seed:77_000 ~n:24 ()
+    Fz.Fuzz.run ~jobs:4 ~machines:Oracle.matrix_machines ~min_size:4
+      ~max_size:14 ~seed:77_000 ~n:24 ()
   in
   match report.Fz.Fuzz.failures with
   | [] -> ()
