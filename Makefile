@@ -1,7 +1,7 @@
 .PHONY: all build test check smoke check-smoke analyze-smoke fuzz-smoke \
 	matrix-smoke validate-smoke trace-smoke perf-smoke serve-smoke \
-	serve-scale-smoke serve-bench cross-cache-smoke bench-compare \
-	regen-golden bench clean
+	serve-scale-smoke serve-bench cross-cache-smoke perfbench-smoke \
+	bench-compare regen-golden bench clean
 
 all: build
 
@@ -15,15 +15,15 @@ test:
 # short parallel fuzz campaign finds nothing, the block validator
 # passes every registry workload's artifacts, the observability layer
 # round-trips (valid Chrome JSON, golden trace matches), served results
-# are byte-identical to direct runs (serve-smoke), and a fresh uncached
-# -j1 Figure 7 sweep reproduces all 280 committed cycle counts in
-# BENCH_fig7.json (the cache is bypassed so a stale entry cannot hide
-# drift)
+# are byte-identical to direct runs (serve-smoke), the benchmark's
+# self-check passes (perfbench-smoke), and a fresh uncached -j1 Figure 7
+# sweep reproduces all 280 committed cycle counts in BENCH_fig7.json
+# (the cache is bypassed so a stale entry cannot hide drift)
 check:
 	dune build @all && dune runtest && $(MAKE) fuzz-smoke && $(MAKE) matrix-smoke \
 	&& $(MAKE) validate-smoke && $(MAKE) check-smoke && $(MAKE) analyze-smoke \
 	&& $(MAKE) trace-smoke && $(MAKE) perf-smoke \
-	&& $(MAKE) serve-smoke && $(MAKE) serve-scale-smoke \
+	&& $(MAKE) serve-smoke && $(MAKE) serve-scale-smoke && $(MAKE) perfbench-smoke \
 	&& tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT \
 	&& ./_build/default/bench/main.exe fig7 -j 1 --no-cache --json "$$tmp" >/dev/null \
 	&& ./_build/default/bin/bench_compare.exe BENCH_fig7.json "$$tmp"
@@ -123,6 +123,14 @@ serve-bench: build
 # the first's results with zero decode errors and no torn reads
 cross-cache-smoke: build
 	./_build/default/bin/serve_bench.exe --cross-cache
+
+# the repo benchmark's self-check (perfbench/run.py): a few ops of every
+# workload, twice per trace mode, every op verified and the exact
+# metrics equal between the two runs; fuzz-oracle's short mode also
+# re-checks every kernel with Oracle.check itself, so perfbench's copy
+# of the oracle's calls cannot drift from the oracle
+perfbench-smoke: build
+	python3 perfbench/run.py --self-check
 
 # re-bless the golden trace files after an intentional schedule change,
 # and the pinned compiler output (test/golden/compiled.digests) after an
