@@ -73,9 +73,10 @@ NEW ?= BENCH_fig7.json
 bench-compare: build
 	dune exec bin/bench_compare.exe -- $(BASE) $(NEW)
 
-# run the smoke sweep twice against a fresh temporary cache directory:
-# the warm run must hit the cache for every experiment, report at least
-# a 2x wall-time improvement, and print identical cycle counts
+# run the smoke sweep (2 workloads x 2 configs) twice against a fresh
+# temporary cache directory: the warm run must hit the cache for all 4
+# experiments, report at least a 2x wall-time improvement, and print
+# identical cycle counts
 perf-smoke: build
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	cold=$$(./_build/default/bench/main.exe smoke --cache-dir "$$dir") && \
@@ -85,7 +86,7 @@ perf-smoke: build
 	if [ "$$cc" != "$$wc" ]; then \
 	  echo "perf-smoke: FAIL: warm-cache cycles differ"; \
 	  printf 'cold:\n%s\nwarm:\n%s\n' "$$cc" "$$wc"; exit 1; fi && \
-	printf '%s\n' "$$warm" | grep -q '^cache: 2 hits, 0 misses' || \
+	printf '%s\n' "$$warm" | grep -q '^cache: 4 hits, 0 misses' || \
 	  { echo "perf-smoke: FAIL: warm run missed the cache"; \
 	    printf '%s\n' "$$warm" | grep '^cache:'; exit 1; } && \
 	ct=$$(printf '%s\n' "$$cold" | sed -n 's/^smoke: \([0-9.]*\)s wall.*/\1/p') && \
@@ -138,8 +139,8 @@ perfbench-smoke: build
 regen-golden: build
 	dune exec test/regen_golden.exe
 
-# seconds-long sanity run of the parallel sweep path (1 workload,
-# 2 configs, 2 domains)
+# seconds-long sanity run of the parallel sweep path (2 workloads,
+# 2 configs, 2 domains, one workload per pool task)
 smoke: build
 	dune exec bench/main.exe -- smoke
 

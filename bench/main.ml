@@ -8,7 +8,7 @@
      dune exec bench/main.exe stats           -- Section 6 dynamic statistics
      dune exec bench/main.exe genalg          -- Section 5.3 case study
      dune exec bench/main.exe ablation        -- mechanism ablations
-     dune exec bench/main.exe smoke           -- 1 workload x 2 configs across
+     dune exec bench/main.exe smoke           -- 2 workloads x 2 configs across
                                                  2 domains; fast sanity check
                                                  of the parallel path
 
@@ -31,11 +31,6 @@
 module Json = Edge_obs.Json
 module Figure7 = Edge_harness.Figure7
 
-let fig7 ~progress ?cache ?machine ~trace_blocks ~jobs () =
-  Figure7.run
-    ~progress:(fun n -> if progress then Printf.eprintf "  %s...\n%!" n)
-    ~jobs ?cache ?machine ~trace_blocks ()
-
 (* -- machine-readable results ------------------------------------- *)
 
 let write_file path contents =
@@ -48,7 +43,7 @@ let write_file path contents =
       (* don't lose a finished sweep to an unwritable path *)
       Printf.eprintf "warning: could not write %s: %s\n%!" path e
 
-let fig7_json ~wall_s ~alloc ~backends (r : Figure7.result) =
+let fig7_json ~wall_s ~compile_s ~sim_s ~alloc ~backends (r : Figure7.result) =
   let str s = Json.Str s in
   let int i = Json.Num (float_of_int i) in
   let table f kvs = Json.Obj (List.map (fun (k, v) -> (k, f v)) kvs) in
@@ -68,8 +63,8 @@ let fig7_json ~wall_s ~alloc ~backends (r : Figure7.result) =
         Json.Obj
           [
             ("total", Json.fixed 3 wall_s);
-            ("compile", Json.fixed 3 r.Figure7.compile_s);
-            ("sim", Json.fixed 3 r.Figure7.sim_s);
+            ("compile", Json.fixed 3 compile_s);
+            ("sim", Json.fixed 3 sim_s);
           ] );
       ( "alloc",
         Json.Obj
@@ -122,12 +117,23 @@ let trace_json (r : Figure7.result) =
           r.Figure7.traces))
 
 (* one sweep shared by fig7/stats/all: `stats` used to re-run all 140
-   experiments even when fig7 had just produced them *)
+   experiments even when fig7 had just produced them. With a JSON file
+   to write, the sweep also runs each non-default backend: the machine
+   axis of the experiment matrix, written as its own section so backend
+   cycle drift is caught independently of the grid numbers. All backends
+   go through one Figure7.run, so they share each workload's compiles
+   and reference run. *)
 let run_sweep ?cache ~jobs ~json ~trace_out () =
+  let backends =
+    if json = "-" then [] else [ ("inorder_edge", Edge_sim.Machine.inorder_edge) ]
+  in
   let g0 = Gc.quick_stat () in
   let t0 = Unix.gettimeofday () in
-  let r =
-    fig7 ~progress:true ?cache ~trace_blocks:(trace_out <> None) ~jobs ()
+  let results =
+    Figure7.run
+      ~machines:(Edge_sim.Machine.default :: List.map snd backends)
+      ~progress:(fun n -> Printf.eprintf "  %s...\n%!" n)
+      ~jobs ?cache ~trace_blocks:(trace_out <> None) ()
   in
   let wall_s = Unix.gettimeofday () -. t0 in
   let g1 = Gc.quick_stat () in
@@ -135,26 +141,21 @@ let run_sweep ?cache ~jobs ~json ~trace_out () =
     ( g1.Gc.minor_words -. g0.Gc.minor_words,
       g1.Gc.major_words -. g0.Gc.major_words )
   in
-  if json <> "-" then begin
-    (* the same sweep on each non-default backend: the machine axis of
-       the experiment matrix, written as its own section so backend
-       cycle drift is caught independently of the grid numbers *)
-    let backends =
-      List.map
-        (fun (name, machine) ->
-          Printf.eprintf "  backend %s sweep...\n%!" name;
-          ( name,
-            fig7 ~progress:false ?cache ~machine ~trace_blocks:false ~jobs
-              () ))
-        [ ("inorder_edge", Edge_sim.Machine.inorder_edge) ]
-    in
-    write_file json (Json.pretty (fig7_json ~wall_s ~alloc ~backends r))
-  end;
+  let r = List.hd results in
+  let sum f = List.fold_left (fun acc br -> acc +. f br) 0. results in
+  let compile_s = sum (fun br -> br.Figure7.compile_s)
+  and sim_s = sum (fun br -> br.Figure7.sim_s) in
+  if json <> "-" then
+    write_file json
+      (Json.pretty
+         (fig7_json ~wall_s ~compile_s ~sim_s ~alloc
+            ~backends:(List.combine (List.map fst backends) (List.tl results))
+            r));
   Option.iter
     (fun path -> write_file path (Json.pretty (trace_json r)))
     trace_out;
   Format.printf "sweep: %.1fs wall (-j %d; compile %.1fs, sim %.1fs of work)@."
-    wall_s r.Figure7.jobs r.Figure7.compile_s r.Figure7.sim_s;
+    wall_s r.Figure7.jobs compile_s sim_s;
   r
 
 let pp_stats ppf (r : Figure7.result) =
@@ -176,8 +177,8 @@ let pp_stats ppf (r : Figure7.result) =
     r.Figure7.pass_totals;
   Format.fprintf ppf "@]"
 
-let run_genalg ?cache ~jobs () =
-  match Edge_harness.Genalg_study.run ~jobs ?cache () with
+let run_genalg ?cache () =
+  match Edge_harness.Genalg_study.run ?cache () with
   | Ok s -> Format.printf "%a@." Edge_harness.Genalg_study.pp s
   | Error e -> Format.printf "genalg: error %s@." e
 
@@ -186,14 +187,17 @@ let run_ablation ?cache ~jobs () =
   Format.printf "%a@." Edge_harness.Ablation.pp entries;
   List.iter (fun (w, e) -> Format.printf "error %s: %s@." w e) errors
 
-(* a deliberately tiny sweep (1 workload x 2 configs) across 2 domains:
-   exercises the pool, the compile memo and the deterministic reassembly
-   in a couple of seconds *)
+(* a deliberately tiny sweep (2 workloads x 2 configs) across 2 domains,
+   one workload per pool task: exercises the pool and the deterministic
+   reassembly in a couple of seconds *)
 let run_smoke ?cache () =
-  let w =
-    match Edge_workloads.Registry.find "tblook01" with
-    | Some w -> w
-    | None -> failwith "smoke: tblook01 missing from registry"
+  let benches =
+    List.map
+      (fun name ->
+        match Edge_workloads.Registry.find name with
+        | Some w -> w
+        | None -> failwith ("smoke: " ^ name ^ " missing from registry"))
+      [ "tblook01"; "canrdr01" ]
   in
   let configs =
     List.filter
@@ -201,7 +205,7 @@ let run_smoke ?cache () =
       Dfp.Config.all_paper_configs
   in
   let t0 = Unix.gettimeofday () in
-  let r = Figure7.run ~benches:[ w ] ~configs ~jobs:2 ?cache () in
+  let r = List.hd (Figure7.run ~benches ~configs ~jobs:2 ?cache ()) in
   Format.printf "%a@." Figure7.pp r;
   (* raw counts, one per line: `make perf-smoke` diffs these between a
      cold and a warm-cache run *)
@@ -287,7 +291,7 @@ let () =
   | "stats" ->
       let r = run_sweep ?cache ~jobs ~json ~trace_out:None () in
       Format.printf "%a@." pp_stats r
-  | "genalg" -> run_genalg ?cache ~jobs ()
+  | "genalg" -> run_genalg ?cache ()
   | "ablation" -> run_ablation ?cache ~jobs ()
   | "smoke" ->
       run_smoke ?cache ();
@@ -301,7 +305,7 @@ let () =
       Format.printf "@.== Section 6 dynamic statistics ==@.";
       Format.printf "%a@." pp_stats r;
       Format.printf "@.== genalg case study (Section 5.3 / Figure 6) ==@.";
-      run_genalg ?cache ~jobs ();
+      run_genalg ?cache ();
       Format.printf "@.== ablations ==@.";
       run_ablation ?cache ~jobs ();
       report_cache ()

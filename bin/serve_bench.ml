@@ -656,9 +656,8 @@ let run_bench ~out =
       (List.init bench_runs (fun _ ->
            List.map (fun j -> bench_one ~j specs) js))
   in
-  (* ground truth after the timed passes (a direct run warms the
-     in-process memo, which must not contaminate the servers' cold
-     passes; child processes would be immune, but stay careful) *)
+  (* ground truth after the timed passes; the servers are child
+     processes, so nothing this process computes warms them *)
   let direct = List.map direct_digest specs in
   let identical =
     List.for_all

@@ -13,8 +13,8 @@
      --trace-text x.trace write the compact deterministic text trace
                           (the golden-test format)
      --metrics            print the metrics summary table
-     --profile            compile once more, outside the compile memo,
-                          and print host time per compiler stage *)
+     --profile            compile once more, reusing no stored stage or
+                          verdict, and print host time per compiler stage *)
 
 open Cmdliner
 
@@ -82,11 +82,11 @@ let make_obs o ~name ~header =
     (Some obs, finish)
   end
 
-(* --profile: lower the kernel and compile it once more, outside the
-   compile memo, with host time recorded per compiler stage; prints µs
-   and share of the compile's wall time per stage, slowest first, and
-   the time outside every stage as [other], so the rows sum to the
-   wall time *)
+(* --profile: lower the kernel and compile it once more, reusing no
+   stored stage or verdict, with host time recorded per compiler
+   stage; prints µs and share of the compile's wall time per stage,
+   slowest first, and the time outside every stage as [other], so the
+   rows sum to the wall time *)
 let run_profile workload config_name =
   let ( let* ) = Result.bind in
   let* config_name, config = config_of_name config_name in
@@ -394,8 +394,8 @@ let metrics_arg =
 
 let profile_arg =
   let doc =
-    "After the run, compile the workload or .k kernel once more, outside \
-     the compile memo, and print the host time of each compiler stage \
+    "After the run, compile the workload or .k kernel once more, reusing \
+     no stored stage or verdict, and print the host time of each compiler stage \
      (each pass, ssa, unroll, regions, sizing, check) in µs and as a \
      share of the compile's wall time; [other] is the time outside \
      every stage."

@@ -38,11 +38,9 @@
    judged since the program was named, each facts entry a few arrays
    and a table the size of its block, each stage a list of block records
    whose contents it shares with the other stages.  A domain that
-   validates programs it did not just compile (as
-   [Fuzz.validate_workloads] does over
-   [Experiment.compile_cached] hits) adds to the scope of its last
-   compile, one key per distinct block judged, until its next compile;
-   those keys are bounded by the artifacts it was handed. *)
+   validates a program it did not just compile adds to the scope of its
+   last compile, one key per distinct block judged, until its next
+   compile; those keys are bounded by the artifacts it was handed. *)
 
 type entry = ..
 

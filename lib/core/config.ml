@@ -47,18 +47,6 @@ let hand_optimized =
      in for the paper's hand-applied transformations *)
   { merge with max_unroll = 16; aggressive_regions = true }
 
-let name t =
-  match t.mode with
-  | Bb -> "BB"
-  | Hyper -> (
-      match (t.opt_fanout, t.opt_path_sensitive, t.opt_merge) with
-      | false, false, false -> "Hyper"
-      | true, false, false -> "Intra"
-      | false, true, false -> "Inter"
-      | true, true, false -> "Both"
-      | true, true, true -> "Merge"
-      | _ -> "Custom")
-
 let all_paper_configs =
   [
     ("BB", bb);

@@ -53,7 +53,6 @@ val hand_optimized : t
 (** [merge] with maximal unrolling and block filling — the automated
     equivalent of the paper's hand-optimized genalg (Section 5.3). *)
 
-val name : t -> string
 val all_paper_configs : (string * t) list
 (** The five configurations of Figure 7, in presentation order. *)
 

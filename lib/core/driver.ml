@@ -14,7 +14,8 @@ type compiled = {
   pass_counters : (string * int) list;
       (* per-pass optimization counters ("pass.*", sorted by name) from
          the final, successful generate attempt; stored as a plain list
-         so [compiled] stays safe to memoize and ship across domains *)
+         so [compiled] stays safe to share between runs and ship across
+         domains *)
 }
 
 let ( let* ) = Result.bind

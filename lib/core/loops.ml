@@ -69,8 +69,3 @@ let find cfg =
       in
       { l with innermost = not contains_other })
     loops
-
-let headers cfg =
-  List.fold_left
-    (fun acc l -> Label.Set.add l.header acc)
-    Label.Set.empty (find cfg)

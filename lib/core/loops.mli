@@ -9,4 +9,3 @@ type loop = {
 }
 
 val find : Edge_ir.Cfg.t -> loop list
-val headers : Edge_ir.Cfg.t -> Edge_ir.Label.Set.t

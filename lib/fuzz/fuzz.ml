@@ -127,10 +127,8 @@ let replay_source ?machines ~name src : (unit, string) result =
 (* Compile every registry workload under every configuration and run the
    static validator over each artifact — the "validator passes on all
    compiled artifacts of the Figure 7 sweep" acceptance gate, extended
-   to the auxiliary configs. Compilation goes through the memoized
-   harness cache, so a subsequent experiment sweep pays nothing extra.
-   One task is one workload's configs, so they share its compile prefix
-   and verdicts in one domain.  Returns the number of blocks whose path
+   to the auxiliary configs.  One task is one workload's configs, so
+   they share its compile prefix and verdicts in one domain.  Returns the number of blocks whose path
    enumeration was declined (too many variables) and the failures. *)
 let validate_workloads ?jobs ?(workloads = Edge_workloads.Registry.all) () :
     int * (string * string) list =
@@ -142,7 +140,7 @@ let validate_workloads ?jobs ?(workloads = Edge_workloads.Registry.all) () :
             let label =
               Printf.sprintf "%s/%s" w.Edge_workloads.Workload.name cname
             in
-            match Edge_harness.Experiment.compile_cached w config with
+            match Edge_harness.Experiment.compile w config with
             | Error e -> (0, [ (label, "compile: " ^ e) ])
             | Ok compiled -> (
                 match Validate.program compiled.Dfp.Driver.program with

@@ -26,44 +26,35 @@ let variants =
   ]
 
 let run ?(benches = default_benches) ?(jobs = 1) ?cache () =
-  (* the baseline and every variant of every bench are independent
-     experiments: fan all of them across the pool at once, then stitch
-     the (variant, baseline) pairs back together in input order *)
-  let resolved =
-    List.map (fun name -> (name, Edge_workloads.Registry.find name)) benches
-  in
+  (* one pool task per bench: its baseline and variants share one
+     reference run, and the three runs of Both one compile *)
   let experiments =
-    List.concat_map
-      (fun (name, w) ->
-        match w with
-        | None -> []
-        | Some w ->
-            (name, w, "Both", Edge_sim.Machine.default, Dfp.Config.both)
-            :: List.map
-                 (fun (vname, (machine, config)) -> (name, w, vname, machine, config))
-                 variants)
-      resolved
+    ("Both", Dfp.Config.both, Edge_sim.Machine.default, None)
+    :: List.map
+         (fun (vname, (machine, config)) -> (vname, config, machine, None))
+         variants
   in
   let outcomes =
     Edge_parallel.Pool.run ~jobs
-      (fun (name, w, label, machine, config) ->
-        ((name, label), Experiment.run_one ~machine ?cache w (label, config)))
-      experiments
+      (fun name ->
+        Option.map
+          (fun w -> Experiment.run_workload ?cache w experiments)
+          (Edge_workloads.Registry.find name))
+      benches
   in
-  let result_of name label = List.assoc (name, label) outcomes in
   let errors = ref [] in
   let entries = ref [] in
-  List.iter
-    (fun (name, w) ->
-      match w with
+  List.iter2
+    (fun name outcome ->
+      match outcome with
       | None -> errors := (name, "unknown workload") :: !errors
-      | Some _ -> (
-          match result_of name "Both" with
+      | Some runs -> (
+          match List.hd runs with
           | Error e -> errors := (name, e) :: !errors
           | Ok base ->
-              List.iter
-                (fun (vname, _) ->
-                  match result_of name vname with
+              List.iter2
+                (fun (vname, _) r ->
+                  match r with
                   | Error e -> errors := (name ^ "/" ^ vname, e) :: !errors
                   | Ok r ->
                       entries :=
@@ -74,8 +65,8 @@ let run ?(benches = default_benches) ?(jobs = 1) ?cache () =
                           baseline_cycles = base.Experiment.cycles;
                         }
                         :: !entries)
-                variants))
-    resolved;
+                variants (List.tl runs)))
+    benches outcomes;
   (List.rev !entries, List.rev !errors)
 
 let pp ppf entries =

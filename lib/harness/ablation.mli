@@ -22,6 +22,9 @@ val run :
   ?cache:Edge_parallel.Disk_cache.t ->
   unit ->
   entry list * (string * string) list
-(** Returns entries plus errors, in input order for any [jobs]. *)
+(** Returns entries plus errors, in input order for any [jobs]. A pool
+    task runs one bench's baseline and variants in one
+    {!Experiment.run_workload} call, so the three runs of Both share
+    one compile. *)
 
 val pp : Format.formatter -> entry list -> unit

@@ -13,15 +13,16 @@ type run = {
   static_fanout_moves : int;
   explicit_predicates : int;
   pass_counters : (string * int) list;  (* compiler "pass.*" counters *)
-  compile_s : float;  (* wall-clock spent compiling (0 on a memo hit) *)
+  compile_s : float;  (* wall-clock spent compiling (~0 on a shared compile) *)
   sim_s : float;  (* wall-clock spent in reference/functional/cycle sims *)
 }
 
 let ( let* ) = Result.bind
 
-(* real (non-memoized) compiles performed process-wide; the serve tests
-   use the delta to prove single-flight dedup collapses a stampede of
-   identical jobs into one compile *)
+(* compiles performed process-wide; the serve tests use the delta to
+   prove single-flight dedup collapses a stampede of identical jobs into
+   one compile, the harness tests that a sweep compiles each
+   (workload, config) once *)
 let compile_counter = Atomic.make 0
 
 let compiles_performed () = Atomic.get compile_counter
@@ -33,10 +34,8 @@ let compile ?check ?lint (w : Workload.t) config =
   Dfp.Driver.compile_cfg ?check ?lint cfg config
 
 (* ineffectuality lint over raw kernel source: compile in report mode
-   and collect the findings.  Never memoized — the lint artifact is not
-   the artifact a normal compile produces (deletion is suppressed).
-   Split-retries can re-report a surviving block's findings; sort_uniq
-   collapses the duplicates. *)
+   and collect the findings.  Split-retries can re-report a surviving
+   block's findings; sort_uniq collapses the duplicates. *)
 let lint_source ?check source config =
   let* ast = Edge_lang.Parser.parse source in
   let* cfg = Edge_lang.Lower.lower ast in
@@ -51,44 +50,12 @@ let lint_source ?check source config =
 let lint ?check (w : Workload.t) config =
   lint_source ?check w.Workload.source config
 
-(* Process-wide memo tables. Compilation is deterministic in
-   (workload, config) and the artifacts are read-only to both
-   simulators, so every harness (Figure 7, stats, genalg, ablations —
-   including machine-only variants) shares one compile per distinct
-   (workload, config fingerprint) and one reference-interpreter run per
-   workload, across domains. Both tables are bounded, so dfpd's
-   source jobs do not grow them without limit. *)
-let compile_memo :
-    (string * Dfp.Config.t, (Dfp.Driver.compiled, string) result) Edge_parallel.Memo.t =
-  Edge_parallel.Memo.create ()
-
-let reference_memo : (string, (int64 * Mem.t, string) result) Edge_parallel.Memo.t
-    =
-  Edge_parallel.Memo.create ()
-
-(* the checker switch joins the memo key: a compile that skipped the
-   verifier must not answer for one that asked for it (and vice versa —
-   a checked compile is byte-identical but proves more) *)
-let compile_cached (w : Workload.t) config =
-  let check = Edge_check.Check.enabled () in
-  let name =
-    if check then w.Workload.name ^ "+check" else w.Workload.name
-  in
-  Edge_parallel.Memo.get compile_memo (name, config) (fun () ->
-      compile ~check w config)
-
-let reference_cached ?fuel (w : Workload.t) =
-  (* a bounded reference run must not answer for an unbounded one (or
-     vice versa): the fuel joins the memo key *)
-  let key =
-    match fuel with
-    | None -> w.Workload.name
-    | Some f -> Printf.sprintf "%s#fuel=%d" w.Workload.name f
-  in
-  Edge_parallel.Memo.get reference_memo key (fun () ->
-      match Workload.reference_run ?fuel w with
-      | Ok (r, m) -> Ok (Option.value ~default:0L r, m)
-      | Error e -> Error e)
+(* the reference interpreter's answer, which every simulated run of
+   the workload must reproduce: return value and final memory *)
+let reference_run ?fuel (w : Workload.t) =
+  match Workload.reference_run ?fuel w with
+  | Ok (r, m) -> Ok (Option.value ~default:0L r, m)
+  | Error e -> Error e
 
 let setup_run (w : Workload.t) =
   let mem = Mem.create ~size:w.Workload.mem_size in
@@ -204,27 +171,6 @@ let make_run (w : Workload.t) config_name (compiled : Dfp.Driver.compiled)
     sim_s;
   }
 
-let run_one_uncached ?(machine = Edge_sim.Machine.default) ?obs ?interp_fuel
-    ?lint (w : Workload.t) (config_name, config) =
-  let t0 = Unix.gettimeofday () in
-  let* reference, ref_mem = reference_cached ?fuel:interp_fuel w in
-  let t1 = Unix.gettimeofday () in
-  (* a lint run simulates the lint artifact (deletion suppressed), which
-     the memo must never hold — compile fresh *)
-  let* compiled =
-    match lint with
-    | None -> compile_cached w config
-    | Some report -> compile ~lint:report w config
-  in
-  let t2 = Unix.gettimeofday () in
-  let* stats =
-    run_body ~machine ?obs w config_name compiled ~reference ~ref_mem
-  in
-  let t3 = Unix.gettimeofday () in
-  Ok
-    (make_run w config_name compiled stats ~reference ~compile_s:(t2 -. t1)
-       ~sim_s:((t1 -. t0) +. (t3 -. t2)))
-
 (* the disk cache around [compute]: a hit replays the stored run with
    its times zeroed (it spent nothing compiling or simulating), and a
    computed run is on disk before it is returned *)
@@ -248,25 +194,59 @@ let cached ~key cache compute =
 let cacheable ?obs () =
   Option.is_none obs && not (Edge_check.Check.enabled ())
 
-let run_one ?machine ?obs ?interp_fuel ?cache ?lint (w : Workload.t)
-    ((config_name, config) as cfg) =
-  let compute () = run_one_uncached ?machine ?obs ?interp_fuel ?lint w cfg in
-  (* a lint run wants its findings streamed and simulates a different
-     artifact: it bypasses the cache, like an obs run *)
-  match cache with
-  | Some cache when cacheable ?obs () && Option.is_none lint ->
-      let key =
-        cache_key w config_name config
-          (Option.value machine ~default:Edge_sim.Machine.default)
-      in
-      cached ~key cache compute
-  | _ -> compute ()
+(* The reference run and each distinct config's compile are made at
+   most once, by the first run the disk cache does not answer; they
+   live only in this call, so whoever owns the workload (one pool task)
+   owns them, and no other domain can force them. *)
+let run_workload ?interp_fuel ?cache ?lint (w : Workload.t) experiments =
+  let reference = lazy (reference_run ?fuel:interp_fuel w) in
+  let compiles = Hashtbl.create 8 in
+  let compiled config =
+    match Hashtbl.find_opt compiles config with
+    | Some c -> c
+    | None ->
+        let c = compile ?lint w config in
+        Hashtbl.add compiles config c;
+        c
+  in
+  let run (config_name, config, machine, obs) =
+    let t0 = Unix.gettimeofday () in
+    let* reference, ref_mem = Lazy.force reference in
+    let t1 = Unix.gettimeofday () in
+    let* compiled = compiled config in
+    let t2 = Unix.gettimeofday () in
+    let* stats =
+      run_body ~machine ?obs w config_name compiled ~reference ~ref_mem
+    in
+    let t3 = Unix.gettimeofday () in
+    Ok
+      (make_run w config_name compiled stats ~reference ~compile_s:(t2 -. t1)
+         ~sim_s:((t1 -. t0) +. (t3 -. t2)))
+  in
+  List.map
+    (fun ((config_name, config, machine, obs) as experiment) ->
+      (* a lint run wants its findings streamed and simulates a
+         different artifact: it bypasses the cache, like an obs run *)
+      match cache with
+      | Some cache when cacheable ?obs () && Option.is_none lint ->
+          cached
+            ~key:(cache_key w config_name config machine)
+            cache
+            (fun () -> run experiment)
+      | _ -> run experiment)
+    experiments
+
+let run_one ?(machine = Edge_sim.Machine.default) ?obs ?interp_fuel ?cache
+    ?lint (w : Workload.t) (config_name, config) =
+  List.hd
+    (run_workload ?interp_fuel ?cache ?lint w
+       [ (config_name, config, machine, obs) ])
 
 let run_precompiled_uncached ?(machine = Edge_sim.Machine.default) ?obs
     ?interp_fuel (w : Workload.t) config_name
     (compiled : Dfp.Driver.compiled) =
   let t0 = Unix.gettimeofday () in
-  let* reference, ref_mem = reference_cached ?fuel:interp_fuel w in
+  let* reference, ref_mem = reference_run ?fuel:interp_fuel w in
   let* stats =
     run_body ~machine ?obs w config_name compiled ~reference ~ref_mem
   in

@@ -1,20 +1,17 @@
-(** Running one workload under one compiler configuration.
+(** Running a workload under compiler configurations and machines.
 
     Every run is verified three ways before its numbers count: the
     reference interpreter, the functional dataflow executor and the cycle
     simulator must produce identical return values and final memory
     images.
 
-    Compile artifacts and reference-interpreter runs are memoized
-    process-wide (keyed by (workload, config fingerprint) and workload
-    respectively), so sweeps that revisit a configuration — the Figure 7
-    sweep plus Section 6 statistics, the ablations' machine-only
-    variants — compile each workload once per distinct config rather
-    than once per experiment. The tables are domain-safe with
-    single-flight semantics, so a parallel sweep never duplicates a
-    compile, and bounded ({!Edge_parallel.Memo}), so a long-lived job
-    server that sees a stream of distinct kernels recomputes an old
-    one rather than keeping every artifact. *)
+    A sweep shares work by its shape: {!run_workload} runs all of one
+    workload's experiments, so they share one reference-interpreter run
+    and one compile per distinct config (the Figure 7 sweep on both
+    backends, the ablations' machine-only variants, the genalg study's
+    five configs). Nothing outlives the call: no compiled program or
+    reference run is kept across calls, so a long-lived job server holds
+    only its answers (its result caches). *)
 
 type run = {
   workload : string;
@@ -31,24 +28,30 @@ type run = {
   pass_counters : (string * int) list;
       (** compiler per-pass optimization counters ("pass.*", sorted) *)
   compile_s : float;
-      (** wall-clock seconds spent compiling for this run; ~0 when the
-          memo already held the artifact *)
+      (** wall-clock seconds spent compiling for this run; ~0 when an
+          earlier run of the same {!run_workload} call compiled its
+          config *)
   sim_s : float;
       (** wall-clock seconds spent simulating (reference + functional +
           cycle) for this run *)
 }
 
-val run_one :
-  ?machine:Edge_sim.Machine.t ->
-  ?obs:Edge_obs.Obs.t ->
+val run_workload :
   ?interp_fuel:int ->
   ?cache:Edge_parallel.Disk_cache.t ->
   ?lint:(Dfp.Opt_ineff.finding -> unit) ->
   Edge_workloads.Workload.t ->
-  string * Dfp.Config.t ->
-  (run, string) result
-(** [obs] (default null) instruments the *timed* cycle-simulator run
-    only; the functional check always runs uninstrumented.
+  (string * Dfp.Config.t * Edge_sim.Machine.t * Edge_obs.Obs.t option) list ->
+  (run, string) result list
+(** One run per (config name, config, machine, obs) experiment, in
+    input order. The runs share one reference-interpreter run and one
+    compile per distinct config, each made when the first run that the
+    disk cache does not answer needs it, so a warm cached call computes
+    nothing. Both live only in this call: a pool task that owns the
+    workload owns them.
+
+    [obs] instruments the *timed* cycle-simulator run only; the
+    functional check always runs uninstrumented.
 
     [interp_fuel] bounds the reference-interpreter run (statements
     executed); exhausting it fails the run with a
@@ -63,16 +66,27 @@ val run_one :
     an unchanged (workload, config) pair costs one file read across
     processes. A hit replays the stored run with [compile_s]/[sim_s]
     reported as [0.]; a computed run is stored synchronously, so it is
-    on disk when [run_one] returns. Runs with an [obs] attached or with
+    on disk when the call returns. Runs with an [obs] attached or with
     the static checker enabled ({!Edge_check.Check.enabled}) bypass the
     cache (the caller wants a real, verified run); errors are never
     cached.
 
     [lint] compiles in ineffectuality-report mode (findings streamed to
     the callback, deletion suppressed — see {!Dfp.Driver.compile_cfg})
-    and simulates that artifact. Lint runs bypass the cache and the
-    compile memo: the artifact is not the one a normal compile
-    produces. *)
+    and simulates that artifact. Lint runs bypass the cache: the
+    artifact is not the one a normal compile produces. *)
+
+val run_one :
+  ?machine:Edge_sim.Machine.t ->
+  ?obs:Edge_obs.Obs.t ->
+  ?interp_fuel:int ->
+  ?cache:Edge_parallel.Disk_cache.t ->
+  ?lint:(Dfp.Opt_ineff.finding -> unit) ->
+  Edge_workloads.Workload.t ->
+  string * Dfp.Config.t ->
+  (run, string) result
+(** {!run_workload} on one experiment; [machine] defaults to
+    {!Edge_sim.Machine.default}. *)
 
 val run_precompiled :
   ?machine:Edge_sim.Machine.t ->
@@ -112,9 +126,8 @@ val compile :
   Edge_workloads.Workload.t ->
   Dfp.Config.t ->
   (Dfp.Driver.compiled, string) result
-(** Uncached compilation (used by the microbenchmarks to time the
-    compiler itself). [check] and [lint] are forwarded to
-    {!Dfp.Driver.compile_cfg}. *)
+(** One compilation, counted by {!compiles_performed}. [check] and
+    [lint] are forwarded to {!Dfp.Driver.compile_cfg}. *)
 
 val lint_source :
   ?check:bool ->
@@ -122,8 +135,7 @@ val lint_source :
   Dfp.Config.t ->
   (Dfp.Opt_ineff.finding list, string) result
 (** Compile raw kernel source in ineffectuality-report mode and return
-    the findings (sorted, deduplicated across split-retries). Never
-    memoized. *)
+    the findings (sorted, deduplicated across split-retries). *)
 
 val lint :
   ?check:bool ->
@@ -136,16 +148,10 @@ val setup_run : Edge_workloads.Workload.t -> int64 array * Edge_isa.Mem.t
 (** Fresh register file and memory image for one execution of the
     workload, with arguments placed per the calling convention. *)
 
-val compile_cached :
-  Edge_workloads.Workload.t ->
-  Dfp.Config.t ->
-  (Dfp.Driver.compiled, string) result
-(** Memoized compilation, shared across harnesses and domains. The
-    current {!Edge_check.Check.enabled} state joins the memo key, so
-    checked and unchecked compiles never answer for each other. *)
-
 val compiles_performed : unit -> int
-(** Process-wide count of real (non-memoized, non-disk-cached)
-    compiles. The serve tests assert the delta stays at one when 16
-    identical jobs stampede the server — single-flight dedup plus the
-    compile memo collapse them into a single compile. *)
+(** Process-wide count of {!compile} calls, those {!run_workload}
+    makes included (a disk-cache hit compiles nothing). The serve tests
+    assert that 5 identical jobs stampeding a server behind a blocker
+    add at most 2: single-flight dedup collapses the stampede into one
+    compile. The harness tests assert that a sweep compiles each
+    (workload, config) once, whatever its machines. *)

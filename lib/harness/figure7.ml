@@ -25,38 +25,15 @@ let geomean = function
   | xs ->
       exp (List.fold_left (fun a x -> a +. log x) 0.0 xs /. float_of_int (List.length xs))
 
-let run ?(machine = Edge_sim.Machine.default)
-    ?(benches = Edge_workloads.Registry.eembc)
-    ?(configs = Dfp.Config.all_paper_configs) ?(progress = fun _ -> ())
-    ?(jobs = 1) ?(trace_blocks = false) ?cache () =
+(* one machine's table: [per_bench] holds, for each bench, its
+   (outcome, block events) per config, in [configs] order *)
+let assemble ~jobs ~configs benches per_bench =
   let config_names = List.map fst configs in
-  (* fan every (workload x config) experiment across the pool; results
-     come back in input order, so rows and errors are deterministic
-     regardless of completion order *)
-  let experiments =
-    List.concat_map
-      (fun w -> List.mapi (fun i (name, config) -> (w, i, name, config)) configs)
-      benches
-  in
-  let outcomes =
-    Edge_parallel.Pool.run ~jobs
-      (fun (w, i, name, config) ->
-        if i = 0 then progress w.Edge_workloads.Workload.name;
-        if trace_blocks then
-          (* block-level events only: the collected list is a couple of
-             events per executed block, cheap enough to ship back across
-             the pool with the run result *)
-          let obs, events, _ =
-            Edge_obs.Obs.collector ~level:Edge_obs.Trace.Blocks ()
-          in
-          let outcome = Experiment.run_one ~machine ~obs w (name, config) in
-          (w.Edge_workloads.Workload.name, name, outcome, events ())
-        else
-          ( w.Edge_workloads.Workload.name,
-            name,
-            Experiment.run_one ~machine ?cache w (name, config),
-            [] ))
-      experiments
+  let cells =
+    List.map2
+      (fun w outcomes ->
+        (w.Edge_workloads.Workload.name, List.combine config_names outcomes))
+      benches per_bench
   in
   let errors = ref [] in
   let compile_s = ref 0.0 and sim_s = ref 0.0 in
@@ -83,22 +60,19 @@ let run ?(machine = Edge_sim.Machine.default)
   in
   let rows =
     List.filter_map
-      (fun w ->
-        let bench = w.Edge_workloads.Workload.name in
+      (fun (bench, outcomes) ->
         let runs =
           List.filter_map
-            (fun (wname, cname, outcome, _) ->
-              if not (String.equal wname bench) then None
-              else
-                match outcome with
-                | Ok r ->
-                    compile_s := !compile_s +. r.Experiment.compile_s;
-                    sim_s := !sim_s +. r.Experiment.sim_s;
-                    bump_passes cname r.Experiment.pass_counters;
-                    Some (cname, r)
-                | Error e ->
-                    errors := (bench ^ "/" ^ cname, e) :: !errors;
-                    None)
+            (fun (cname, (outcome, _)) ->
+              match outcome with
+              | Ok r ->
+                  compile_s := !compile_s +. r.Experiment.compile_s;
+                  sim_s := !sim_s +. r.Experiment.sim_s;
+                  bump_passes cname r.Experiment.pass_counters;
+                  Some (cname, r)
+              | Error e ->
+                  errors := (bench ^ "/" ^ cname, e) :: !errors;
+                  None)
             outcomes
         in
         match List.assoc_opt "Hyper" runs with
@@ -122,7 +96,7 @@ let run ?(machine = Edge_sim.Machine.default)
                     runs;
               }
         | _ -> None)
-      benches
+      cells
   in
   let mean_speedups =
     List.map
@@ -148,12 +122,13 @@ let run ?(machine = Edge_sim.Machine.default)
       config_names
   in
   let traces =
-    if not trace_blocks then []
-    else
-      List.filter_map
-        (fun (wname, cname, _, events) ->
-          if events = [] then None else Some ((wname, cname), events))
-        outcomes
+    List.concat_map
+      (fun (bench, outcomes) ->
+        List.filter_map
+          (fun (cname, (_, events)) ->
+            if events = [] then None else Some ((bench, cname), events))
+          outcomes)
+      cells
   in
   {
     rows;
@@ -168,6 +143,50 @@ let run ?(machine = Edge_sim.Machine.default)
     sim_s = !sim_s;
     traces;
   }
+
+let run ?(machines = [ Edge_sim.Machine.default ])
+    ?(benches = Edge_workloads.Registry.eembc)
+    ?(configs = Dfp.Config.all_paper_configs) ?(progress = fun _ -> ())
+    ?(jobs = 1) ?(trace_blocks = false) ?cache () =
+  (* one pool task per workload, so its experiments on every machine
+     share one reference run and one compile per config; results come
+     back in input order, so rows and errors are deterministic
+     regardless of completion order *)
+  let per_bench =
+    Edge_parallel.Pool.run ~jobs
+      (fun w ->
+        progress w.Edge_workloads.Workload.name;
+        let experiments =
+          List.concat
+            (List.mapi
+               (fun k machine ->
+                 List.map
+                   (fun (name, config) ->
+                     if trace_blocks && k = 0 then
+                       (* block-level events of the first machine's runs
+                          only: a couple of events per executed block,
+                          cheap enough to ship back across the pool *)
+                       let obs, events, _ =
+                         Edge_obs.Obs.collector ~level:Edge_obs.Trace.Blocks
+                           ()
+                       in
+                       ((name, config, machine, Some obs), events)
+                     else ((name, config, machine, None), fun () -> []))
+                   configs)
+               machines)
+        in
+        let outcomes =
+          Experiment.run_workload ?cache w (List.map fst experiments)
+        in
+        List.map2 (fun (_, events) o -> (o, events ())) experiments outcomes)
+      benches
+  in
+  let n = List.length configs in
+  List.mapi
+    (fun k _ ->
+      assemble ~jobs ~configs benches
+        (List.map (List.filteri (fun i _ -> i / n = k)) per_bench))
+    machines
 
 let pp ppf r =
   let open Format in

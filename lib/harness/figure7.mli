@@ -3,9 +3,10 @@
     the Section 6 dynamic-statistics deltas (moves, total instructions,
     blocks) for the intra configuration.
 
-    The (workload x config) experiments are independent, so [run] fans
-    them across a domain pool ([jobs]); rows, speedups and errors are
-    assembled in input order and are bit-identical for every [jobs]
+    [run] fans the workloads across a domain pool ([jobs]); one task
+    runs a workload's experiments on every machine, so they share one
+    reference run and one compile per config. Rows, speedups and errors
+    are assembled in input order and are bit-identical for every [jobs]
     value. *)
 
 type row = {
@@ -28,12 +29,13 @@ type result = {
   compile_s : float;  (** summed wall-clock of the compile phases *)
   sim_s : float;  (** summed wall-clock of the simulation phases *)
   traces : ((string * string) * Edge_obs.Event.t list) list;
-      (** with [trace_blocks]: per (bench, config), the block-level
-          event stream of the timed cycle-simulator run, in input order *)
+      (** with [trace_blocks], in the first machine's result: per
+          (bench, config), the block-level event stream of the timed
+          cycle-simulator run, in input order *)
 }
 
 val run :
-  ?machine:Edge_sim.Machine.t ->
+  ?machines:Edge_sim.Machine.t list ->
   ?benches:Edge_workloads.Workload.t list ->
   ?configs:(string * Dfp.Config.t) list ->
   ?progress:(string -> unit) ->
@@ -41,17 +43,21 @@ val run :
   ?trace_blocks:bool ->
   ?cache:Edge_parallel.Disk_cache.t ->
   unit ->
-  result
-(** [configs] defaults to the five paper configurations and must
-    include ["Hyper"], the speedup baseline. [jobs] defaults to 1
-    (sequential); pass [Edge_parallel.Pool.default_jobs ()] to use the
-    machine. [trace_blocks] (default false) attaches a block-level trace
-    collector to every timed run and returns the event streams in
+  result list
+(** One result per machine of [machines] (default
+    [[Edge_sim.Machine.default]]), in order. [configs] defaults to the
+    five paper configurations and must include ["Hyper"], the speedup
+    baseline. [jobs] defaults to 1 (sequential); pass
+    [Edge_parallel.Pool.default_jobs ()] to use the host. A shared
+    compile or reference run is timed in the run that makes it, the
+    first machine's unless the cache answered that one. [trace_blocks]
+    (default false) attaches a block-level trace collector to every
+    timed run on the first machine and returns the event streams in its
     [traces]; the streams ride back through the pool, so they are
     deterministic for every [jobs] value. [cache] makes every
     non-traced run consult/populate the persistent result cache (see
-    {!Experiment.run_one}); cycles and rows are identical either way,
-    only [compile_s]/[sim_s] collapse on warm entries. *)
+    {!Experiment.run_workload}); cycles and rows are identical either
+    way, only [compile_s]/[sim_s] collapse on warm entries. *)
 
 val pp : Format.formatter -> result -> unit
 (** Renders the table and an ASCII rendition of the Figure 7 bars. *)

@@ -14,7 +14,7 @@ type study = {
 
 let ( let* ) = Result.bind
 
-let run ?(machine = Edge_sim.Machine.default) ?(jobs = 1) ?cache () =
+let run ?(machine = Edge_sim.Machine.default) ?cache () =
   let w = Edge_workloads.Registry.genalg in
   let specs =
     [
@@ -25,11 +25,11 @@ let run ?(machine = Edge_sim.Machine.default) ?(jobs = 1) ?cache () =
       ("Hand", Dfp.Config.hand_optimized);
     ]
   in
+  (* one call, so the five runs share one reference run *)
   let* bb, hyper, both, both_u1, hand =
     match
-      Edge_parallel.Pool.run ~jobs
-        (fun (name, config) -> Experiment.run_one ~machine ?cache w (name, config))
-        specs
+      Experiment.run_workload ?cache w
+        (List.map (fun (name, config) -> (name, config, machine, None)) specs)
     with
     | [ bb; hyper; both; both_u1; hand ] ->
         (* first failure in spec order wins, as in the sequential bind

@@ -20,12 +20,10 @@ type study = {
 
 val run :
   ?machine:Edge_sim.Machine.t ->
-  ?jobs:int ->
   ?cache:Edge_parallel.Disk_cache.t ->
   unit ->
   (study, string) result
-(** The five configuration points are independent and run across a
-    domain pool ([jobs], default 1); results are deterministic for any
-    [jobs]. *)
+(** The five configuration points run in one
+    {!Experiment.run_workload} call, sharing one reference run. *)
 
 val pp : Format.formatter -> study -> unit

@@ -48,15 +48,6 @@ let defs t =
       | None -> acc)
     Temp.Set.empty t.body
 
-let temps t =
-  List.fold_left
-    (fun acc hi ->
-      let acc =
-        match hop_def hi.hop with Some d -> Temp.Set.add d acc | None -> acc
-      in
-      List.fold_left (fun acc u -> Temp.Set.add u acc) acc (hop_uses hi))
-    Temp.Set.empty t.body
-
 (* Store indices are assigned positionally: the i-th [Store] in the body
    has index i; [Null_store] refers to those indices. *)
 let store_count t =

@@ -54,7 +54,6 @@ val hop_uses : hinstr -> Temp.t list
 
 val data_uses : hinstr -> Temp.t list
 val defs : t -> Temp.Set.t
-val temps : t -> Temp.Set.t
 
 val store_count : t -> int
 (** Number of distinct store indices (LSIDs) in the body. *)

@@ -2,7 +2,6 @@ type t = { data : Bytes.t; mutable stores : int }
 
 let create ~size = { data = Bytes.make size '\000'; stores = 0 }
 let size t = Bytes.length t.data
-let copy t = { data = Bytes.copy t.data; stores = t.stores }
 let equal a b = Bytes.equal a.data b.data
 let store_count t = t.stores
 let width_bytes = function Opcode.W1 -> 1 | Opcode.W4 -> 4 | Opcode.W8 -> 8

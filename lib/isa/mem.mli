@@ -9,7 +9,6 @@ type t
 
 val create : size:int -> t
 val size : t -> int
-val copy : t -> t
 val equal : t -> t -> bool
 (** Byte-image equality; the store counter is not compared. *)
 

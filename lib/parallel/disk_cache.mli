@@ -1,6 +1,6 @@
 (** Persistent on-disk result cache.
 
-    Complements {!Memo} and {!Mem_cache} (which die with the process):
+    Complements {!Mem_cache} (which dies with the process):
     entries survive across runs, so repeated sweeps skip recompilation and
     re-simulation of unchanged (workload, config) pairs. Callers build
     keys from content digests (kernel source, config, simulator

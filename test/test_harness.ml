@@ -5,7 +5,7 @@ let tiny_benches () =
   List.filter_map Edge_workloads.Registry.find [ "tblook01"; "canrdr01" ]
 
 let figure7_subset () =
-  let r = Edge_harness.Figure7.run ~benches:(tiny_benches ()) () in
+  let r = List.hd (Edge_harness.Figure7.run ~benches:(tiny_benches ()) ()) in
   Alcotest.(check int) "two rows" 2 (List.length r.Edge_harness.Figure7.rows);
   Alcotest.(check (list string)) "no errors" []
     (List.map fst r.Edge_harness.Figure7.errors);
@@ -50,6 +50,34 @@ let ablation_runs () =
         && e.Edge_harness.Ablation.baseline_cycles > 0))
     entries
 
+(* a sweep shares by its shape: one compile per (workload, config)
+   across machines, and one per distinct config across an ablation's
+   variants; sharing changes no cycle count *)
+let sweep_shares_compiles () =
+  let module M = Edge_sim.Machine in
+  let module F = Edge_harness.Figure7 in
+  let compiles f =
+    let c0 = Edge_harness.Experiment.compiles_performed () in
+    let r = f () in
+    (Edge_harness.Experiment.compiles_performed () - c0, r)
+  in
+  let benches = tiny_benches () in
+  let n, both =
+    compiles (fun () ->
+        F.run ~machines:[ M.default; M.inorder_edge ] ~benches ())
+  in
+  Alcotest.(check int) "2 workloads x 5 configs, both machines" 10 n;
+  (match (both, F.run ~machines:[ M.inorder_edge ] ~benches ()) with
+  | [ _; inorder ], [ alone ] ->
+      Alcotest.(check int) "two in-order rows" 2 (List.length inorder.F.rows);
+      Alcotest.(check bool)
+        "in-order rows equal a run alone" true (inorder.F.rows = alone.F.rows)
+  | _ -> Alcotest.fail "one result per machine");
+  let n, _ =
+    compiles (fun () -> Edge_harness.Ablation.run ~benches:[ "tblook01" ] ())
+  in
+  Alcotest.(check int) "ablation: Both once for its three machines" 5 n
+
 let experiment_rejects_unknown () =
   (* a workload whose compiled code misbehaves must be reported, not
      silently scored: simulate by running with too few cycles *)
@@ -64,5 +92,6 @@ let tests =
     Alcotest.test_case "figure7 subset" `Quick figure7_subset;
     Alcotest.test_case "genalg study" `Quick genalg_study;
     Alcotest.test_case "ablation subset" `Quick ablation_runs;
+    Alcotest.test_case "sweep shares compiles" `Quick sweep_shares_compiles;
     Alcotest.test_case "experiment error path" `Quick experiment_rejects_unknown;
   ]

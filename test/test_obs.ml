@@ -335,12 +335,6 @@ let pass_counters () =
          instructions, so some guard must fall *)
       if get "pass.fanout.guards_removed" <= 0 then
         Alcotest.fail "fanout pass removed no guards";
-      (* counters survive the memo: a second compile through the cache
-         returns the same list *)
-      List.iter
-        (fun (k, v) ->
-          if List.assoc_opt k pc <> Some v then Alcotest.fail "unstable")
-        pc;
       (* the && chain must convert under a sand-enabled config
          (Config.both leaves use_sand off; Config.sand turns it on) *)
       match Tk.compile_source source Dfp.Config.sand with

@@ -1,9 +1,8 @@
-(* The parallel experiment machinery: the domain pool, the single-flight
-   memo, the calendar event queue, and — the property everything else
+(* The parallel experiment machinery: the domain pool, the result
+   caches, the calendar event queue, and — the property everything else
    leans on — bit-identical Figure 7 results for every jobs value. *)
 
 module Pool = Edge_parallel.Pool
-module Memo = Edge_parallel.Memo
 module Disk_cache = Edge_parallel.Disk_cache
 module Mem_cache = Edge_parallel.Mem_cache
 module Event_queue = Edge_sim.Event_queue
@@ -46,59 +45,6 @@ let pool_reuse () =
   Alcotest.(check (list int)) "first batch" [ 2; 3; 4 ] a;
   Alcotest.(check (list int)) "second batch" [ 8; 10 ] b;
   Alcotest.(check (list int)) "empty" [] (Pool.run ~jobs:3 succ [])
-
-(* -- memo --------------------------------------------------------- *)
-
-let memo_single_flight () =
-  let m = Memo.create () in
-  let calls = ref 0 in
-  let f _ =
-    incr calls;
-    !calls * 10
-  in
-  Alcotest.(check int) "first call computes" 10 (Memo.get m "k" f);
-  Alcotest.(check int) "second call cached" 10 (Memo.get m "k" f);
-  Alcotest.(check int) "one computation" 1 !calls;
-  Alcotest.(check int) "other key computes" 20 (Memo.get m "k2" f)
-
-let memo_caches_failure () =
-  let m = Memo.create () in
-  let calls = ref 0 in
-  let f _ =
-    incr calls;
-    failwith "nope"
-  in
-  (try ignore (Memo.get m "k" f : int) with Failure _ -> ());
-  (try ignore (Memo.get m "k" f : int) with Failure _ -> ());
-  Alcotest.(check int) "failure computed once" 1 !calls
-
-(* the table is bounded: once every stripe has overflowed, an early
-   key is computed again; a key still being computed survives the drop
-   its own computation triggers *)
-let memo_bounded () =
-  let m = Memo.create () in
-  let calls = ref 0 in
-  let f k () =
-    incr calls;
-    k * 2
-  in
-  let overflow () =
-    for k = 1 to 10_000 do
-      ignore (Memo.get m k (f k) : int)
-    done
-  in
-  Alcotest.(check int) "early key" 0 (Memo.get m 0 (f 0));
-  overflow ();
-  let before = !calls in
-  Alcotest.(check int) "early key after overflow" 0 (Memo.get m 0 (f 0));
-  Alcotest.(check int) "early key recomputed" (before + 1) !calls;
-  Alcotest.(check int) "pending key" 42
-    (Memo.get m (-1) (fun () ->
-         overflow ();
-         42));
-  let before = !calls in
-  Alcotest.(check int) "pending key kept" 42 (Memo.get m (-1) (f 0));
-  Alcotest.(check int) "pending key not recomputed" before !calls
 
 (* -- calendar event queue ----------------------------------------- *)
 
@@ -654,8 +600,8 @@ let sweep_deterministic () =
   let benches =
     List.filter_map Edge_workloads.Registry.find [ "tblook01"; "canrdr01" ]
   in
-  let seq = Edge_harness.Figure7.run ~benches ~jobs:1 () in
-  let par = Edge_harness.Figure7.run ~benches ~jobs:4 () in
+  let seq = List.hd (Edge_harness.Figure7.run ~benches ~jobs:1 ()) in
+  let par = List.hd (Edge_harness.Figure7.run ~benches ~jobs:4 ()) in
   Alcotest.(check (list string))
     "no errors sequential" []
     (List.map fst seq.Edge_harness.Figure7.errors);
@@ -681,9 +627,6 @@ let tests =
     Alcotest.test_case "pool filter_map" `Quick pool_filter_map;
     Alcotest.test_case "pool exception" `Quick pool_exception;
     Alcotest.test_case "pool reuse" `Quick pool_reuse;
-    Alcotest.test_case "memo single flight" `Quick memo_single_flight;
-    Alcotest.test_case "memo caches failure" `Quick memo_caches_failure;
-    Alcotest.test_case "memo bounded stripes" `Quick memo_bounded;
     Alcotest.test_case "event queue fifo" `Quick queue_fifo_and_ordering;
     Alcotest.test_case "event queue far future" `Quick queue_far_future;
     Alcotest.test_case "event queue vs model" `Quick queue_matches_model;
