@@ -9,7 +9,9 @@
    under every oracle configuration, 40 fixed-seed generated kernels
    under every oracle configuration, and last the three generated
    kernels on which [Opt_classic] reaches its round cap ([capped]),
-   under every oracle configuration.  A compiler change that
+   under every oracle configuration, and then two generated kernels
+   under [hand_optimized] whose first attempt has a block that does
+   not fit ([refined]).  A compiler change that
    moves any emitted byte, placement, static count or pass counter
    shows up here, even when no simulated cycle count moves.
 
@@ -85,10 +87,26 @@ let capped () =
         fun () -> Edge_lang.Lower.lower (Gen.generate ~seed ~size) ))
     capped_seeds
 
+(* generated kernels, as (seed, size), whose [hand_optimized] compile
+   has a block that does not fit after sizing, so the compile re-partitions
+   its region; appended after the capped kernels *)
+let refined_seeds = [ (20092, 50); (20225, 102) ]
+
+let refined () =
+  List.map
+    (fun (seed, size) ->
+      ( Printf.sprintf "gen:seed=%d,size=%d" seed size,
+        "Hand",
+        Dfp.Config.hand_optimized,
+        fun () -> Edge_lang.Lower.lower (Gen.generate ~seed ~size) ))
+    refined_seeds
+
 (* every (name, config name, config, lowering) to pin, in file order *)
 let inputs () =
   let workloads, kernels = sources () in
-  workloads @ under_oracle_configs kernels @ under_oracle_configs (capped ())
+  workloads @ under_oracle_configs kernels
+  @ under_oracle_configs (capped ())
+  @ refined ()
 
 (* [inputs ()] grouped by program: (name, lowering, its configs), in
    file order *)
