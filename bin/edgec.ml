@@ -1,9 +1,10 @@
 (* edgec: the kernel-language compiler driver.
 
    Compiles a kernel source file (or a named workload) under a chosen
-   configuration and dumps the requested phase: the CFG after classic
-   optimizations, the predicated hyperblocks, or the final TRIPS blocks
-   (default). *)
+   configuration and dumps the requested phase, as the compiler's own
+   pipeline leaves it: the CFG after classic optimizations and
+   unrolling, the predicated hyperblocks that register allocation reads
+   (one per emitted block), or the final TRIPS blocks (default). *)
 
 open Cmdliner
 
@@ -14,17 +15,6 @@ let read_file path =
   close_in ic;
   s
 
-let config_of_name = function
-  | "bb" -> Ok Dfp.Config.bb
-  | "hyper" -> Ok Dfp.Config.hyper_baseline
-  | "intra" -> Ok Dfp.Config.intra
-  | "inter" -> Ok Dfp.Config.inter
-  | "both" -> Ok Dfp.Config.both
-  | "merge" -> Ok Dfp.Config.merge
-  | "sand" -> Ok Dfp.Config.sand
-  | "hand" -> Ok Dfp.Config.hand_optimized
-  | s -> Error (Printf.sprintf "unknown config %s (bb|hyper|intra|inter|both|merge|hand)" s)
-
 let load_source input =
   if Sys.file_exists input then Ok (read_file input)
   else
@@ -32,64 +22,43 @@ let load_source input =
     | Some w -> Ok w.Edge_workloads.Workload.source
     | None -> Error (Printf.sprintf "no such file or workload: %s" input)
 
-let dump_hyperblocks src config =
-  match Edge_lang.Lower.compile src with
-  | Error e -> Error e
-  | Ok cfg ->
-      Edge_ir.Ssa.construct cfg;
-      Dfp.Opt_classic.run cfg;
-      Edge_ir.Ssa.destruct cfg;
-      Edge_ir.Cfg.prune_unreachable cfg;
-      if config.Dfp.Config.mode = Dfp.Config.Hyper then
-        Dfp.Unroll.run cfg ~max_unroll:config.Dfp.Config.max_unroll
-          ~target_instrs:(config.Dfp.Config.max_block_instrs / 2);
-      let retq = Edge_ir.Temp.Gen.fresh cfg.Edge_ir.Cfg.gen in
-      let liveness = Edge_ir.Liveness.compute cfg in
-      let regions =
-        match config.Dfp.Config.mode with
-        | Dfp.Config.Bb -> Dfp.Region.singletons cfg
-        | Dfp.Config.Hyper -> Dfp.Region.select cfg ~budget:57
-      in
-      List.iter
-        (fun r ->
-          match Dfp.If_convert.convert cfg liveness r ~retq with
-          | Ok h -> Format.printf "%a@." Edge_ir.Hblock.pp h
-          | Error e -> Format.printf "(region %s: %s)@." r.Dfp.If_convert.head e)
-        regions;
-      Ok ()
-
 let run input config_name phase stats image_out =
   let ( let* ) = Result.bind in
   let result =
     let* src = load_source input in
-    let* config = config_of_name config_name in
+    let* _, config = Dfp.Config.find config_name in
+    let compile () =
+      let* cfg = Edge_lang.Lower.compile src in
+      Dfp.Driver.compile_cfg cfg config
+    in
+    let hyperblocks () =
+      let* cfg = Edge_lang.Lower.compile src in
+      Dfp.Driver.hyperblocks cfg config
+    in
     let* () =
       match image_out with
       | None -> Ok ()
       | Some path ->
-          let* cfg = Edge_lang.Lower.compile src in
-          let* compiled = Dfp.Driver.compile_cfg cfg config in
+          let* compiled = compile () in
           let* () = Edge_isa.Image.write_file path compiled.Dfp.Driver.program in
           Format.printf "wrote %s@." path;
           Ok ()
     in
     match phase with
     | "cfg" ->
-        let* cfg = Edge_lang.Lower.compile src in
-        Edge_ir.Ssa.construct cfg;
-        Dfp.Opt_classic.run cfg;
-        Edge_ir.Ssa.destruct cfg;
+        let* cfg, _ = hyperblocks () in
         Format.printf "%a@." Edge_ir.Cfg.pp cfg;
         Ok ()
-    | "hblocks" -> dump_hyperblocks src config
+    | "hblocks" ->
+        let* _, hblocks = hyperblocks () in
+        List.iter (Format.printf "%a@." Edge_ir.Hblock.pp) hblocks;
+        Ok ()
     | "dot" ->
-        let* cfg = Edge_lang.Lower.compile src in
-        let* compiled = Dfp.Driver.compile_cfg cfg config in
+        let* compiled = compile () in
         print_string (Edge_isa.Dot.program_to_dot compiled.Dfp.Driver.program);
         Ok ()
     | "blocks" ->
-        let* cfg = Edge_lang.Lower.compile src in
-        let* compiled = Dfp.Driver.compile_cfg cfg config in
+        let* compiled = compile () in
         Format.printf "%a@." Edge_isa.Program.pp compiled.Dfp.Driver.program;
         if stats then
           Format.printf
@@ -112,7 +81,10 @@ let input_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"INPUT" ~doc)
 
 let config_arg =
-  let doc = "Compiler configuration: bb, hyper, intra, inter, both, merge, hand." in
+  let doc =
+    "Compiler configuration, in any case: bb, hyper, intra, inter, both, \
+     merge, mov4, sand or hand."
+  in
   Arg.(value & opt string "both" & info [ "c"; "config" ] ~docv:"CONFIG" ~doc)
 
 let phase_arg =

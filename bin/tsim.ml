@@ -18,17 +18,6 @@
 
 open Cmdliner
 
-let config_of_name = function
-  | "bb" -> Ok ("BB", Dfp.Config.bb)
-  | "hyper" -> Ok ("Hyper", Dfp.Config.hyper_baseline)
-  | "intra" -> Ok ("Intra", Dfp.Config.intra)
-  | "inter" -> Ok ("Inter", Dfp.Config.inter)
-  | "both" -> Ok ("Both", Dfp.Config.both)
-  | "merge" -> Ok ("Merge", Dfp.Config.merge)
-  | "sand" -> Ok ("Sand", Dfp.Config.sand)
-  | "hand" -> Ok ("Hand", Dfp.Config.hand_optimized)
-  | s -> Error (Printf.sprintf "unknown config %s" s)
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -89,7 +78,7 @@ let make_obs o ~name ~header =
    rows sum to the wall time *)
 let run_profile workload config_name =
   let ( let* ) = Result.bind in
-  let* config_name, config = config_of_name config_name in
+  let* config_name, config = Dfp.Config.find config_name in
   let* ast =
     if Filename.check_suffix workload ".k" then
       Edge_lang.Parser.parse (read_file workload)
@@ -174,7 +163,7 @@ let load_asm path args =
    the code the findings describe is left untouched. *)
 let run_lint workload config_name =
   let ( let* ) = Result.bind in
-  let* _, config = config_of_name config_name in
+  let* _, config = Dfp.Config.find config_name in
   let* findings =
     if Filename.check_suffix workload ".k" then
       Edge_harness.Experiment.lint_source (read_file workload) config
@@ -232,7 +221,7 @@ let run workload config_name machine_name functional_only no_early in_order
     else if Filename.check_suffix workload ".k" then
       (* the fuzz-corpus kernel convention; the text trace is the
          golden format, naming a --machine if one was given *)
-      let* config_name, config = config_of_name config_name in
+      let* config_name, config = Dfp.Config.find config_name in
       let kernel = Filename.remove_extension (Filename.basename workload) in
       let* compiled =
         Edge_harness.Tracekit.compile_source (read_file workload) config
@@ -259,7 +248,7 @@ let run workload config_name machine_name functional_only no_early in_order
             (Printf.sprintf "unknown workload %s; available: %s" workload
                (String.concat ", " (Edge_workloads.Registry.names ())))
     in
-    let* name_config = config_of_name config_name in
+    let* name_config = Dfp.Config.find config_name in
     let name = workload ^ "/" ^ fst name_config in
     if functional_only then begin
       let* compiled = Edge_harness.Experiment.compile w (snd name_config) in
@@ -329,7 +318,10 @@ let workload_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD" ~doc)
 
 let config_arg =
-  let doc = "Compiler configuration." in
+  let doc =
+    "Compiler configuration, in any case: bb, hyper, intra, inter, both, \
+     merge, mov4, sand or hand."
+  in
   Arg.(value & opt string "both" & info [ "c"; "config" ] ~doc)
 
 let machine_arg =

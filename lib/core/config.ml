@@ -59,3 +59,15 @@ let all_paper_configs =
 (* every configuration the compiler supports, paper and auxiliary *)
 let all_configs =
   ("Merge", merge) :: ("Mov4", mov4) :: ("Sand", sand) :: all_paper_configs
+
+let find s =
+  let named = all_configs @ [ ("Hand", hand_optimized) ] in
+  let want = String.lowercase_ascii s in
+  match
+    List.find_opt (fun (n, _) -> String.lowercase_ascii n = want) named
+  with
+  | Some nc -> Ok nc
+  | None ->
+      Error
+        (Printf.sprintf "unknown config %s (%s)" s
+           (String.concat "|" (List.map fst named)))

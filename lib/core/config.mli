@@ -60,3 +60,9 @@ val all_configs : (string * t) list
 (** Every named configuration: [Merge], [Mov4], [Sand], then
     {!all_paper_configs}.  The names the fuzz oracle, dfpd jobs and the
     dfpd client accept. *)
+
+val find : string -> (string * t, string) result
+(** The configuration named [s] in any case, with its canonical name:
+    one of {!all_configs}, or ["Hand"] for {!hand_optimized}.  The error
+    lists every accepted name.  The command-line tools take config names
+    through it. *)

@@ -13,9 +13,9 @@ type compiled = {
   explicit_predicates : int;
   pass_counters : (string * int) list;
       (* per-pass optimization counters ("pass.*", sorted by name) from
-         the final, successful generate attempt; stored as a plain list
-         so [compiled] stays safe to share between runs and ship across
-         domains *)
+         the compile's last attempt, the one that fits; stored as a plain
+         list so [compiled] stays safe to share between runs and ship
+         across domains *)
 }
 
 let ( let* ) = Result.bind
@@ -123,7 +123,7 @@ let steps ?m ~lint (config : Config.t) cfg liveness ~retq regions : step list
    followed by its checker hook.  [store] receives every later stage
    whose hook passed, under its path: the names of the steps that built
    it. *)
-let run_steps ?profile ~check ?(store = fun _ _ -> ()) (path, hblocks) steps =
+let run_steps ?profile ~check ~store (path, hblocks) steps =
   List.fold_left
     (fun acc ((id, run) : step) ->
       let* path, hblocks = acc in
@@ -136,11 +136,11 @@ let run_steps ?profile ~check ?(store = fun _ _ -> ()) (path, hblocks) steps =
     steps
   |> Result.map snd
 
-(* A stage of [generate], stored in the domain's [Edge_check.Scope]:
-   the hyperblocks after a step, the next temp number and the pass
-   counters so far.  Passes only reassign a block's [body], [hexits]
-   and [houts], whose lists and records are immutable, so a shallow
-   copy of each block is a snapshot. *)
+(* A stage of a compile's first attempt, stored in the domain's
+   [Edge_check.Scope]: the hyperblocks after a step, the next temp
+   number and the pass counters so far.  Passes only reassign a block's
+   [body], [hexits] and [houts], whose lists and records are immutable,
+   so a shallow copy of each block is a snapshot. *)
 type stage = {
   hblocks : Hb.t list;
   next_temp : Temp.t;
@@ -151,18 +151,14 @@ type Edge_check.Scope.entry += Stage of stage
 
 let copy_hblocks = List.map (fun (h : Hb.t) -> { h with Hb.body = h.Hb.body })
 
-(* What one attempt's stages depend on beyond the program and its
-   prefix: the regions and the temp number they are if-converted from
-   (so a split-region retry never resumes from an earlier attempt's
-   stages), and [Opt_ineff]'s two test hooks, which change what its pass
+(* What a first attempt's stages depend on beyond the program and its
+   prefix, which fix the regions and the temp number the attempt starts
+   from: [Opt_ineff]'s two test hooks, which change what its pass
    deletes or raises.  The config enters only through the prefix key
    and the step path, so a step may read no config field but the ones
    that choose the steps. *)
-let attempt_key prefix_key cfg regions =
-  Printf.sprintf "stage %s %s force_dead=%s hooked=%b" prefix_key
-    (Digest.to_hex
-       (Digest.string
-          (Marshal.to_string (regions, cfg.Cfg.gen) [ Marshal.No_sharing ])))
+let attempt_key prefix_key =
+  Printf.sprintf "stage %s force_dead=%s hooked=%b" prefix_key
     (String.concat "," (List.map string_of_int !Opt_ineff.force_dead))
     (Option.is_some !Opt_ineff.cross_validate)
 
@@ -199,19 +195,37 @@ let store_stage ?key cfg m path hblocks =
            }))
     key
 
-(* Generate code for all hyperblocks; when one exceeds machine limits,
-   split its region into basic blocks and redo the whole pipeline with
-   the refined region list.  With [check] on, the static verifier runs
-   after every optimization pass and any diagnostic aborts compilation,
-   naming the pass that broke the invariant.  With a [prefix_key], the
-   attempt resumes from the deepest stage of its steps stored for the
-   program and stores the stages it computes.  Each attempt gets a fresh
-   registry: a retry after an emit failure redoes the whole pipeline,
-   and only the successful attempt's counts may survive. *)
-let rec generate ?profile ~check ?lint ?prefix_key cfg (config : Config.t)
-    liveness ~retq ~params regions =
+(* The config-independent prefix of a compile: SSA, the classic
+   optimizations, unrolling, region selection and sizing, which leave
+   the CFG, the return-value temp, the liveness and the regions that
+   the compile's first attempt starts from.  Sizing draws temps from
+   [cfg.gen], so the rest of the compile must continue from the
+   generator as it leaves it. *)
+type prefix = {
+  cfg : Cfg.t;
+  retq : Temp.t;
+  liveness : Liveness.t;
+  regions : If_convert.region list;
+}
+
+(* How an attempt ends once its passes and checks have passed: [Fits],
+   with each hyperblock and the block emitted from it, and the pass
+   counters; or [Too_big], with the first block that does not fit and
+   codegen's message. *)
+type outcome =
+  | Fits of (Hb.t * Codegen.emitted) list * (string * int) list
+  | Too_big of Label.t * string
+
+(* One attempt at compiling [regions] over the prefix [p]: the config's
+   steps from the deepest stage stored under [key] (storing the later
+   ones there), each followed by its checker hook, then register
+   allocation and codegen with theirs.  With [check] on, any diagnostic
+   aborts compilation, naming the pass that broke the invariant.  Each
+   attempt counts its passes in a fresh registry, so only the attempt
+   that fits reports counts. *)
+let attempt ?profile ~check ?lint ?key (config : Config.t) p regions =
+  let { cfg; retq; liveness; _ } = p in
   let m = Edge_obs.Metrics.create () in
-  let key = Option.map (fun p -> attempt_key p cfg regions) prefix_key in
   let start, rest =
     resume ?key cfg m
       (steps ~m ~lint:(lint <> None) config cfg liveness ~retq regions)
@@ -227,7 +241,8 @@ let rec generate ?profile ~check ?lint ?prefix_key cfg (config : Config.t)
   let* () = check_psi_roundtrip ?profile ~check ~gen:cfg.Cfg.gen hblocks in
   let* alloc =
     timed profile (Pass_id.name Pass_id.Regalloc) (fun () ->
-        Regalloc.allocate hblocks ~entry:cfg.Cfg.entry ~params ~retq)
+        Regalloc.allocate hblocks ~entry:cfg.Cfg.entry ~params:cfg.Cfg.params
+          ~retq)
   in
   let* () =
     checked ?profile ~check (fun () ->
@@ -252,6 +267,7 @@ let rec generate ?profile ~check ?lint ?prefix_key cfg (config : Config.t)
     timed profile (Pass_id.name Pass_id.Codegen) (fun () ->
         emit_all [] hblocks)
   with
+  | Error (bad, msg) -> Ok (Too_big (bad, msg))
   | Ok emitted ->
       let* () =
         checked ?profile ~check (fun () ->
@@ -268,94 +284,53 @@ let rec generate ?profile ~check ?lint ?prefix_key cfg (config : Config.t)
          "pass.*" namespace and check[pass=...] attribution stay in
          lock-step *)
       assert (List.for_all (fun (k, _) -> Pass_id.of_counter k <> None) counters);
-      Ok (emitted, counters)
-  | Error (bad, msg) -> (
-      (* split the offending region into singletons and retry *)
-      let offending =
-        List.find_opt (fun r -> Label.equal r.If_convert.head bad) regions
-      in
-      match offending with
-      | Some r when Label.Set.cardinal r.If_convert.blocks > 1 ->
-          let refined =
-            List.concat_map
-              (fun r' ->
-                if Label.equal r'.If_convert.head bad then Region.split r' cfg
-                else [ r' ])
-              regions
-          in
-          generate ?profile ~check ?lint ?prefix_key cfg config liveness ~retq
-            ~params refined
-      | _ -> Error msg)
+      Ok (Fits (emitted, counters))
+
+(* The fitting loop: attempt the prefix's regions, and while a block
+   does not fit, re-partition its region under half the region's raw
+   size and attempt again, so a region that keeps failing is halved
+   until its blocks fit or it is a singleton.  Only the first attempt
+   is keyed: the program and the prefix key name its regions and temp
+   number, not a later attempt's.  Ends with the regions of the last
+   attempt and its outcome. *)
+let fit ?profile ~check ?lint ?key config p =
+  let rec go key regions =
+    let* outcome = attempt ?profile ~check ?lint ?key config p regions in
+    match outcome with
+    | Fits _ -> Ok (regions, outcome)
+    | Too_big (bad, _) ->
+        let refined =
+          List.concat_map
+            (fun (r : If_convert.region) ->
+              if Label.equal r.If_convert.head bad then
+                let budget = Region.estimate p.cfg r.If_convert.blocks / 2 in
+                Region.select_within p.cfg r ~budget:(max 3 budget)
+              else [ r ])
+            regions
+        in
+        (* only the failing region is re-partitioned, so as many regions
+           as before means it stayed whole: a singleton, or a region the
+           smaller budget leaves in one piece *)
+        if List.compare_lengths refined regions = 0 then Ok (regions, outcome)
+        else go None refined
+  in
+  go key p.regions
 
 (* Size regions against the *naive* (baseline) predication: if the fully
    predicated form of a region fits the machine limits, every optimized
    form does too, so all configurations compile the same hyperblocks and
-   the Figure 7 comparison is apples to apples. *)
-let rec fit_regions cfg (config : Config.t) liveness ~retq ~params regions =
+   the Figure 7 comparison is apples to apples.  Sizing is the fitting
+   loop, unchecked (its attempts are throwaway) and unkeyed, and keeps
+   the regions it reaches: a singleton region that still does not fit
+   is a real error, which the config's own compile reports. *)
+let size_regions (config : Config.t) p =
   (* aggressive mode sizes against the config's own (merged) code: filling
      blocks beyond what naive predication could hold is exactly what
      merging buys (Section 5.3) *)
   let sizing_config =
-    if config.Config.aggressive_regions then config
-    else { Config.hyper_baseline with Config.mode = Config.Hyper }
+    if config.Config.aggressive_regions then config else Config.hyper_baseline
   in
-  (* sizing compiles are throwaway; never check them *)
-  let* hblocks =
-    run_steps ~check:false ("", [])
-      (steps ~lint:false sizing_config cfg liveness ~retq regions)
-  in
-  let* alloc = Regalloc.allocate hblocks ~entry:cfg.Cfg.entry ~params ~retq in
-  let rec first_failure = function
-    | [] -> None
-    | (h : Hb.t) :: tl -> (
-        match
-          Codegen.emit h ~alloc ~gen:cfg.Cfg.gen
-            ~use_mov4:sizing_config.Config.use_mov4
-        with
-        | Ok _ -> first_failure tl
-        | Error _ -> Some h.Hb.hname)
-    in
-  match first_failure hblocks with
-  | None -> Ok regions
-  | Some bad ->
-      let any_split = ref false in
-      let refined =
-        List.concat_map
-          (fun r ->
-            if
-              Label.equal r.If_convert.head bad
-              && Label.Set.cardinal r.If_convert.blocks > 1
-            then begin
-              any_split := true;
-              (* re-partition under half the region's raw size; repeated
-                 failures keep halving until blocks fit (or become
-                 singletons) *)
-              let budget =
-                max 3 (Region.estimate cfg r.If_convert.blocks / 2)
-              in
-              Region.select_within cfg r ~budget
-            end
-            else [ r ])
-          regions
-      in
-      if !any_split then fit_regions cfg config liveness ~retq ~params refined
-      else
-        (* a singleton region that still does not fit is a real error;
-           let the config's own pipeline report it *)
-        Ok regions
-
-(* The config-independent prefix of a compile: SSA, the classic
-   optimizations, unrolling, region selection and sizing, which leave
-   the CFG, the return-value temp, the liveness and the regions that
-   [generate] starts from.  Sizing draws temps from [cfg.gen], so the
-   rest of the compile must continue from the generator as it leaves
-   it. *)
-type prefix = {
-  cfg : Cfg.t;
-  retq : Temp.t;
-  liveness : Liveness.t;
-  regions : If_convert.region list;
-}
+  Result.map fst (fit ~check:false sizing_config p)
 
 let run_prefix ?profile ~check cfg (config : Config.t) =
   timed profile "ssa" (fun () -> Edge_ir.Ssa.construct cfg);
@@ -392,8 +367,7 @@ let run_prefix ?profile ~check cfg (config : Config.t) =
                 ~budget:(config.Config.max_block_instrs * frac / 100))
         in
         timed profile "sizing" (fun () ->
-            fit_regions cfg config liveness ~retq ~params:cfg.Cfg.params
-              initial)
+            size_regions config { cfg; retq; liveness; regions = initial })
   in
   Ok { cfg; retq; liveness; regions }
 
@@ -433,16 +407,17 @@ let program_name ~check cfg =
        [ Marshal.No_sharing ])
   ^ if check then " checked" else " unchecked"
 
-let compile_cfg ?check ?lint ?profile cfg (config : Config.t) =
-  let check =
-    match check with Some c -> c | None -> Edge_check.Check.enabled ()
-  in
+(* A compile up to program assembly: the prefix, then the fitting loop
+   under the config from the prefix's regions.  Returns the prefix's
+   CFG and what the last attempt emitted; a block that still does not
+   fit fails the compile with codegen's message. *)
+let fitted ?lint ?profile ~check cfg (config : Config.t) =
   (* a profiled compile times every stage and every check, so it reads
      and stores nothing; aggressive sizing runs the config's own passes,
      whose test hooks no prefix key covers; a lint compile's pipeline
      stops early *)
   let shared = profile = None && not config.Config.aggressive_regions in
-  let* { cfg; retq; liveness; regions } =
+  let* p =
     if profile <> None then begin
       Edge_check.Scope.leave ();
       run_prefix ?profile ~check cfg config
@@ -453,21 +428,30 @@ let compile_cfg ?check ?lint ?profile cfg (config : Config.t) =
       else run_prefix ~check cfg config
     end
   in
-  let prefix_key =
-    if shared && lint = None then Some (prefix_key config) else None
+  let key =
+    if shared && lint = None then Some (attempt_key (prefix_key config))
+    else None
   in
-  let* emitted, pass_counters =
-    generate ?profile ~check ?lint ?prefix_key cfg config liveness ~retq
-      ~params:cfg.Cfg.params regions
+  let* _, outcome = fit ?profile ~check ?lint ?key config p in
+  match outcome with
+  | Fits (emitted, counters) -> Ok (p.cfg, emitted, counters)
+  | Too_big (_, msg) -> Error msg
+
+let hyperblocks cfg config =
+  let* cfg, emitted, _ =
+    fitted ~check:(Edge_check.Check.enabled ()) cfg config
+  in
+  Ok (cfg, List.map fst emitted)
+
+let compile_cfg ?check ?lint ?profile cfg (config : Config.t) =
+  let check =
+    match check with Some c -> c | None -> Edge_check.Check.enabled ()
+  in
+  let* cfg, emitted, pass_counters =
+    fitted ?lint ?profile ~check cfg config
   in
   let blocks = List.map (fun (_, e) -> e.Codegen.block) emitted in
-  let entry = cfg.Cfg.entry in
-  let* program = Edge_isa.Program.make ~entry blocks in
-  let* () =
-    match Edge_isa.Program.validate program with
-    | Ok () -> Ok ()
-    | Error es -> Error (String.concat "; " es)
-  in
+  let* program = Edge_isa.Program.make ~entry:cfg.Cfg.entry blocks in
   let placements =
     timed profile (Pass_id.name Pass_id.Schedule) (fun () ->
         List.map

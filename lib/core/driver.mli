@@ -5,8 +5,11 @@
     predicated hyperblocks) → predicate optimizations per config
     (Sections 5.1–5.3) → register allocation → code generation → spatial
     scheduling. The BB configuration uses singleton regions, so the same
-    machinery produces basic-block code. Regions whose generated blocks
-    exceed machine limits are split and retried. *)
+    machinery produces basic-block code. While a generated block exceeds
+    machine limits, its region is re-partitioned under half its raw size
+    and everything from if-conversion on is attempted again; region
+    sizing runs the same loop under naive predication (with
+    [aggressive_regions], under the config's own passes). *)
 
 type compiled = {
   program : Edge_isa.Program.t;
@@ -18,7 +21,7 @@ type compiled = {
   explicit_predicates : int;
   pass_counters : (string * int) list;
       (** per-pass optimization counters ("pass.*", sorted by name) from
-          the final generate attempt: if-conversion output sizes, guards
+          the compile's last attempt: if-conversion output sizes, guards
           removed by fanout reduction, instructions/exits merged, outputs
           promoted, sand chains converted, ineffectual instructions
           deleted.  Every key parses back through {!Pass_id.of_counter}
@@ -53,12 +56,12 @@ val compile_cfg :
     finishes on a copy of the stored prefix and leaves the caller's CFG
     untouched.  Compiles with [aggressive_regions] (its sizing runs the
     config's own passes) always run their prefix.  Past the prefix, the
-    scope keeps the hyperblocks after if-conversion and after each
-    predicate pass, keyed on the prefix, the regions, the state of
-    {!Opt_ineff}'s test hooks and the passes so far; a config whose
-    passes start as a stored stage's did resumes from the deepest one.
-    Lint and [aggressive_regions] compiles neither read nor store
-    stages.  The scope also keeps the passing verdicts of the checker
+    scope keeps the hyperblocks of the compile's first attempt after
+    if-conversion and after each predicate pass, keyed on the prefix,
+    the state of {!Opt_ineff}'s test hooks and the passes so far; a
+    config whose passes start as a stored stage's did resumes from the
+    deepest one.  A later attempt of the fitting loop, and every lint
+    and [aggressive_regions] compile, neither reads nor stores stages.  The scope also keeps the passing verdicts of the checker
     (the psi round trip included) and of the fuzz oracle's validator
     and enumerator, keyed on the exact content judged.  A
     compile with [profile] (it times every stage and every check)
@@ -82,7 +85,16 @@ val compile_cfg :
     ["compile.stage.<stage>_us"] counters.  The stages are the
     {!Pass_id.name} of each pass, [ssa] (construction and destruction),
     [unroll], [regions] (initial region selection), [sizing] (the whole
-    region-fitting loop, its throwaway compiles included) and [check]
+    sizing loop; its attempts time nothing inside it) and [check]
     (every checker call).  Stages do not nest; the compile's remaining
     time (liveness, program assembly) falls outside them.  Without a
     registry no clock is read.  The result does not depend on it. *)
+
+val hyperblocks :
+  Edge_ir.Cfg.t ->
+  Config.t ->
+  (Edge_ir.Cfg.t * Edge_ir.Hblock.t list, string) result
+(** {!compile_cfg}'s view of the CFG after SSA, the classic
+    optimizations and unrolling, and of the hyperblocks register
+    allocation read in its last attempt: one per emitted block, in
+    emission order. *)

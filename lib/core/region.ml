@@ -18,15 +18,6 @@ let singletons cfg =
     (fun l -> { If_convert.head = l; blocks = Label.Set.singleton l })
     (entry :: rest)
 
-let split region _cfg =
-  let head = region.If_convert.head in
-  let rest =
-    Label.Set.elements (Label.Set.remove head region.If_convert.blocks)
-  in
-  List.map
-    (fun l -> { If_convert.head = l; blocks = Label.Set.singleton l })
-    (head :: rest)
-
 (* Greedy selection restricted to [allowed] (used to re-partition an
    oversized region with a smaller budget). *)
 let select_restricted cfg ~allowed ~budget =

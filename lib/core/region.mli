@@ -13,9 +13,6 @@ val select : Edge_ir.Cfg.t -> budget:int -> If_convert.region list
 val singletons : Edge_ir.Cfg.t -> If_convert.region list
 (** One region per basic block: the BB configuration. *)
 
-val split : If_convert.region -> Edge_ir.Cfg.t -> If_convert.region list
-(** Last-resort fallback: break a region into singleton regions. *)
-
 val select_within :
   Edge_ir.Cfg.t -> If_convert.region -> budget:int -> If_convert.region list
 (** Re-partition an oversized region into smaller regions under a tighter

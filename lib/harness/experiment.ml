@@ -34,8 +34,8 @@ let compile ?check ?lint (w : Workload.t) config =
   Dfp.Driver.compile_cfg ?check ?lint cfg config
 
 (* ineffectuality lint over raw kernel source: compile in report mode
-   and collect the findings.  Split-retries can re-report a surviving
-   block's findings; sort_uniq collapses the duplicates. *)
+   and collect the findings.  A compile's later attempts can re-report
+   a surviving block's findings; sort_uniq collapses the duplicates. *)
 let lint_source ?check source config =
   let* ast = Edge_lang.Parser.parse source in
   let* cfg = Edge_lang.Lower.lower ast in

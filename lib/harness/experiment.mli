@@ -135,7 +135,7 @@ val lint_source :
   Dfp.Config.t ->
   (Dfp.Opt_ineff.finding list, string) result
 (** Compile raw kernel source in ineffectuality-report mode and return
-    the findings (sorted, deduplicated across split-retries). *)
+    the findings (sorted, deduplicated across the compile's attempts). *)
 
 val lint :
   ?check:bool ->

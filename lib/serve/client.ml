@@ -175,34 +175,19 @@ let source_job ?(trace = false) ?(lint = false) ?machine ?timeout_ms
 
 (* -- pre-encoded block jobs ---------------------------------------- *)
 
-(* Compile [source] under the named config locally and encode the
-   artifact for shipping: the same parse → lower → compile pipeline
-   the server runs, so an honest image produces a byte-identical run
-   (and run_digest) to the equivalent source job. *)
-let precompile_source ~source ~config () =
-  let ( let* ) = Result.bind in
-  match List.assoc_opt config Dfp.Config.all_configs with
-  | None -> Error ("unknown config: " ^ config)
-  | Some cfg_v ->
-      let w =
-        {
-          Edge_workloads.Workload.name = "client-precompile";
-          description = "";
-          source;
-          mem_size = 0;
-          setup = (fun _ -> []);
-        }
-      in
-      let* ast = Edge_workloads.Workload.parse w in
-      let* cfg = Edge_lang.Lower.lower ast in
-      let* compiled = Dfp.Driver.compile_cfg cfg cfg_v in
-      Wire.encode_compiled compiled
-
-(* Precompile a registry workload by name. *)
+(* Compile a registry workload under the named config locally and
+   encode the artifact for shipping.  [Experiment.compile] is the
+   server's own compile, so an honest image produces a byte-identical
+   run (and run_digest) to the equivalent workload job. *)
 let precompile ~workload ~config () =
-  match Edge_workloads.Registry.find workload with
-  | None -> Error ("unknown workload: " ^ workload)
-  | Some w -> precompile_source ~source:w.Edge_workloads.Workload.source ~config ()
+  match
+    ( Edge_workloads.Registry.find workload,
+      List.assoc_opt config Dfp.Config.all_configs )
+  with
+  | None, _ -> Error ("unknown workload: " ^ workload)
+  | _, None -> Error ("unknown config: " ^ config)
+  | Some w, Some c ->
+      Result.bind (Edge_harness.Experiment.compile w c) Wire.encode_compiled
 
 (* A job that ships a pre-encoded artifact (raw [precompile] bytes;
    base64 happens here) for the named registry workload: the server

@@ -134,10 +134,10 @@ type t = {
   mutable closing : bool;
   shutdown_req : bool Atomic.t;
   stats : stats;
-  (* per-stage latency histograms, "serve.stage." prefixed, which
-     [stats] reports; Metrics is not thread-safe, so this private
-     registry has its own mutex *)
-  stage_metrics : Metrics.t;
+  (* per stage (indexed by [stage_index]): samples and total µs, which
+     [stats] reports; both arrays are guarded by [stage_mu] *)
+  stage_count : int array;
+  stage_us : int array;
   stage_mu : Mutex.t;
   mutable conns : conn list;  (* mu-guarded *)
   (* worker domains are spawned on demand, up to [cfg.jobs], and run
@@ -157,30 +157,31 @@ type t = {
   mutable conn_threads : Thread.t list;  (* mu-guarded *)
 }
 
-(* stage latencies are observed in microseconds, bucketed to a 1-2-5
-   ladder so the histogram stays a handful of meaningful bins instead
-   of one bin per distinct sample *)
-let bucket_us v =
-  if v <= 0 then 0
-  else begin
-    let d = ref 1 in
-    while v / !d >= 10 do
-      d := !d * 10
-    done;
-    let m = v / !d in
-    (if m >= 5 then 5 else if m >= 2 then 2 else 1) * !d
-  end
+(* the stages a request passes through, in [stats] order *)
+type stage = Parse | Queue | Compile | Sim | Encode
 
-(* each stage keeps its bucketed histogram and, under the same name,
-   a counter of its exact total µs *)
-let observe_stage t name seconds =
-  let us = int_of_float (seconds *. 1e6) in
+let stages =
+  [
+    (Parse, "parse");
+    (Queue, "queue");
+    (Compile, "compile");
+    (Sim, "sim");
+    (Encode, "encode");
+  ]
+
+let stage_index = function
+  | Parse -> 0
+  | Queue -> 1
+  | Compile -> 2
+  | Sim -> 3
+  | Encode -> 4
+
+let observe_stage t stage seconds =
+  let i = stage_index stage in
   Mutex.lock t.stage_mu;
-  Metrics.observe t.stage_metrics name (bucket_us us);
-  Metrics.incr ~by:us t.stage_metrics name;
+  t.stage_count.(i) <- t.stage_count.(i) + 1;
+  t.stage_us.(i) <- t.stage_us.(i) + int_of_float (seconds *. 1e6);
   Mutex.unlock t.stage_mu
-
-let stages = [ "parse"; "queue"; "compile"; "sim"; "encode" ]
 
 (* -- job execution ------------------------------------------------- *)
 
@@ -324,9 +325,9 @@ let execute t (e : entry) ~(emit : Json.t -> unit) :
       | Ok r ->
           let warm = r.Experiment.compile_s = 0. && r.Experiment.sim_s = 0. in
           if r.Experiment.compile_s > 0. then
-            observe_stage t "serve.stage.compile_us" r.Experiment.compile_s;
+            observe_stage t Compile r.Experiment.compile_s;
           if r.Experiment.sim_s > 0. then
-            observe_stage t "serve.stage.sim_us" r.Experiment.sim_s;
+            observe_stage t Sim r.Experiment.sim_s;
           Ok (r, warm)
       | Error msg when timeoutish msg -> Error (Proto.Timeout, msg)
       | Error msg -> Error (Proto.Job_failed, msg))
@@ -372,7 +373,7 @@ let complete t (e : entry) result =
   List.iter
     (fun (id, conn) -> send conn (terminal_response id result))
     waiters;
-  observe_stage t "serve.stage.encode_us" (Unix.gettimeofday () -. t0)
+  observe_stage t Encode (Unix.gettimeofday () -. t0)
 
 let worker_loop t wid () =
   let rec next () =
@@ -412,7 +413,7 @@ let worker_loop t wid () =
                         "timed out after %.0f ms waiting in queue"
                         ((Unix.gettimeofday () -. e.enqueued_at) *. 1000.) ))
            | _ ->
-               observe_stage t "serve.stage.queue_us"
+               observe_stage t Queue
                  (Unix.gettimeofday () -. e.enqueued_at);
                let emit v =
                  match e.waiters with
@@ -471,12 +472,11 @@ let stats_response t =
   let stage =
     Mutex.protect t.stage_mu (fun () ->
         List.concat_map
-          (fun s ->
-            let name = "serve.stage." ^ s ^ "_us" in
+          (fun (stage, name) ->
+            let i = stage_index stage in
             [
-              ( "stage_" ^ s ^ "_count",
-                Metrics.hist_total (Metrics.histogram t.stage_metrics name) );
-              ("stage_" ^ s ^ "_us", Metrics.counter t.stage_metrics name);
+              ("stage_" ^ name ^ "_count", t.stage_count.(i));
+              ("stage_" ^ name ^ "_us", t.stage_us.(i));
             ])
           stages)
   in
@@ -591,7 +591,7 @@ let submit t conn id (spec : Proto.job_spec) ~ack ~(out : string -> unit) =
 let handle_line t conn line =
   let t0 = Unix.gettimeofday () in
   let parsed = Proto.parse_request line in
-  observe_stage t "serve.stage.parse_us" (Unix.gettimeofday () -. t0);
+  observe_stage t Parse (Unix.gettimeofday () -. t0);
   let { Proto.id; req } = parsed in
   match req with
   | Error msg ->
@@ -715,7 +715,8 @@ let start (cfg : config) : t =
           fast_hits = Atomic.make 0;
           batches = Atomic.make 0;
         };
-      stage_metrics = Metrics.create ();
+      stage_count = Array.make (List.length stages) 0;
+      stage_us = Array.make (List.length stages) 0;
       stage_mu = Mutex.create ();
       conns = [];
       workers = [];

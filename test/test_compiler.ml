@@ -568,6 +568,60 @@ let checked_after_unchecked () =
     G.kernels;
   check "some plan reaches the hook" true (!total > 0)
 
+(* every named config, [hand_optimized] included *)
+let named_configs =
+  Dfp.Config.all_configs @ [ ("Hand", Dfp.Config.hand_optimized) ]
+
+(* The driver's view of a compile, which edgec prints, is the compile's
+   own: one hyperblock per emitted block, in emission order, for every
+   example kernel under every named config, and for the pinned kernels
+   whose compile re-partitions a region after its first attempt. *)
+let hyperblocks_are_emitted () =
+  let module G = Test_support.Goldens in
+  let examples =
+    List.concat_map
+      (fun k ->
+        List.map
+          (fun (cn, config) ->
+            (k, cn, config, fun () -> Edge_lang.Lower.compile (G.kernel_source k)))
+          named_configs)
+      G.kernels
+  in
+  List.iter
+    (fun (name, cn, config, lower) ->
+      let what = name ^ " " ^ cn in
+      match
+        ( Result.bind (lower ()) (fun cfg -> Dfp.Driver.compile_cfg cfg config),
+          Result.bind (lower ()) (fun cfg -> Dfp.Driver.hyperblocks cfg config) )
+      with
+      | Ok c, Ok (_, hblocks) ->
+          Alcotest.(check (list string))
+            what
+            (List.map fst c.Dfp.Driver.program.Edge_isa.Program.blocks)
+            (List.map (fun (h : Hb.t) -> h.Hb.hname) hblocks)
+      | Error e, _ | _, Error e -> Alcotest.failf "%s: %s" what e)
+    (examples @ Test_support.Compiled_pins.refined ())
+
+(* The command-line tools' config names: any case, each named config
+   with its canonical name; an unknown name is an error listing them. *)
+let config_names () =
+  List.iter
+    (fun (name, config) ->
+      List.iter
+        (fun s ->
+          match Dfp.Config.find s with
+          | Ok (n, c) -> check s true (n = name && c = config)
+          | Error e -> Alcotest.fail e)
+        [ name; String.lowercase_ascii name; String.uppercase_ascii name ])
+    named_configs;
+  match Dfp.Config.find "nope" with
+  | Ok _ -> Alcotest.fail "unknown config accepted"
+  | Error e ->
+      Alcotest.(check string)
+        "unknown config"
+        "unknown config nope (Merge|Mov4|Sand|BB|Hyper|Intra|Inter|Both|Hand)"
+        e
+
 let tests =
   [
     Alcotest.test_case "region formation" `Quick region_formation;
@@ -589,4 +643,7 @@ let tests =
       checked_equals_unchecked;
     Alcotest.test_case "checked after unchecked runs every check" `Quick
       checked_after_unchecked;
+    Alcotest.test_case "hyperblocks are the emitted blocks" `Quick
+      hyperblocks_are_emitted;
+    Alcotest.test_case "config names" `Quick config_names;
   ]

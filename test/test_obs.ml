@@ -352,8 +352,8 @@ let pass_counters () =
                     (fun (k, v) -> Printf.sprintf "%s=%d" k v)
                     pcs))
 
-(* the sizing pre-pass (fit_regions) must not leak counts into the final
-   artifact: counters reflect exactly one generate attempt *)
+(* sizing's attempts must not leak counts into the final artifact:
+   counters reflect exactly the compile's last attempt *)
 let pass_counters_bounded () =
   let source = G.kernel_source "pred_diamond" in
   match Tk.compile_source source Dfp.Config.both with
