@@ -144,9 +144,11 @@ regen-golden: build
 smoke: build
 	dune exec bench/main.exe -- smoke
 
-# the full evaluation; writes BENCH_fig7.json
+# the full evaluation; writes BENCH_fig7.json.  Uncached: the result
+# cache's key does not identify the compiler, so a cached sweep would
+# replay the cycle counts of the compiler that filled it
 bench: build
-	dune exec bench/main.exe
+	dune exec bench/main.exe -- --no-cache
 
 clean:
 	dune clean

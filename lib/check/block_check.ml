@@ -84,7 +84,8 @@ let classify_encoding msg =
    enumeration variables of [Gate].  The variables are defined only
    when every id and target is in range, which [Block.validate] reports
    otherwise.  Computed once per distinct block of the current program
-   ([Scope]), whichever judge asks first. *)
+   ([Scope]), whichever judge asks first, under the one key that also
+   holds this checker's passing outcome. *)
 type gate = {
   names : string list;
   var_of : (int, int * bool) Hashtbl.t;
@@ -101,6 +102,8 @@ type facts = {
   invalid : string list;  (** [Block.validate]'s errors *)
   roundtrip : (int option * string) list;  (** [Encode.roundtrip_errors] *)
   gate : gate option;  (** [None] when an id or target is out of range *)
+  mutable passed : outcome option;
+      (** [check]'s outcome once it was [Clean] or [Skipped] *)
 }
 
 let indexable (b : B.t) =
@@ -182,6 +185,7 @@ let facts (b : B.t) : facts =
                in
                Some { names; var_of; nvars; order; acyclic }
              else None);
+          passed = None;
         }
       in
       Scope.add key (Facts f);
@@ -544,10 +548,21 @@ let symbolic_diags ~pass (b : B.t) (g : gate) : outcome =
         match List.rev !diags with [] -> Clean | ds -> Diags ds
       with Bdd.Budget -> Skipped "BDD node budget exceeded")
 
-(* a block that passes [Block.validate] has every id and target in
-   range, so its gate is defined *)
+(* A block that passes [Block.validate] has every id and target in
+   range, so its gate is defined.  A passing outcome is kept in the
+   block's facts, so an identical block of the same program is judged
+   once; it does not depend on [pass], which only a diagnostic names.  A
+   failure is judged again each time, so its diagnostics name their own
+   pass. *)
 let check ~pass (b : B.t) : outcome =
   let f = facts b in
-  match (structural_diags ~pass b f, f.gate) with
-  | [], Some g -> symbolic_diags ~pass b g
-  | ds, _ -> Diags ds
+  match f.passed with
+  | Some o -> o
+  | None ->
+      let o =
+        match (structural_diags ~pass b f, f.gate) with
+        | [], Some g -> symbolic_diags ~pass b g
+        | ds, _ -> Diags ds
+      in
+      (match o with Clean | Skipped _ -> f.passed <- Some o | Diags _ -> ());
+      o

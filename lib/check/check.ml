@@ -35,8 +35,9 @@ let empty = { diags = []; skipped = 0 }
 let merge a b = { diags = a.diags @ b.diags; skipped = a.skipped + b.skipped }
 
 (* a passing verdict is reused for identical content judged earlier for
-   the same program (see [Scope]); the key leaves out [pass], which
-   only failures mention *)
+   the same program (see [Scope]): a hyperblock's through
+   [Scope.verdict], an encoded block's in its [Block_check.facts]; the
+   key leaves out [pass], which only failures mention *)
 let of_verdict = function
   | Ok skipped -> { diags = []; skipped = Bool.to_int skipped }
   | Error ds -> { diags = ds; skipped = 0 }
@@ -55,11 +56,10 @@ let hblocks ~pass (hs : Hb.t list) : result =
 
 let block ~pass (b : Edge_isa.Block.t) : result =
   of_verdict
-    (Scope.verdict ~tag:"block_check" b (fun () ->
-         match Block_check.check ~pass b with
-         | Block_check.Clean -> Ok false
-         | Block_check.Skipped _ -> Ok true
-         | Block_check.Diags ds -> Error ds))
+    (match Block_check.check ~pass b with
+    | Block_check.Clean -> Ok false
+    | Block_check.Skipped _ -> Ok true
+    | Block_check.Diags ds -> Error ds)
 
 let program ?(pass = "codegen") (p : Edge_isa.Program.t) : result =
   List.fold_left

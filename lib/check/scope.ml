@@ -10,22 +10,22 @@
      and after each predicate pass of a config's step list, keyed on
      the prefix, the attempt and the steps so far, which a later
      config whose steps start the same way resumes from;
-   - the passing verdicts of pure per-block judges: the hyperblock and
-     block checkers (through [Check.hblocks] and [Check.block]), the
-     driver's psi round trip, the fuzz validator's [Validate.block],
-     and the ineffectuality enumerator the fuzz oracle installs as
-     [Opt_ineff.cross_validate];
+   - the hyperblock checker's passing verdicts ([verdict], through
+     [Check.hblocks]);
    - the structural facts of each block the two encoded-block judges
-     saw ([Block_check.facts]), which both of them read.
+     saw ([Block_check.facts]), which both of them read, with the
+     block checker's passing outcome.
 
-   A verdict's key is a printable tag naming the judge and its
-   parameters, followed by [Marshal.to_string v [No_sharing]] of the
-   content judged.  Every marshalled value starts with the byte 0x84,
-   which no tag contains, so keys of different tags never collide, and
-   keys are compared whole: a hit is a judgment of identical content.
-   Only passing verdicts are stored (the judge's [Ok skipped]); a
-   failure is always recomputed, so its diagnostic keeps its own pass
-   name and witness.
+   A verdict's or facts entry's key is a printable tag, followed by
+   [Marshal.to_string v [No_sharing]] of the content judged.  Every
+   marshalled value starts with the byte 0x84, which no tag contains,
+   so keys of different tags never collide, and keys are compared
+   whole: a hit is a judgment of identical content.  Only passing
+   verdicts are stored (the judge's [Ok skipped]); a failure is always
+   recomputed, so its diagnostic keeps its own pass name and witness.
+   The fuzz validator's path walk and the ineffectuality enumerator
+   store nothing: a stored verdict saved them under 1% of a fuzz-oracle
+   op.
 
    With no current program ([leave], or a domain that has not compiled
    yet) nothing is read or stored.  A profiled compile leaves the

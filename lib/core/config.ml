@@ -7,7 +7,6 @@ type t = {
   opt_merge : bool;
   max_unroll : int;
   use_mov4 : bool;
-  max_block_instrs : int;
   aggressive_regions : bool;
   use_sand : bool;
   opt_ineff : bool;
@@ -21,7 +20,6 @@ let base =
     opt_merge = false;
     max_unroll = 8;
     use_mov4 = false;
-    max_block_instrs = 128;
     aggressive_regions = false;
     use_sand = false;
     opt_ineff = false;

@@ -17,7 +17,6 @@ type t = {
   max_unroll : int;  (** cap on static loop unrolling (Section 3.4) *)
   use_mov4 : bool;  (** build fanout trees with 4-target multicast moves
                         (Section 7 future work; ablation) *)
-  max_block_instrs : int;  (** 128 in the TRIPS prototype *)
   aggressive_regions : bool;
       (** unroll and grow regions to fill blocks completely; viable only
           with merging (the Section 5.3 case study) *)

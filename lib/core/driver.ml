@@ -51,32 +51,6 @@ let check_hblocks ?profile ~check ~pass hblocks =
   checked ?profile ~check (fun () ->
       Edge_check.Check.hblocks ~pass:(Pass_id.name pass) hblocks)
 
-(* The psi round-trip invariant: Psi-SSA construction followed by
-   destruction must be the structural identity on every hyperblock (so
-   it trivially preserves checker verdicts).  Runs with [check] on,
-   after the optimization pipeline.  Its versions come from a copy of
-   the compile's temp supply, so the checker leaves the temps codegen
-   draws untouched, and the verdict is a function of the block alone:
-   a block that passed for the program passes again. *)
-let check_psi_roundtrip ?profile ~check ~gen hblocks =
-  if not check then Ok ()
-  else
-    timed profile "check" @@ fun () ->
-    List.fold_left
-      (fun acc (h : Hb.t) ->
-        let* () = acc in
-        Edge_check.Scope.verdict ~tag:"psi_roundtrip" h (fun () ->
-            if Edge_ir.Psi_ssa.roundtrip ~gen:(Temp.Gen.copy gen) h then
-              Ok false
-            else
-              Error
-                (Edge_check.Diag.to_string
-                   (Edge_check.Diag.make ~pass:"psi_ssa" ~block:h.Hb.hname
-                      ~where:"body" Edge_check.Diag.Structure
-                      "psi construct/destruct round-trip changed the block")))
-        |> Result.map ignore)
-      (Ok ()) hblocks
-
 let rec convert_regions ?m cfg liveness ~retq regions =
   match regions with
   | [] -> Ok []
@@ -238,7 +212,6 @@ let attempt ?profile ~check ?lint ?key (config : Config.t) p regions =
       timed profile (Pass_id.name Pass_id.Opt_ineff) (fun () ->
           List.iter (fun h -> List.iter report (Opt_ineff.findings h)) hblocks)
   | _ -> ());
-  let* () = check_psi_roundtrip ?profile ~check ~gen:cfg.Cfg.gen hblocks in
   let* alloc =
     timed profile (Pass_id.name Pass_id.Regalloc) (fun () ->
         Regalloc.allocate hblocks ~entry:cfg.Cfg.entry ~params:cfg.Cfg.params
@@ -346,8 +319,8 @@ let run_prefix ?profile ~check cfg (config : Config.t) =
   if config.Config.mode = Config.Hyper then begin
     let target =
       if config.Config.aggressive_regions then
-        config.Config.max_block_instrs * 9 / 10
-      else config.Config.max_block_instrs / 2
+        Edge_isa.Block.max_instrs * 9 / 10
+      else Edge_isa.Block.max_instrs / 2
     in
     timed profile "unroll" (fun () ->
         Unroll.run cfg ~max_unroll:config.Config.max_unroll
@@ -364,7 +337,7 @@ let run_prefix ?profile ~check cfg (config : Config.t) =
         let initial =
           timed profile "regions" (fun () ->
               Region.select cfg
-                ~budget:(config.Config.max_block_instrs * frac / 100))
+                ~budget:(Edge_isa.Block.max_instrs * frac / 100))
         in
         timed profile "sizing" (fun () ->
             size_regions config { cfg; retq; liveness; regions = initial })
@@ -383,8 +356,7 @@ let prefix_key (config : Config.t) =
   match config.Config.mode with
   | Config.Bb -> "prefix bb"
   | Config.Hyper ->
-      Printf.sprintf "prefix hyper unroll=%d block=%d" config.Config.max_unroll
-        config.Config.max_block_instrs
+      Printf.sprintf "prefix hyper unroll=%d" config.Config.max_unroll
 
 let shared_prefix ~check cfg (config : Config.t) =
   let key = prefix_key config in

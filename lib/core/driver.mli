@@ -48,10 +48,11 @@ val compile_cfg :
     config-independent prefix: SSA construction and destruction, the
     classic optimizations, unrolling, region selection and region
     sizing.  The scope keeps the program's prefixes, keyed on what the
-    prefix reads of the config: the mode, plus [max_unroll] and
-    [max_block_instrs] in Hyper mode.  All Hyper configs that share
-    those two limits share a prefix, since regions are sized against
-    naive predication whatever the config's predicate optimizations.  A
+    prefix reads of the config: the mode, plus [max_unroll] in Hyper
+    mode (block sizes come from {!Edge_isa.Block.max_instrs}).  All
+    Hyper configs that share that limit share a prefix, since regions
+    are sized against naive predication whatever the config's predicate
+    optimizations.  A
     miss runs the prefix on the caller's CFG and stores a copy; a hit
     finishes on a copy of the stored prefix and leaves the caller's CFG
     untouched.  Compiles with [aggressive_regions] (its sizing runs the
@@ -61,19 +62,19 @@ val compile_cfg :
     the state of {!Opt_ineff}'s test hooks and the passes so far; a
     config whose passes start as a stored stage's did resumes from the
     deepest one.  A later attempt of the fitting loop, and every lint
-    and [aggressive_regions] compile, neither reads nor stores stages.  The scope also keeps the passing verdicts of the checker
-    (the psi round trip included) and of the fuzz oracle's validator
-    and enumerator, keyed on the exact content judged.  A
-    compile with [profile] (it times every stage and every check)
-    leaves the scope: it reads and stores nothing.  The result is the
+    and [aggressive_regions] compile, neither reads nor stores stages.
+    The scope also keeps the hyperblock checker's passing verdicts and
+    each encoded block's structural facts with the block checker's
+    passing verdict, keyed on the exact content judged.  A compile with
+    [profile] (it times every stage and every check) leaves the scope:
+    it reads and stores nothing.  The result is the
     same as a compile in a domain with nothing stored.
 
     [check] runs the static verifier ({!Edge_check.Check}) after every
     pass — if-conversion, each predicate optimization, register
-    allocation, code generation, scheduling, plus the Psi-SSA
-    construct/destruct round-trip — and fails compilation with a
-    structured [check\[pass=… invariant=…\]] diagnostic on the first
-    violation.  Defaults to {!Edge_check.Check.enabled} (set by a
+    allocation, code generation and scheduling — and fails compilation
+    with a structured [check\[pass=… invariant=…\]] diagnostic on the
+    first violation.  Defaults to {!Edge_check.Check.enabled} (set by a
     [--check] flag).
 
     [lint] switches the ineffectuality pass into report mode: every

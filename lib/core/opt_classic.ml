@@ -5,67 +5,6 @@ module Label = Edge_ir.Label
 module Dom = Edge_ir.Dom
 module Opcode = Edge_isa.Opcode
 
-let mask63 v = Int64.to_int (Int64.logand v 63L)
-
-(* Constant evaluation mirrors Alu/Interp semantics; division by zero is
-   not folded (it must fault at run time). *)
-let fold_ibinop op a b =
-  match op with
-  | Opcode.Add -> Some (Int64.add a b)
-  | Opcode.Sub -> Some (Int64.sub a b)
-  | Opcode.Mul -> Some (Int64.mul a b)
-  | Opcode.Div -> if b = 0L then None else Some (Int64.div a b)
-  | Opcode.Rem -> if b = 0L then None else Some (Int64.rem a b)
-  | Opcode.And -> Some (Int64.logand a b)
-  | Opcode.Or -> Some (Int64.logor a b)
-  | Opcode.Xor -> Some (Int64.logxor a b)
-  | Opcode.Sll -> Some (Int64.shift_left a (mask63 b))
-  | Opcode.Srl -> Some (Int64.shift_right_logical a (mask63 b))
-  | Opcode.Sra -> Some (Int64.shift_right a (mask63 b))
-
-let fold_fbinop op a b =
-  let x = Int64.float_of_bits a and y = Int64.float_of_bits b in
-  let r =
-    match op with
-    | Opcode.Fadd -> x +. y
-    | Opcode.Fsub -> x -. y
-    | Opcode.Fmul -> x *. y
-    | Opcode.Fdiv -> x /. y
-  in
-  Some (Int64.bits_of_float r)
-
-let fold_cmp cond fp a b =
-  let r =
-    if fp then
-      let x = Int64.float_of_bits a and y = Int64.float_of_bits b in
-      match cond with
-      | Opcode.Eq -> x = y
-      | Opcode.Ne -> x <> y
-      | Opcode.Lt -> x < y
-      | Opcode.Le -> x <= y
-      | Opcode.Gt -> x > y
-      | Opcode.Ge -> x >= y
-    else
-      let c = Int64.compare a b in
-      match cond with
-      | Opcode.Eq -> c = 0
-      | Opcode.Ne -> c <> 0
-      | Opcode.Lt -> c < 0
-      | Opcode.Le -> c <= 0
-      | Opcode.Gt -> c > 0
-      | Opcode.Ge -> c >= 0
-  in
-  if r then 1L else 0L
-
-let fold_unop op a =
-  match op with
-  | Opcode.Mov -> Some a
-  | Opcode.Not -> Some (Int64.lognot a)
-  | Opcode.Neg -> Some (Int64.neg a)
-  | Opcode.Fneg -> Some (Int64.bits_of_float (-.Int64.float_of_bits a))
-  | Opcode.Fitod -> Some (Int64.bits_of_float (Int64.to_float a))
-  | Opcode.Fdtoi -> Some (Int64.of_float (Int64.float_of_bits a))
-
 (* temps as the keys of an int-keyed table *)
 module Tbl = Hashtbl.Make (struct
   type t = Temp.t
@@ -90,20 +29,21 @@ let propagate cfg labels =
   Cfg.iter_instrs cfg (fun _ i ->
       match i with
       | Tac.Un { dst; op = Opcode.Mov; a } -> Tbl.replace subst dst a
+      (* constants fold with the machine's own semantics; division by
+         zero is not folded (it must fault at run time) *)
       | Tac.Bin { dst; op; a = Tac.C a; b = Tac.C b } -> (
-          match fold_ibinop op a b with
+          match Opcode.ibinop op a b with
           | Some v -> Tbl.replace subst dst (Tac.C v)
           | None -> ())
-      | Tac.Fbin { dst; op; a = Tac.C a; b = Tac.C b } -> (
-          match fold_fbinop op a b with
-          | Some v -> Tbl.replace subst dst (Tac.C v)
-          | None -> ())
+      | Tac.Fbin { dst; op; a = Tac.C a; b = Tac.C b } ->
+          Tbl.replace subst dst (Tac.C (Opcode.fbinop op a b))
       | Tac.Cmp { dst; cond; fp; a = Tac.C a; b = Tac.C b } ->
-          Tbl.replace subst dst (Tac.C (fold_cmp cond fp a b))
-      | Tac.Un { dst; op; a = Tac.C a } -> (
-          match fold_unop op a with
-          | Some v -> Tbl.replace subst dst (Tac.C v)
-          | None -> ())
+          let holds =
+            if fp then Opcode.fcmp cond a b else Opcode.icmp cond a b
+          in
+          Tbl.replace subst dst (Tac.C (if holds then 1L else 0L))
+      | Tac.Un { dst; op; a = Tac.C a } ->
+          Tbl.replace subst dst (Tac.C (Opcode.unop op a))
       | Tac.Phi { dst; args } -> (
           (* phi with identical arguments (or only self-references) *)
           let distinct =

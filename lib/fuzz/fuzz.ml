@@ -128,7 +128,9 @@ let replay_source ?machines ~name src : (unit, string) result =
    static validator over each artifact — the "validator passes on all
    compiled artifacts of the Figure 7 sweep" acceptance gate, extended
    to the auxiliary configs.  One task is one workload's configs, so
-   they share its compile prefix and verdicts in one domain.  Returns the number of blocks whose path
+   they share its compile prefix and stages in one domain, and a block
+   repeated across configs has its structural facts built once; every
+   block's paths are walked.  Returns the number of blocks whose path
    enumeration was declined (too many variables) and the failures. *)
 let validate_workloads ?jobs ?(workloads = Edge_workloads.Registry.all) () :
     int * (string * string) list =

@@ -691,15 +691,11 @@ let path_failures ?(max_vars = default_max_vars) walk (b : B.t) =
    [skipped] is true when path enumeration was declined (too many
    variables) and only the structural/round-trip checks ran.  A block
    with an id or target out of range gets only those checks, which
-   report it.  A passing verdict is reused for an identical block
-   validated under the same [max_vars] for the same program (see
-   [Edge_check.Scope]). *)
+   report it.  Every call walks the block's paths; only its structural
+   facts are shared, with the block checker, for an identical block of
+   the same program (see [Edge_check.Scope]). *)
 let block ?(max_vars = default_max_vars) (b : B.t) :
     (bool, string list) result =
-  Edge_check.Scope.verdict
-    ~tag:(Printf.sprintf "validate max_vars=%d" max_vars)
-    b
-  @@ fun () ->
   let f = Bc.facts b in
   let path, skipped =
     match f.Bc.gate with

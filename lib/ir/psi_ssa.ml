@@ -7,22 +7,17 @@
 
        x = psi(v1 [g1], v2 [g2], ..., nullw [gk], ...)
 
-   whose arguments are the renamed versions of the original defs, each
-   carrying the predicate under which it delivers.  Three layers live
-   here:
+   whose arguments are the original defs, each carrying the predicate
+   under which it delivers.  The passes that use it (opt_path,
+   opt_ineff) only read that form and none rewrites code in it, so de
+   Ferrière's versioned form, with each def renamed, is never built.
+   Two layers live here:
 
    1. the *view* — predicate-aware def-use chains (data / guard /
       exit-guard / block-output uses) and the psi argument lists,
       computed without mutating the block.  Optimization passes
       (opt_path) consume this instead of hand-rolled bookkeeping.
-   2. the *construct/destruct* pair — materialize the versioned form
-      (rename each def site of a multi-def temp to a fresh version,
-      recording the psi-nodes), and its exact inverse.  Uses are not
-      renamed: under pred-OR semantics every use reads the psi result,
-      which keeps the original name.  construct followed by destruct
-      is the structural identity, which is exactly the invariant the
-      checker round-trip property enforces.
-   3. the *ineffectuality analysis* — on top of the shared gating model
+   2. the *ineffectuality analysis* — on top of the shared gating model
       ([Pgate]), a backward fixpoint computing per def site the region
       [eff(i)] of enumeration assignments on which the site's firing
       can still contribute to a block obligation (a store, an explicit
@@ -64,7 +59,6 @@
    that case. *)
 
 module Hb = Hblock
-module O = Edge_isa.Opcode
 
 (* ---------------- the view: predicate-aware def-use chains -------- *)
 
@@ -185,56 +179,10 @@ let promotable_chain (vw : view) v =
   in
   if walk v then Some !acc else None
 
-(* ---------------- construct / destruct --------------------------- *)
-
-type versioned = {
-  vh : Hb.t;
-  renamed : (int * Temp.t) list;  (** body position, original dst *)
-  psis : (Temp.t * psi_arg list) list;
-      (** materialized psi-nodes: original temp = psi(versions) *)
-}
-
-let set_dst dst hi =
-  match hi.Hb.hop with
-  | Hb.Op instr -> { hi with Hb.hop = Hb.Op (Tac.with_dst dst instr) }
-  | Hb.Sand s -> { hi with Hb.hop = Hb.Sand { s with dst } }
-  | Hb.Null_write _ | Hb.Null_store _ -> hi
-
-let construct ~gen (h : Hb.t) : versioned =
-  let vw = view h in
-  let renamed = ref [] in
-  let body' =
-    List.mapi
-      (fun i hi ->
-        match Hb.hop_def hi.Hb.hop with
-        | Some d when Temp.Map.mem d vw.vpsis ->
-            let version = Temp.Gen.fresh gen in
-            renamed := (i, d) :: !renamed;
-            set_dst version hi
-        | _ -> hi)
-      h.Hb.body
-  in
-  h.Hb.body <- body';
-  { vh = h; renamed = List.rev !renamed; psis = Temp.Map.bindings vw.vpsis }
-
-let destruct (v : versioned) : unit =
-  let body = Array.of_list v.vh.Hb.body in
-  List.iter (fun (i, orig) -> body.(i) <- set_dst orig body.(i)) v.renamed;
-  v.vh.Hb.body <- Array.to_list body
-
-(* construct then destruct; true iff the block is structurally
-   identical afterwards (the psi round-trip invariant) *)
-let roundtrip ~gen (h : Hb.t) : bool =
-  let snapshot = (h.Hb.body, h.Hb.hexits, h.Hb.houts) in
-  let v = construct ~gen h in
-  destruct v;
-  snapshot = (h.Hb.body, h.Hb.hexits, h.Hb.houts)
-
 (* ---------------- ineffectuality --------------------------------- *)
 
 type ineff = {
   pg : Pgate.t;
-  eff : Bdd.node array;  (** effectual region per body site *)
   dead : int list;  (** sites with eff = False, body order *)
   droppable : int list;
       (** surviving guarded sites whose guard is an ineffectual
@@ -334,37 +282,7 @@ let ineffectuality ?budget (h : Hb.t) : (ineff, string) result =
             Ok
               {
                 pg = g;
-                eff;
                 dead = List.rev !dead;
                 droppable = List.rev !droppable;
               }
       with Bdd.Budget -> Error "BDD node budget exceeded")
-
-(* predicate-aware liveness: the region of assignments on which a token
-   arriving on [t] can still contribute to an obligation *)
-let live_region (iv : ineff) (h : Hb.t) (t : Temp.t) : Bdd.node =
-  let g = iv.pg in
-  let m = g.Pgate.m in
-  let full =
-    ref
-      (List.exists (fun (_, prod) -> Temp.equal t prod) h.Hb.houts
-      || List.exists
-           (fun ex -> List.exists (Temp.equal t) (Hb.guard_uses ex.Hb.eguard))
-           h.Hb.hexits)
-  and acc = ref Bdd.False in
-  Array.iteri
-    (fun j hi ->
-      let consumed_full =
-        List.exists (Temp.equal t) (Hb.guard_uses hi.Hb.guard)
-        ||
-        match hi.Hb.hop with
-        | Hb.Sand { a; b; _ } -> Temp.equal t a || Temp.equal t b
-        | _ -> false
-      in
-      if consumed_full then begin
-        if not (Bdd.is_false iv.eff.(j)) then full := true
-      end
-      else if List.exists (Temp.equal t) (Hb.data_uses hi) then
-        acc := Bdd.disj m !acc iv.eff.(j))
-    g.Pgate.body;
-  if !full then Bdd.True else !acc

@@ -1,8 +1,7 @@
 (** Psi-SSA over the guarded hyperblock IR (de Ferrière): an explicit
-    representation of pred-OR merges.  Three layers: a non-mutating
-    {e view} (predicate-aware def-use chains and psi argument lists), a
-    {e construct/destruct} renaming pair whose composition is the
-    structural identity, and the {e ineffectuality analysis} — a
+    representation of pred-OR merges.  Two layers: a non-mutating
+    {e view} (predicate-aware def-use chains and psi argument lists),
+    and the {e ineffectuality analysis} — a
     backward fixpoint over the shared gating model ({!Pgate}) proving
     which def sites can never contribute to a store, a block output, or
     an exit decision on any path. *)
@@ -41,35 +40,15 @@ val promotable_chain : view -> Temp.t -> int list option
     execution, or [None] if promotion is illegal (a psi merge, a
     possible fault, or a predicate definition on the chain). *)
 
-(** {1 Construct / destruct} *)
-
-type versioned = {
-  vh : Hblock.t;
-  renamed : (int * Temp.t) list;  (** body position, original dst *)
-  psis : (Temp.t * psi_arg list) list;
-}
-
-val construct : gen:Temp.Gen.t -> Hblock.t -> versioned
-(** Rename every def site of a psi-merged temp to a fresh version
-    (uses keep the original name: under pred-OR semantics they read the
-    psi result), returning the materialized psi-nodes. *)
-
-val destruct : versioned -> unit
-(** Exact inverse of {!construct} on an unmodified block. *)
-
-val roundtrip : gen:Temp.Gen.t -> Hblock.t -> bool
-(** [construct] then [destruct]; true iff the block is structurally
-    identical afterwards. *)
-
-(** {1 Ineffectuality and predicate-aware liveness} *)
+(** {1 Ineffectuality} *)
 
 type ineff = {
   pg : Pgate.t;
-  eff : Bdd.node array;
-      (** effectual region per body site: assignments on which the
-          site's firing can still contribute to an obligation.
-          Invariant: [eff(i)] implies [e(i)]. *)
-  dead : int list;  (** sites with [eff = False], body order *)
+  dead : int list;
+      (** sites whose effectual region [eff] is empty, body order:
+          [eff(i)], which implies [e(i)], is the set of assignments on
+          which the site's firing can still contribute to an
+          obligation *)
   droppable : int list;
       (** surviving guarded sites whose guard is an ineffectual
           predicate delivery ([fire_unguarded = e]): the guard can be
@@ -79,8 +58,3 @@ type ineff = {
 val ineffectuality : ?budget:int -> Hblock.t -> (ineff, string) result
 (** [Error msg] means the analysis is inconclusive (BDD budget, fixpoint
     divergence) — treat as "skip", never as a verdict. *)
-
-val live_region : ineff -> Hblock.t -> Temp.t -> Bdd.node
-(** Predicate-aware liveness: the region on which a token arriving on
-    the temp can still contribute to an obligation ([True] when it
-    feeds a surviving guard, an exit, or a block output). *)

@@ -32,6 +32,63 @@ let negate_cond = function
   | Le -> Gt
   | Gt -> Le
 
+(* what the data operations compute on 64-bit payloads; a double
+   travels as its IEEE-754 bits *)
+let mask63 v = Int64.to_int (Int64.logand v 63L)
+let as_float = Int64.float_of_bits
+let of_float = Int64.bits_of_float
+
+let ibinop op a b =
+  match op with
+  | Add -> Some (Int64.add a b)
+  | Sub -> Some (Int64.sub a b)
+  | Mul -> Some (Int64.mul a b)
+  | Div -> if b = 0L then None else Some (Int64.div a b)
+  | Rem -> if b = 0L then None else Some (Int64.rem a b)
+  | And -> Some (Int64.logand a b)
+  | Or -> Some (Int64.logor a b)
+  | Xor -> Some (Int64.logxor a b)
+  | Sll -> Some (Int64.shift_left a (mask63 b))
+  | Srl -> Some (Int64.shift_right_logical a (mask63 b))
+  | Sra -> Some (Int64.shift_right a (mask63 b))
+
+let icmp cond a b =
+  let c = Int64.compare a b in
+  match cond with
+  | Eq -> c = 0
+  | Ne -> c <> 0
+  | Lt -> c < 0
+  | Le -> c <= 0
+  | Gt -> c > 0
+  | Ge -> c >= 0
+
+let fcmp cond a b =
+  let x = as_float a and y = as_float b in
+  match cond with
+  | Eq -> x = y
+  | Ne -> x <> y
+  | Lt -> x < y
+  | Le -> x <= y
+  | Gt -> x > y
+  | Ge -> x >= y
+
+let fbinop op a b =
+  let x = as_float a and y = as_float b in
+  match op with
+  | Fadd -> of_float (x +. y)
+  | Fsub -> of_float (x -. y)
+  | Fmul -> of_float (x *. y)
+  | Fdiv -> of_float (x /. y)
+
+let unop op a =
+  match op with
+  | Mov -> a
+  | Not -> Int64.lognot a
+  | Neg -> Int64.neg a
+  | Fneg -> of_float (-.as_float a)
+  | Fitod -> of_float (Int64.to_float a)
+  | Fdtoi -> Int64.of_float (as_float a)
+
 let num_operands = function
   | Iop _ | Tst _ | Fop _ | Ftst _ | St _ | Sand -> 2
   | Iopi _ | Tsti _ | Un _ | Ld _ | Mov4 -> 1

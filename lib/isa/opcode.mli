@@ -77,6 +77,26 @@ type t =
 
 val equal : t -> t -> bool
 
+(** {1 Semantics}
+
+    What the data operations compute on 64-bit payloads, for the
+    simulators' ALU and the compiler's constant folder alike.  A double
+    travels as its IEEE-754 bits. *)
+
+val ibinop : ibinop -> int64 -> int64 -> int64 option
+(** [None] for [Div] or [Rem] by zero, which sets the exception bit at
+    run time.  Division truncates toward zero; shift amounts are masked
+    to 6 bits. *)
+
+val icmp : cond -> int64 -> int64 -> bool
+(** Signed integer comparison. *)
+
+val fcmp : cond -> int64 -> int64 -> bool
+val fbinop : fbinop -> int64 -> int64 -> int64
+
+val unop : unop -> int64 -> int64
+(** [Fdtoi] truncates. *)
+
 val num_operands : t -> int
 (** Number of data (left/right) operands the instruction must receive. *)
 

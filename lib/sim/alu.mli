@@ -1,9 +1,10 @@
 (** Shared ALU semantics for both simulators.
 
-    Division truncates toward zero and division by zero sets the
-    exception bit; shift amounts are masked to 6 bits; [Fdtoi] truncates;
-    sub-word memory semantics live in {!Edge_isa.Mem}. Results inherit
-    null and exception tags from their operands (Sections 4.2 and 4.4). *)
+    Payloads are computed by the opcode semantics of {!Edge_isa.Opcode}
+    (the compiler's constant folder uses the same functions); division
+    by zero sets the exception bit; sub-word memory semantics live in
+    {!Edge_isa.Mem}. Results inherit null and exception tags from their
+    operands (Sections 4.2 and 4.4). *)
 
 val exec :
   Edge_isa.Opcode.t ->

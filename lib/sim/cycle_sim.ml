@@ -600,8 +600,6 @@ let resolve_branch sim f id =
     f.prediction_checked <- true;
     match f.predicted_next with
     | Some predicted ->
-        Predictor.record_outcome predictor
-          ~correct:(String.equal predicted actual);
         if not (String.equal predicted actual) then begin
           mispredicted := true;
           sim.stats.Stats.branch_mispredicts <-

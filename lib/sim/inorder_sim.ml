@@ -275,10 +275,7 @@ let run_block sim idx =
         ~exit_idx:df.Df.branch_exit ~target:actual;
       let mispredicted =
         match predicted with
-        | Some p ->
-            let correct = String.equal p actual in
-            Predictor.record_outcome ms.Ms.predictor ~correct;
-            not correct
+        | Some p -> not (String.equal p actual)
         | None -> false
       in
       sim.stats.Stats.branch_predictions <-

@@ -4,8 +4,6 @@ type t = {
   mutable history : int;
   exit_table : int array;  (* predicted exit index per (block,history) *)
   btb : (int, string) Hashtbl.t;  (* (block, exit) -> target *)
-  mutable mispredicts : int;
-  mutable predictions : int;
 }
 
 let create ?(history_bits = 4) ?(table_bits = 12) () =
@@ -15,8 +13,6 @@ let create ?(history_bits = 4) ?(table_bits = 12) () =
     history = 0;
     exit_table = Array.make (1 lsl table_bits) 0;
     btb = Hashtbl.create 256;
-    mispredicts = 0;
-    predictions = 0;
   }
 
 let block_hash block = Hashtbl.hash block
@@ -40,10 +36,3 @@ let predict t ~block = predict_hashed t ~block_hash:(block_hash block)
 
 let update t ~block ~exit_idx ~target =
   update_hashed t ~block_hash:(block_hash block) ~exit_idx ~target
-
-let mispredicts t = t.mispredicts
-let predictions t = t.predictions
-
-let record_outcome t ~correct =
-  t.predictions <- t.predictions + 1;
-  if not correct then t.mispredicts <- t.mispredicts + 1

@@ -28,7 +28,3 @@ val predict_hashed : t -> block_hash:int -> string option
 val update_hashed : t -> block_hash:int -> exit_idx:int -> target:string -> unit
 (** Exactly [predict]/[update] with the name hash supplied by the
     caller (see {!block_hash}). *)
-
-val mispredicts : t -> int
-val predictions : t -> int
-val record_outcome : t -> correct:bool -> unit

@@ -598,6 +598,39 @@ let judges_pinned () =
       (String.concat ", " (List.filteri (fun i _ -> i < 5) differ));
   Alcotest.(check int) "pinned lines" (List.length pinned) (List.length now)
 
+(* An encoded block's facts entry keeps the checker's passing outcome
+   only.  [judges pinned] judges with no program named, where nothing
+   is stored; here one program is named, so every block's facts are
+   stored.  Each pinned block the checker fails is validated first,
+   which stores its facts, then checked twice, and both checks must
+   equal the check with nothing stored. *)
+let facts_entry_keeps_failures () =
+  let module Pins = Test_support.Judge_pins in
+  let judge b = Check.block ~pass:"pin" b in
+  Edge_check.Scope.leave ();
+  let failing =
+    List.filter_map
+      (fun (name, variant, _, b) ->
+        match judge b with
+        | { Check.diags = []; _ } -> None
+        | r -> Some (name ^ " " ^ variant, b, Pins.render_check r))
+      (Pins.blocks ())
+  in
+  Alcotest.(check bool) "some pinned block fails" true (failing <> []);
+  Fun.protect ~finally:Edge_check.Scope.leave @@ fun () ->
+  Edge_check.Scope.enter "facts entry";
+  List.iter
+    (fun (what, b, alone) ->
+      ignore (Validate.block b);
+      List.iter
+        (fun time ->
+          Alcotest.(check string)
+            (what ^ " checked " ^ time)
+            alone
+            (Pins.render_check (judge b)))
+        [ "once"; "twice" ])
+    failing
+
 (* a store that also gets a null: harmless when the null comes first
    (the store is resolved and never fires), an error when it comes
    second, so only the scalar walk's delivery order decides *)
@@ -765,6 +798,8 @@ let tests =
     Alcotest.test_case "verdict reuse transparent" `Quick
       verdict_reuse_transparent;
     Alcotest.test_case "judges pinned" `Quick judges_pinned;
+    Alcotest.test_case "facts entry keeps no failure" `Quick
+      facts_entry_keeps_failures;
     Alcotest.test_case "lane walk equals scalar walk" `Quick lane_walk_exact;
     Alcotest.test_case "malformed blocks reported" `Quick malformed_reported;
   ]

@@ -392,7 +392,7 @@ let profiled_compile_equal () =
 (* Compiles of one program in one domain share its config-independent
    prefix.  Back to back in a fresh domain, each input is compiled on
    fresh lowerings under configs that miss, hit, change the unroll
-   limit or the block size, bypass the cache, and turn the checker on;
+   limit, bypass the cache, and turn the checker on;
    every result must equal the same compile run alone in a domain of
    its own, whose cache is empty. *)
 let prefix_reuse_transparent () =
@@ -406,7 +406,6 @@ let prefix_reuse_transparent () =
       ("Hyper", false, Dfp.Config.hyper_baseline);
       ("Both", false, both);
       ("Both unroll 2", false, { both with Dfp.Config.max_unroll = 2 });
-      ("Both block 96", false, { both with Dfp.Config.max_block_instrs = 96 });
       ("Hand", false, Dfp.Config.hand_optimized);
       ("Both checked", true, both);
     ]

@@ -651,7 +651,8 @@ let stats_accumulate () =
   S.add a (S.create ());
   check "zero identity" true (a.S.cycles = 42 && a.S.instrs_executed = 100)
 
-(* exit predictor: training, retargeting, and the outcome counters *)
+(* exit predictor: cold, then trained, and stable under repeated
+   training (the backends count mispredictions in [Stats]) *)
 let predictor_update_mispredict () =
   let module P = Edge_sim.Predictor in
   let p = P.create () in
@@ -660,13 +661,7 @@ let predictor_update_mispredict () =
   check "learned" true (P.predict p ~block:"loop" = Some "body");
   (* repeated training with the same history must stay stable *)
   P.update p ~block:"loop" ~exit_idx:0 ~target:"body";
-  check "stable" true (P.predict p ~block:"loop" = Some "body");
-  check "no outcomes yet" true (P.predictions p = 0 && P.mispredicts p = 0);
-  P.record_outcome p ~correct:true;
-  P.record_outcome p ~correct:false;
-  P.record_outcome p ~correct:false;
-  check "predictions counted" true (P.predictions p = 3);
-  check "mispredicts counted" true (P.mispredicts p = 2)
+  check "stable" true (P.predict p ~block:"loop" = Some "body")
 
 (* cache: write-allocate, flush, and that hits don't evict *)
 let cache_eviction_flush () =
